@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
-import warnings
+import tempfile
 from pathlib import Path
 
 from . import density as density_mod
@@ -20,7 +22,7 @@ from .errors import DegenerateStatisticsError, DegenerateStatisticsWarning, Vali
 from .graphs import global_efficiency, local_efficiency, spread_condition_holds, threshold, \
     weighted_density, weighted_efficiency
 from .modularity import edges_sweep, randomness_sweep
-from .spn import differential_spn, mean_spn, node_differential_spn
+from .spn import node_differential_spn
 
 
 def _parse_grid(text: str) -> list[int]:
@@ -39,17 +41,22 @@ def _parse_grid(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _write_run_log(out_dir: Path, command: str, config: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = f"{command}\nconfig: {json.dumps(config, sort_keys=True)}\n"
-    (out_dir / "run_log.txt").write_text(text)
+def _profile_grid(args) -> list[int] | None:
+    """The --grid text parsed, or the manifest's grid list the runner put there."""
+    if isinstance(args.grid, str):
+        return _parse_grid(args.grid) if args.grid else None
+    return args.grid
 
 
-def _resolve(args) -> tuple[spnio.Manifest, float, int]:
-    manifest = spnio.parse_manifest(args.manifest)
-    base_rate = args.base_rate if args.base_rate is not None else manifest.options.base_rate
-    seed = args.seed if args.seed is not None else manifest.options.seed
-    return manifest, base_rate, seed
+def _resolve_options(args, options: spnio.ManifestOptions) -> None:
+    """Fill the flags left unset from the manifest's options, so that the
+    commands and the run log see the values the run uses."""
+    if args.base_rate is None:
+        args.base_rate = options.base_rate
+    if hasattr(args, "standardize"):
+        args.standardize = args.standardize or options.standardize
+        if not args.grid and options.density_grid is not None:
+            args.grid = list(options.density_grid)
 
 
 def _condition_index(conditions: tuple[str, ...], value: str) -> int:
@@ -66,49 +73,27 @@ def _condition_index(conditions: tuple[str, ...], value: str) -> int:
     return idx
 
 
-def cmd_spn_mean(args) -> int:
-    manifest, base_rate, _ = _resolve(args)
-    data = spnio.load_dataset(manifest)
+# Each command writes into ``out`` and returns a one-line summary.  The
+# runner has already parsed the manifest, filled unset flags from its
+# options and loaded ``data`` (None for the simulations).
+
+
+def cmd_spn_mean(args, manifest, data, out: Path) -> str:
     ci = _condition_index(data.condition_labels, args.condition)
-    result = mean_spn(data, ci, base_rate, args.correction)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stem = out / f"mean_spn_{spnio.safe_name(data.condition_labels[ci])}"
-    graph_path = spnio.export_graph(result.network, args.format, f"{stem}.{args.format}")
-    spnio.write_mean_spn_stats(f"{stem}_stats.csv", data.node_labels, result)
-    _write_run_log(out, "spn mean", {
-        "base_rate": base_rate, "condition": data.condition_labels[ci],
-        "correction": args.correction, "format": args.format,
-        "manifest": str(args.manifest),
-    })
-    print(f"mean SPN ({data.condition_labels[ci]}): {result.network.edge_count} edges -> {graph_path}")
-    return 0
+    result, _ = spnio.step_mean_spn(data, out, "", ci, args.base_rate, args.correction,
+                                    args.format)
+    return f"mean SPN ({data.condition_labels[ci]}): {result.network.edge_count} edges"
 
 
-def cmd_spn_diff(args) -> int:
-    manifest, base_rate, _ = _resolve(args)
-    data = spnio.load_dataset(manifest)
-    plus, minus = differential_spn(data, base_rate, args.correction)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for tag, result in (("plus", plus), ("minus", minus)):
-        spnio.export_graph(result.network, args.format, out / f"differential_spn_{tag}.{args.format}")
-    spnio.write_differential_stats(out / "differential_stats.csv", data.node_labels, plus, minus)
-    _write_run_log(out, "spn diff", {
-        "base_rate": base_rate, "correction": args.correction,
-        "format": args.format, "manifest": str(args.manifest),
-    })
-    print(f"differential SPN+: {plus.network.edge_count} edges, "
-          f"SPN-: {minus.network.edge_count} edges -> {out}")
-    return 0
+def cmd_spn_diff(args, manifest, data, out: Path) -> str:
+    (plus, minus), _ = spnio.step_differential_spn(data, out, "", args.base_rate,
+                                                   args.correction, args.format)
+    return (f"differential SPN+: {plus.network.edge_count} edges, "
+            f"SPN-: {minus.network.edge_count} edges")
 
 
-def cmd_spn_node_diff(args) -> int:
-    manifest, base_rate, _ = _resolve(args)
-    data = spnio.load_node_signals(manifest)
-    plus, minus = node_differential_spn(data, base_rate, args.correction)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_spn_node_diff(args, manifest, data, out: Path) -> str:
+    plus, minus = node_differential_spn(data, args.base_rate, args.correction)
     spnio.write_node_differential_stats(out / "node_differential_stats.csv",
                                         data.node_labels, plus, minus)
     payload = {
@@ -116,17 +101,10 @@ def cmd_spn_node_diff(args) -> int:
         "downweighted": [data.node_labels[v] for v in minus.flagged_nodes],
     }
     (out / "node_differential.json").write_text(json.dumps(payload, indent=2) + "\n")
-    _write_run_log(out, "spn node-diff", {
-        "base_rate": base_rate, "correction": args.correction, "manifest": str(args.manifest),
-    })
-    print(f"node differential SPN: {len(plus.flagged_nodes)} up, "
-          f"{len(minus.flagged_nodes)} down -> {out}")
-    return 0
+    return f"node differential SPN: {len(plus.flagged_nodes)} up, {len(minus.flagged_nodes)} down"
 
 
-def cmd_metrics(args) -> int:
-    manifest, _, _ = _resolve(args)
-    data = spnio.load_dataset(manifest)
+def cmd_metrics(args, manifest, data, out: Path) -> str:
     negatives = "abs" if args.abs else "error"
     rows = []
     for si, subject in enumerate(data.subject_ids):
@@ -143,99 +121,88 @@ def cmd_metrics(args) -> int:
               "spread_condition_holds"]
     if args.tau is not None:
         header += ["n_edges_tau", "global_efficiency_tau", "local_efficiency_tau"]
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     spnio.write_csv(out / "metrics.csv", header, rows)
-    _write_run_log(out, "metrics", {
-        "abs": args.abs, "manifest": str(args.manifest), "tau": args.tau,
-    })
-    print(f"metrics for {len(rows)} subject x condition cells -> {out / 'metrics.csv'}")
-    return 0
+    return f"metrics for {len(rows)} subject x condition cells"
 
 
-def cmd_density_profile(args) -> int:
-    manifest, _, _ = _resolve(args)
-    data = spnio.load_dataset(manifest)
-    negatives = "abs" if args.abs else "error"
-    grid = _parse_grid(args.grid) if args.grid else manifest.options.density_grid
-    metric_fn = density_mod.metric_by_name(args.metric)
-    profile_rows, summary_rows = [], []
-    for ci, condition in enumerate(data.condition_labels):
-        g = spnio.association_graph(spnio.condition_mean_matrix(data, ci),
-                                    data.node_labels, negatives=negatives)
-        if args.standardize or manifest.options.standardize:
-            g = spnio.standardize_weights(g)
-        profile = density_mod.density_integrated_metric(g, metric_fn, grid=grid)
-        for k, mass, value in zip(profile.densities, profile.weights, profile.values):
-            profile_rows.append((condition, k, repr(float(mass)), repr(float(value))))
-        summary_rows.append((condition, args.metric, repr(profile.integrated)))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    spnio.write_csv(out / "density_profiles.csv",
-                     ["condition", "k", "p_mass", "value"], profile_rows)
-    spnio.write_csv(out / "density_integrated.csv",
-                     ["condition", "metric", "integrated"], summary_rows)
-    _write_run_log(out, "density-profile", {
-        "abs": args.abs, "grid": grid if grid is None else list(grid),
-        "manifest": str(args.manifest), "metric": args.metric,
-        "standardize": bool(args.standardize or manifest.options.standardize),
-    })
-    print(f"density profiles ({args.metric}) for {len(summary_rows)} conditions -> {out}")
-    return 0
+def cmd_density_profile(args, manifest, data, out: Path) -> str:
+    spnio.step_density_profiles(data, out, "", "abs" if args.abs else "error",
+                                args.standardize, args.metric, _profile_grid(args))
+    return f"density profiles ({args.metric}) for {data.n_conditions} conditions"
 
 
-def cmd_simulate_rewire(args) -> int:
+def cmd_simulate_rewire(args, manifest, data, out: Path) -> str:
     grid = _parse_grid(args.grid)
-    seed = args.seed if args.seed is not None else 0
-    sweep = randomness_sweep(args.n_v, args.n_e, grid, args.replicates, seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "rewire_sweep.csv"
-    sweep.to_csv(target)
-    _write_run_log(out, "simulate rewire", {
-        "grid": grid, "n_e": args.n_e, "n_v": args.n_v,
-        "replicates": args.replicates, "seed": seed,
-    })
-    print(f"rewiring sweep ({len(grid)} grid points x {args.replicates} replicates) -> {target}")
-    return 0
+    randomness_sweep(args.n_v, args.n_e, grid, args.replicates, args.seed).to_csv(
+        out / "rewire_sweep.csv")
+    return f"rewiring sweep ({len(grid)} grid points x {args.replicates} replicates)"
 
 
-def cmd_simulate_edges(args) -> int:
+def cmd_simulate_edges(args, manifest, data, out: Path) -> str:
     grid = _parse_grid(args.edge_grid)
-    seed = args.seed if args.seed is not None else 0
-    sweep = edges_sweep(args.n_v, grid, args.topology, args.replicates, seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / f"edges_sweep_{args.topology}.csv"
-    sweep.to_csv(target)
-    _write_run_log(out, "simulate edges", {
-        "edge_grid": grid, "n_v": args.n_v, "replicates": args.replicates,
-        "seed": seed, "topology": args.topology,
-    })
-    print(f"edge sweep ({args.topology}) -> {target}")
-    return 0
+    edges_sweep(args.n_v, grid, args.topology, args.replicates, args.seed).to_csv(
+        out / f"edges_sweep_{args.topology}.csv")
+    return f"edge sweep ({args.topology}, {len(grid)} grid points x {args.replicates} replicates)"
 
 
-def cmd_report(args) -> int:
-    manifest, base_rate, _ = _resolve(args)
-    data = spnio.load_dataset(manifest)
-    grid = _parse_grid(args.grid) if args.grid else manifest.options.density_grid
+def cmd_report(args, manifest, data, out: Path) -> str:
     bundle = spnio.report_pipeline(
         data,
-        args.out_dir,
-        base_rate=base_rate,
+        out,
+        base_rate=args.base_rate,
         correction=args.correction,
         negatives="abs" if args.abs else "error",
-        standardize=bool(args.standardize or manifest.options.standardize),
+        standardize=args.standardize,
         metric=args.metric,
-        density_grid=grid,
+        density_grid=_profile_grid(args),
         fmt=args.format,
+        run_log=False,
     )
-    if args.strict and bundle.warnings:
-        raise DegenerateStatisticsError("; ".join(bundle.warnings))
-    for note in bundle.warnings:
-        print(f"warning: {note}", file=sys.stderr)
-    print(f"report bundle: {len(bundle.paths)} files -> {args.out_dir}")
+    return f"report bundle: {len(bundle.paths) + 1} files"  # and the runner's run_log.txt
+
+
+# parsed arguments that are not part of a run's config
+_NOT_CONFIG = ("command", "func", "load", "name", "out_dir", "simulate_command", "spn_command")
+
+
+def run(args) -> int:
+    """Run one parsed subcommand with nothing half-written left behind.
+
+    Loads the manifest data the subcommand needs and runs it, recording
+    warnings, in a staging directory inside --out-dir; writes
+    ``run_log.txt`` there; and moves every file up into --out-dir only
+    when the run succeeds.  A failure, or a DegenerateStatisticsWarning
+    under --strict (raised as DegenerateStatisticsError), removes the
+    staging directory, and --out-dir too if this run created it.
+    """
+    out = Path(args.out_dir)
+    created = not out.is_dir()
+    out.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        with spnio.recorded_warnings() as caught:
+            manifest = data = None
+            if args.load is not None:
+                manifest = spnio.parse_manifest(args.manifest)
+                _resolve_options(args, manifest.options)
+                data = getattr(spnio, args.load)(manifest)
+            summary = args.func(args, manifest, data, staging)
+        degenerate = [str(w.message) for w in caught
+                      if issubclass(w.category, DegenerateStatisticsWarning)]
+        if args.strict and degenerate:
+            raise DegenerateStatisticsError("; ".join(degenerate))
+        config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+        spnio.write_run_log(staging, args.name, config, [str(w.message) for w in caught],
+                            sorted(staging.iterdir()))
+        for path in sorted(staging.iterdir()):
+            os.replace(path, out / path.name)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        if created:
+            shutil.rmtree(out, ignore_errors=True)
+        raise
+    staging.rmdir()
+    print(f"{summary} -> {args.out_dir}")
     return 0
 
 
@@ -246,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=".", help="output directory (default: .)")
-    common.add_argument("--seed", type=int, default=None, help="master seed")
     common.add_argument("--strict", action="store_true",
                         help="treat degenerate statistics as an error (exit 4)")
     with_manifest = argparse.ArgumentParser(add_help=False)
@@ -258,69 +224,66 @@ def build_parser() -> argparse.ArgumentParser:
                                help="take absolute values of signed associations")
     with_format = argparse.ArgumentParser(add_help=False)
     with_format.add_argument("--format", choices=("dot", "json", "csv"), default="json")
+    with_seed = argparse.ArgumentParser(add_help=False)
+    with_seed.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+
+    def add(subparsers, name: str, func, load, parents, help: str):
+        p = subparsers.add_parser(name.split()[-1], parents=[common, *parents], help=help)
+        p.set_defaults(func=func, name=name, load=load)
+        return p
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     spn = sub.add_parser("spn", help="build statistical parametric networks")
     spn_sub = spn.add_subparsers(dest="spn_command", required=True)
-    p = spn_sub.add_parser("mean", parents=[common, with_manifest, with_format],
-                           help="mean SPN for one condition")
+    p = add(spn_sub, "spn mean", cmd_spn_mean, "load_dataset", [with_manifest, with_format],
+            "mean SPN for one condition")
     p.add_argument("--condition", required=True, help="condition label or index")
-    p.set_defaults(func=cmd_spn_mean)
-    p = spn_sub.add_parser("diff", parents=[common, with_manifest, with_format],
-                           help="differential SPN+ / SPN-")
-    p.set_defaults(func=cmd_spn_diff)
-    p = spn_sub.add_parser("node-diff", parents=[common, with_manifest],
-                           help="node-level differential SPN")
-    p.set_defaults(func=cmd_spn_node_diff)
+    add(spn_sub, "spn diff", cmd_spn_diff, "load_dataset", [with_manifest, with_format],
+        "differential SPN+ / SPN-")
+    add(spn_sub, "spn node-diff", cmd_spn_node_diff, "load_node_signals", [with_manifest],
+        "node-level differential SPN")
 
-    p = sub.add_parser("metrics", parents=[common, with_manifest],
-                       help="weighted density/efficiency per subject and condition")
+    p = add(sub, "metrics", cmd_metrics, "load_dataset", [with_manifest],
+            "weighted density/efficiency per subject and condition")
     p.add_argument("--tau", type=float, default=None,
                    help="also threshold at tau and report binary metrics")
-    p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("density-profile", parents=[common, with_manifest],
-                       help="density-integrated metric per condition")
+    p = add(sub, "density-profile", cmd_density_profile, "load_dataset", [with_manifest],
+            "density-integrated metric per condition")
     p.add_argument("--metric", choices=sorted(density_mod.METRICS), default="global_efficiency")
     p.add_argument("--grid", default=None, help="density grid: '1,2,3' or 'start:stop[:step]'")
     p.add_argument("--standardize", action="store_true")
-    p.set_defaults(func=cmd_density_profile)
 
     sim = sub.add_parser("simulate", help="modularity-vs-density simulations")
     sim_sub = sim.add_subparsers(dest="simulate_command", required=True)
-    p = sim_sub.add_parser("rewire", parents=[common], help="module count vs rewiring")
+    p = add(sim_sub, "simulate rewire", cmd_simulate_rewire, None, [with_seed],
+            "module count vs rewiring")
     p.add_argument("--n-v", type=int, default=112)
     p.add_argument("--n-e", type=int, required=True)
     p.add_argument("--grid", required=True, help="rewiring counts, e.g. '0:500:50'")
     p.add_argument("--replicates", type=int, default=100)
-    p.set_defaults(func=cmd_simulate_rewire)
-    p = sim_sub.add_parser("edges", parents=[common], help="module count vs edge count")
+    p = add(sim_sub, "simulate edges", cmd_simulate_edges, None, [with_seed],
+            "module count vs edge count")
     p.add_argument("--n-v", type=int, default=112)
     p.add_argument("--edge-grid", required=True, help="edge counts, e.g. '100,600,1100'")
     p.add_argument("--topology", choices=("lattice", "random"), required=True)
     p.add_argument("--replicates", type=int, default=100)
-    p.set_defaults(func=cmd_simulate_edges)
 
-    p = sub.add_parser("report", parents=[common, with_manifest, with_format],
-                       help="full reporting sequence")
+    p = add(sub, "report", cmd_report, "load_dataset", [with_manifest, with_format],
+            "full reporting sequence")
     p.add_argument("--metric", choices=sorted(density_mod.METRICS), default="global_efficiency")
     p.add_argument("--grid", default=None)
     p.add_argument("--standardize", action="store_true")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "strict", False):
-        warnings.simplefilter("error", DegenerateStatisticsWarning)
     try:
-        return args.func(args)
-    except DegenerateStatisticsWarning as exc:
-        print(f"degenerate statistics: {exc}", file=sys.stderr)
-        return 4
-    except DegenerateStatisticsError as exc:
+        return run(args)
+    except (DegenerateStatisticsError, DegenerateStatisticsWarning) as exc:
+        # the warning itself arrives here when the interpreter's filters make it an error
         print(f"degenerate statistics: {exc}", file=sys.stderr)
         return 4
     except ValidationError as exc:

@@ -14,6 +14,7 @@ inputs and options is byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import warnings
 from dataclasses import dataclass
@@ -43,7 +44,6 @@ class ManifestOptions:
     standardize: bool = False
     base_rate: float = 0.05
     density_grid: tuple[int, ...] | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.base_rate < 1.0:
@@ -109,13 +109,13 @@ def parse_manifest(path) -> Manifest:
     if raw.get("signal_files") is not None:
         signal_files = check_cells(raw["signal_files"], "signal_files")
 
+    # other keys in "options" (an old "seed" among them) are ignored
     opts = raw.get("options", {})
     grid = opts.get("density_grid")
     options = ManifestOptions(
         standardize=bool(opts.get("standardize", False)),
         base_rate=float(opts.get("base_rate", 0.05)),
         density_grid=tuple(int(k) for k in grid) if grid is not None else None,
-        seed=int(opts.get("seed", 0)),
     )
     return Manifest(subjects, conditions, labels, coords, files, signal_files, options, path.parent)
 
@@ -137,11 +137,15 @@ def load_matrix_csv(path, n_nodes: int | None = None) -> np.ndarray:
 
 
 def _validate_correlation_matrix(matrix: np.ndarray, path) -> np.ndarray:
-    bad = np.argwhere(np.abs(matrix) > 1)
+    # |r| = 1 off the diagonal has no Fisher transform; the diagonal is
+    # left to the hollowness check
+    off_diagonal = ~np.eye(matrix.shape[0], dtype=bool)
+    bad = np.argwhere(~(np.abs(matrix) < 1) & off_diagonal)
     if bad.size:
         i, j = (int(x) for x in bad[0])
         raise DataError(
-            f"{path}: entry ({i},{j}) = {matrix[i, j]!r} outside the correlation range [-1, 1]"
+            f"{path}: entry ({i},{j}) = {float(matrix[i, j])!r} outside the open "
+            "correlation range (-1, 1)"
         )
     try:
         return graph_mod.validate_symmetric_hollow(matrix, str(path))
@@ -330,7 +334,11 @@ def graph_from_json(path) -> BinaryGraph | WeightedGraph:
 
 
 # ---------------------------------------------------------------------------
-# Report pipeline
+# Report steps and pipeline
+#
+# Each step takes the loaded data, an output directory and a file-name
+# prefix ("02_" and so on inside report_pipeline, "" for a CLI
+# subcommand), and returns its in-memory result with the paths it wrote.
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,88 +365,171 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def recorded_warnings():
+    """Record the warnings raised inside the block, then re-issue each one.
+
+    Yields the list of ``warnings.WarningMessage`` records, filled when
+    the block exits.  Every DegenerateStatisticsWarning is recorded;
+    others as the caller's filters allow.  Re-issuing passes them on to
+    the caller's filters and to any recorder further out.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegenerateStatisticsWarning)
+        yield caught
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+
+
+def write_run_log(out_dir, command: str, config: dict, notes, paths) -> Path:
+    """Write ``run_log.txt``: the command, its config, the spnkit, numpy and
+    scipy versions, every warning and every file written.  Holds nothing
+    that changes between reruns with the same inputs and options."""
+    import scipy
+
+    from . import __version__
+
+    lines = [
+        command,
+        "config: " + json.dumps(config, sort_keys=True),
+        f"versions: spnkit {__version__}, numpy {np.__version__}, scipy {scipy.__version__}",
+    ]
+    lines += [f"warning: {note}" for note in notes]
+    lines += [f"wrote: {Path(p).name}" for p in paths]
+    log_path = Path(out_dir) / "run_log.txt"
+    log_path.write_text("\n".join(lines) + "\n")
+    return log_path
+
+
 def condition_mean_matrix(data: StudyDataset, condition: int) -> np.ndarray:
     """Fisher-domain mean of one condition's matrices, back-transformed."""
     z = fisher_z(data.correlations[:, condition])
     return np.asarray(fisher_z_inverse(z.mean(axis=0)))
 
 
-def write_mean_spn_stats(path, node_labels, result: SpnResult) -> Path:
-    rows = [
-        (
-            i,
-            j,
-            node_labels[i],
-            node_labels[j],
-            repr(t.statistic),
-            repr(t.p_value),
-            t.effect_sign,
-            int(result.correction.rejected[e]),
-            int(bool(result.network.adjacency[i, j])),
-        )
-        for e, ((i, j), t) in enumerate(result.per_edge.items())
+def _float_column(values: np.ndarray) -> list[str]:
+    return [repr(x) for x in values.tolist()]
+
+
+def _edge_columns(node_labels, result: SpnResult) -> list:
+    """i, j, labels, statistic, p-value, sign and rejection, one entry per edge."""
+    rows, cols = np.triu_indices(len(node_labels), k=1)
+    return [
+        rows.tolist(),
+        cols.tolist(),
+        [node_labels[i] for i in rows],
+        [node_labels[j] for j in cols],
+        _float_column(result.statistic),
+        _float_column(result.p_value),
+        result.sign.tolist(),
+        result.correction.rejected.astype(int).tolist(),
     ]
+
+
+def write_mean_spn_stats(path, node_labels, result: SpnResult) -> Path:
+    rows, cols = np.triu_indices(len(node_labels), k=1)
+    included = (result.network.adjacency[rows, cols] != 0).astype(int).tolist()
     return write_csv(
         Path(path),
         ["i", "j", "label_i", "label_j", "statistic", "p_value",
          "effect_sign", "rejected", "included"],
-        rows,
+        zip(*_edge_columns(node_labels, result), included),
     )
 
 
 def write_differential_stats(path, node_labels, plus: SpnResult, minus: SpnResult) -> Path:
-    rows = []
-    for e, ((i, j), fit) in enumerate(plus.per_edge.items()):
-        routed = "none"
-        if plus.network.adjacency[i, j]:
-            routed = "plus"
-        elif minus.network.adjacency[i, j]:
-            routed = "minus"
-        rows.append(
-            (
-                i,
-                j,
-                node_labels[i],
-                node_labels[j],
-                repr(fit.f_statistic),
-                repr(fit.p_value),
-                fit.trend_sign,
-                int(plus.correction.rejected[e]),
-                routed,
-            )
-        )
+    rows, cols = np.triu_indices(len(node_labels), k=1)
+    routed = np.where(plus.network.adjacency[rows, cols] != 0, "plus",
+                      np.where(minus.network.adjacency[rows, cols] != 0, "minus", "none"))
     return write_csv(
         Path(path),
         ["i", "j", "label_i", "label_j", "f_statistic", "p_value",
          "trend_sign", "rejected", "routed"],
-        rows,
+        zip(*_edge_columns(node_labels, plus), routed.tolist()),
     )
 
 
 def write_node_differential_stats(path, node_labels, plus: SpnResult, minus: SpnResult) -> Path:
-    rows = []
-    for v, fit in plus.per_node.items():
-        routed = "none"
-        if v in plus.flagged_nodes:
-            routed = "up"
-        elif v in minus.flagged_nodes:
-            routed = "down"
-        rows.append(
-            (
-                v,
-                node_labels[v],
-                repr(fit.f_statistic),
-                repr(fit.p_value),
-                fit.trend_sign,
-                int(plus.correction.rejected[v]),
-                routed,
-            )
-        )
+    routed = np.full(len(node_labels), "none", dtype=object)
+    routed[list(minus.flagged_nodes)] = "down"
+    routed[list(plus.flagged_nodes)] = "up"
     return write_csv(
         Path(path),
         ["node", "label", "f_statistic", "p_value", "trend_sign", "rejected", "routed"],
-        rows,
+        zip(
+            range(len(node_labels)),
+            node_labels,
+            _float_column(plus.statistic),
+            _float_column(plus.p_value),
+            plus.sign.tolist(),
+            plus.correction.rejected.astype(int).tolist(),
+            routed.tolist(),
+        ),
     )
+
+
+def step_weighted_density(data: StudyDataset, out: Path, prefix: str, negatives: str):
+    """Step 1: the weighted density of every subject x condition cell."""
+    table = [
+        (subject, condition, weighted_density(
+            association_graph(data.correlations[si, ci], data.node_labels, negatives=negatives)))
+        for si, subject in enumerate(data.subject_ids)
+        for ci, condition in enumerate(data.condition_labels)
+    ]
+    path = write_csv(
+        out / f"{prefix}weighted_density.csv",
+        ["subject", "condition", "weighted_density"],
+        ((s, c, repr(v)) for s, c, v in table),
+    )
+    return table, [path]
+
+
+def step_mean_spn(data: StudyDataset, out: Path, prefix: str, condition: int,
+                  base_rate: float, correction: str, fmt: str):
+    """Step 2: the mean SPN of one condition, as a graph and a stats CSV."""
+    result = mean_spn(data, condition, base_rate, correction)
+    stem = f"{prefix}mean_spn_{safe_name(data.condition_labels[condition])}"
+    return result, [
+        export_graph(result.network, fmt, out / f"{stem}.{fmt}"),
+        write_mean_spn_stats(out / f"{stem}_stats.csv", data.node_labels, result),
+    ]
+
+
+def step_differential_spn(data: StudyDataset, out: Path, prefix: str,
+                          base_rate: float, correction: str, fmt: str):
+    """Step 3: the differential SPN+/SPN- pair and their shared stats CSV."""
+    plus, minus = differential_spn(data, base_rate, correction)
+    paths = [
+        export_graph(result.network, fmt, out / f"{prefix}differential_spn_{tag}.{fmt}")
+        for tag, result in (("plus", plus), ("minus", minus))
+    ]
+    paths.append(write_differential_stats(
+        out / f"{prefix}differential_stats.csv", data.node_labels, plus, minus))
+    return (plus, minus), paths
+
+
+def step_density_profiles(data: StudyDataset, out: Path, prefix: str, negatives: str,
+                          standardize: bool, metric: str, density_grid):
+    """Step 4: density-integrated metric profiles of each condition-mean matrix."""
+    metric_fn = density_mod.metric_by_name(metric)
+    profiles, profile_rows, summary_rows = {}, [], []
+    for ci, condition in enumerate(data.condition_labels):
+        g = association_graph(
+            condition_mean_matrix(data, ci), data.node_labels, negatives=negatives
+        )
+        if standardize:
+            g = standardize_weights(g)
+        profile = density_mod.density_integrated_metric(g, metric_fn, grid=density_grid)
+        profiles[condition] = profile
+        for k, mass, value in zip(profile.densities, profile.weights, profile.values):
+            profile_rows.append((condition, k, repr(float(mass)), repr(float(value))))
+        summary_rows.append((condition, metric, repr(profile.integrated)))
+    return profiles, [
+        write_csv(out / f"{prefix}density_profiles.csv",
+                  ["condition", "k", "p_mass", "value"], profile_rows),
+        write_csv(out / f"{prefix}density_integrated.csv",
+                  ["condition", "metric", "integrated"], summary_rows),
+    ]
 
 
 def report_pipeline(
@@ -451,6 +542,7 @@ def report_pipeline(
     metric: str = "global_efficiency",
     density_grid=None,
     fmt: str = "json",
+    run_log: bool = True,
 ) -> ReportBundle:
     """Emit the recommended reporting sequence into ``out_dir``.
 
@@ -458,107 +550,41 @@ def report_pipeline(
     (2) one mean SPN per condition, (3) the differential SPN pair,
     (4) density-integrated metric profiles per condition (computed on
     the condition-mean association matrix).  Reruns with identical
-    inputs and options produce byte-identical files.
+    inputs and options produce byte-identical files.  With ``run_log``
+    false no ``run_log.txt`` is written: the CLI writes its own.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    metric_fn = density_mod.metric_by_name(metric)
-    paths: list[Path] = []
-    notes: list[str] = []
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DegenerateStatisticsWarning)
-
-        # (1) weighted density per subject and condition
-        table = []
-        for si, subject in enumerate(data.subject_ids):
-            for ci, condition in enumerate(data.condition_labels):
-                g = association_graph(
-                    data.correlations[si, ci], data.node_labels, negatives=negatives
-                )
-                table.append((subject, condition, weighted_density(g)))
-        paths.append(
-            write_csv(
-                out / "01_weighted_density.csv",
-                ["subject", "condition", "weighted_density"],
-                ((s, c, repr(v)) for s, c, v in table),
-            )
-        )
-
-        # (2) mean SPN per condition
+    with recorded_warnings() as caught:
+        table, paths = step_weighted_density(data, out, "01_", negatives)
         mean_results = {}
         for ci, condition in enumerate(data.condition_labels):
-            result = mean_spn(data, ci, base_rate, correction)
-            mean_results[condition] = result
-            stem = out / f"02_mean_spn_{safe_name(condition)}"
-            paths.append(export_graph(result.network, fmt, Path(str(stem) + "." + fmt)))
-            paths.append(
-                write_mean_spn_stats(Path(str(stem) + "_stats.csv"), data.node_labels, result)
-            )
+            mean_results[condition], written = step_mean_spn(
+                data, out, "02_", ci, base_rate, correction, fmt)
+            paths += written
+        differential, written = step_differential_spn(data, out, "03_", base_rate, correction, fmt)
+        paths += written
+        profiles, written = step_density_profiles(
+            data, out, "04_", negatives, standardize, metric, density_grid)
+        paths += written
+    notes = tuple(str(w.message) for w in caught)
 
-        # (3) differential SPN pair
-        plus, minus = differential_spn(data, base_rate, correction)
-        for tag, result in (("plus", plus), ("minus", minus)):
-            target = out / f"03_differential_spn_{tag}.{fmt}"
-            paths.append(export_graph(result.network, fmt, target))
-        paths.append(
-            write_differential_stats(
-                out / "03_differential_stats.csv", data.node_labels, plus, minus
-            )
-        )
-
-        # (4) density-integrated profiles per condition
-        profiles = {}
-        profile_rows = []
-        summary_rows = []
-        for ci, condition in enumerate(data.condition_labels):
-            g = association_graph(
-                condition_mean_matrix(data, ci), data.node_labels, negatives=negatives
-            )
-            if standardize:
-                g = standardize_weights(g)
-            profile = density_mod.density_integrated_metric(g, metric_fn, grid=density_grid)
-            profiles[condition] = profile
-            for k, mass, value in zip(profile.densities, profile.weights, profile.values):
-                profile_rows.append((condition, k, repr(float(mass)), repr(float(value))))
-            summary_rows.append((condition, metric, repr(profile.integrated)))
-        paths.append(
-            write_csv(
-                out / "04_density_profiles.csv",
-                ["condition", "k", "p_mass", "value"],
-                profile_rows,
-            )
-        )
-        paths.append(
-            write_csv(
-                out / "04_density_integrated.csv",
-                ["condition", "metric", "integrated"],
-                summary_rows,
-            )
-        )
-        notes.extend(str(w.message) for w in caught)
-
-    config = {
-        "base_rate": base_rate,
-        "correction": correction,
-        "density_grid": list(density_grid) if density_grid is not None else None,
-        "format": fmt,
-        "metric": metric,
-        "negatives": negatives,
-        "standardize": standardize,
-    }
-    log_lines = ["report pipeline", "config: " + json.dumps(config, sort_keys=True)]
-    log_lines += [f"warning: {note}" for note in notes]
-    log_lines += [f"wrote: {p.name}" for p in paths]
-    log_path = out / "run_log.txt"
-    log_path.write_text("\n".join(log_lines) + "\n")
-    paths.append(log_path)
-
+    if run_log:
+        config = {
+            "base_rate": base_rate,
+            "correction": correction,
+            "density_grid": list(density_grid) if density_grid is not None else None,
+            "format": fmt,
+            "metric": metric,
+            "negatives": negatives,
+            "standardize": standardize,
+        }
+        paths.append(write_run_log(out, "report pipeline", config, notes, paths))
     return ReportBundle(
         density_table=tuple(table),
         mean_spns=mean_results,
-        differential=(plus, minus),
+        differential=differential,
         density_profiles=profiles,
         paths=tuple(paths),
-        warnings=tuple(notes),
+        warnings=notes,
     )

@@ -20,7 +20,7 @@ lexicographic); the FDR decision mask in each result follows that order.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +28,10 @@ from .errors import DegenerateStatisticsWarning, IncompleteDesignError, Validati
 from .graphs import BinaryGraph, validate_symmetric_hollow
 from .stats import (
     FdrDecision,
-    TestResult,
     bh_fdr,
     fisher_z,
-    grand_mean_z_test,
-    repeated_measures_fit,
+    grand_mean_z_family,
+    repeated_measures_family,
     uncorrected,
 )
 
@@ -150,22 +149,21 @@ class NodeSignalDataset:
 class SpnResult:
     """A summary network with the per-hypothesis statistics behind it.
 
-    ``per_edge`` (or ``per_node`` for node analyses) holds every tested
-    hypothesis, significant or not; ``correction`` is the decision mask
-    in edge_pairs (or node-index) order, so the network is re-derivable.
+    ``statistic``, ``p_value`` and ``sign`` hold every tested hypothesis,
+    significant or not, in edge_pairs (or node-index) order: the z
+    statistic and effect sign for a mean SPN, the F statistic and linear
+    trend sign for differential ones.  ``correction`` is the decision mask
+    in the same order, so the network is re-derivable.
     """
 
     network: BinaryGraph
     correction: FdrDecision
     kind: str
-    per_edge: dict = field(default_factory=dict)
-    per_node: dict = field(default_factory=dict)
+    statistic: np.ndarray
+    p_value: np.ndarray
+    sign: np.ndarray
     flagged_nodes: tuple[int, ...] = ()
     diagnostics: tuple = ()
-
-
-def _empty_adjacency(n_nodes: int) -> np.ndarray:
-    return np.zeros((n_nodes, n_nodes), dtype=np.uint8)
 
 
 def _correct(p_values, base_rate: float, correction: str) -> FdrDecision:
@@ -174,6 +172,27 @@ def _correct(p_values, base_rate: float, correction: str) -> FdrDecision:
     if correction == "none":
         return uncorrected(p_values, base_rate)
     raise ValidationError(f"correction must be one of {CORRECTIONS}, got {correction!r}")
+
+
+def _edge_network(data: StudyDataset, mask: np.ndarray) -> BinaryGraph:
+    """The graph whose edges are the masked hypotheses (edge_pairs order)."""
+    rows, cols = np.triu_indices(data.n_nodes, k=1)
+    adjacency = np.zeros((data.n_nodes, data.n_nodes), dtype=np.uint8)
+    adjacency[rows[mask], cols[mask]] = 1
+    adjacency[cols[mask], rows[mask]] = 1
+    return BinaryGraph(data.node_labels, adjacency, data.node_coords)
+
+
+def _warn_zero_residual(degenerate: np.ndarray, name) -> None:
+    """Warn that zero-residual fits were reported as p = 0, naming the first."""
+    hits = np.flatnonzero(degenerate)
+    if hits.size:
+        warnings.warn(
+            f"{hits.size} fit(s) have zero residual variance and are reported as p = 0 "
+            f"(infinite F); first: {name(int(hits[0]))}",
+            DegenerateStatisticsWarning,
+            stacklevel=3,
+        )
 
 
 def mean_spn(
@@ -197,7 +216,6 @@ def mean_spn(
         raise ValidationError(
             f"condition index {condition} out of range 0..{data.n_conditions - 1}"
         )
-    pairs = edge_pairs(data.n_nodes)
     z = fisher_z(data.edge_values())
     grand_mean = float(z.mean())
     grand_sd = float(z.std(ddof=1))
@@ -209,25 +227,19 @@ def mean_spn(
             DegenerateStatisticsWarning,
             stacklevel=2,
         )
-        results = [
-            TestResult(0.0, 1.0, 0, (np.inf, np.inf)) for _ in pairs
-        ]
+        n_e = z.shape[2]
+        statistic, p_value, sign = np.zeros(n_e), np.ones(n_e), np.zeros(n_e, dtype=int)
     else:
-        results = [
-            grand_mean_z_test(z[:, condition, e], grand_mean, grand_sd)
-            for e in range(len(pairs))
-        ]
+        statistic, p_value, sign = grand_mean_z_family(z[:, condition], grand_mean, grand_sd)
 
-    decision = _correct([t.p_value for t in results], base_rate, correction)
-    adjacency = _empty_adjacency(data.n_nodes)
-    for e, (i, j) in enumerate(pairs):
-        if decision.rejected[e] and results[e].effect_sign > 0:
-            adjacency[i, j] = adjacency[j, i] = 1
+    decision = _correct(p_value, base_rate, correction)
     return SpnResult(
-        network=BinaryGraph(data.node_labels, adjacency, data.node_coords),
+        network=_edge_network(data, decision.rejected & (sign > 0)),
         correction=decision,
         kind="mean",
-        per_edge=dict(zip(pairs, results)),
+        statistic=statistic,
+        p_value=p_value,
+        sign=sign,
     )
 
 
@@ -241,41 +253,30 @@ def differential_spn(
     surviving edge by the sign of its linear trend: positive to SPN+,
     negative to SPN-.  Significant edges with an exactly zero trend are
     listed in ``diagnostics`` of both results instead of either network.
+    Fits with a zero residual (reported as p = 0) raise a
+    DegenerateStatisticsWarning.
     """
     if data.n_subjects < 2 or data.n_conditions < 2:
         raise ValidationError("differential SPN needs n >= 2 subjects and J >= 2 conditions")
-    pairs = edge_pairs(data.n_nodes)
-    z = fisher_z(data.edge_values())
-    fits = [repeated_measures_fit(z[:, :, e]) for e in range(len(pairs))]
-    decision = _correct([f.p_value for f in fits], base_rate, correction)
+    rows, cols = np.triu_indices(data.n_nodes, k=1)
+    fits = repeated_measures_family(fisher_z(data.edge_values()))
+    _warn_zero_residual(fits.degenerate, lambda e: f"edge ({rows[e]}, {cols[e]})")
+    decision = _correct(fits.p_value, base_rate, correction)
 
-    adj_plus = _empty_adjacency(data.n_nodes)
-    adj_minus = _empty_adjacency(data.n_nodes)
-    zero_trend = []
-    for e, (i, j) in enumerate(pairs):
-        if not decision.rejected[e]:
-            continue
-        if fits[e].trend_sign > 0:
-            adj_plus[i, j] = adj_plus[j, i] = 1
-        elif fits[e].trend_sign < 0:
-            adj_minus[i, j] = adj_minus[j, i] = 1
-        else:
-            zero_trend.append((i, j))
-    per_edge = dict(zip(pairs, fits))
-    diagnostics = tuple(zero_trend)
-    plus = SpnResult(
-        network=BinaryGraph(data.node_labels, adj_plus, data.node_coords),
+    rejected, trend = decision.rejected, fits.trend_sign
+    zero = rejected & (trend == 0)
+    shared = dict(
         correction=decision,
-        kind="differential_plus",
-        per_edge=per_edge,
-        diagnostics=diagnostics,
+        statistic=fits.f_statistic,
+        p_value=fits.p_value,
+        sign=trend,
+        diagnostics=tuple(zip(rows[zero].tolist(), cols[zero].tolist())),
+    )
+    plus = SpnResult(
+        network=_edge_network(data, rejected & (trend > 0)), kind="differential_plus", **shared
     )
     minus = SpnResult(
-        network=BinaryGraph(data.node_labels, adj_minus, data.node_coords),
-        correction=decision,
-        kind="differential_minus",
-        per_edge=per_edge,
-        diagnostics=diagnostics,
+        network=_edge_network(data, rejected & (trend < 0)), kind="differential_minus", **shared
     )
     return plus, minus
 
@@ -287,36 +288,30 @@ def node_differential_spn(
 
     Applies the same repeated-measures model per vertex to the raw
     intensity signals.  The returned networks carry no edges; flagged
-    vertices are in ``flagged_nodes``.
+    vertices are in ``flagged_nodes``.  Fits with a zero residual raise a
+    DegenerateStatisticsWarning.
     """
     n, j, n_v = data.signals.shape
     if n < 2 or j < 2:
         raise ValidationError("node differential SPN needs n >= 2 and J >= 2")
-    fits = [repeated_measures_fit(data.signals[:, :, v]) for v in range(n_v)]
-    decision = _correct([f.p_value for f in fits], base_rate, correction)
+    fits = repeated_measures_family(data.signals)
+    _warn_zero_residual(fits.degenerate, lambda v: f"node {v} ({data.node_labels[v]})")
+    decision = _correct(fits.p_value, base_rate, correction)
 
-    up, down = [], []
-    for v in range(n_v):
-        if not decision.rejected[v]:
-            continue
-        if fits[v].trend_sign > 0:
-            up.append(v)
-        elif fits[v].trend_sign < 0:
-            down.append(v)
-    per_node = dict(enumerate(fits))
-    empty = BinaryGraph(data.node_labels, _empty_adjacency(n_v))
+    rejected, trend = decision.rejected, fits.trend_sign
+    empty = BinaryGraph(data.node_labels, np.zeros((n_v, n_v), dtype=np.uint8))
+    shared = dict(
+        network=empty, correction=decision, statistic=fits.f_statistic,
+        p_value=fits.p_value, sign=trend,
+    )
     plus = SpnResult(
-        network=empty,
-        correction=decision,
         kind="node_differential_plus",
-        per_node=per_node,
-        flagged_nodes=tuple(up),
+        flagged_nodes=tuple(np.flatnonzero(rejected & (trend > 0)).tolist()),
+        **shared,
     )
     minus = SpnResult(
-        network=empty,
-        correction=decision,
         kind="node_differential_minus",
-        per_node=per_node,
-        flagged_nodes=tuple(down),
+        flagged_nodes=tuple(np.flatnonzero(rejected & (trend < 0)).tolist()),
+        **shared,
     )
     return plus, minus

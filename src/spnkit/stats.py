@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as sp
@@ -42,14 +43,6 @@ def fisher_z_inverse(z):
     """Inverse Fisher transform r = tanh(z)."""
     out = np.tanh(np.asarray(z, dtype=float))
     return float(out) if np.ndim(z) == 0 else out
-
-
-def _sign(x: float, tol: float = 0.0) -> int:
-    if x > tol:
-        return 1
-    if x < -tol:
-        return -1
-    return 0
 
 
 @dataclass(frozen=True)
@@ -119,6 +112,32 @@ class FdrDecision:
         return self.threshold_index
 
 
+class FitFamily(NamedTuple):
+    """Repeated-measures fits for a family of H hypotheses, in hypothesis order."""
+
+    fixed_effects: np.ndarray  # (H, J) condition means
+    subject_intercepts: np.ndarray  # (H, n) subject means minus the grand mean
+    residual_variance: np.ndarray
+    f_statistic: np.ndarray
+    p_value: np.ndarray
+    trend_sign: np.ndarray  # int, -1 / 0 / +1
+    degenerate: np.ndarray  # bool: zero residual stratum, reported as F = inf, p = 0
+
+
+def grand_mean_z_family(values, grand_mean: float, grand_sd: float):
+    """grand_mean_z_test for every column of an (n, H) array at once.
+
+    Returns (statistic, p_value, effect_sign) arrays of length H.  Each
+    column's mean is a pairwise sum over a contiguous row, as for a
+    single sample, so the results match one-column calls bit for bit.
+    """
+    x = np.ascontiguousarray(np.asarray(values, dtype=float).T)
+    delta = x.mean(axis=1) - grand_mean
+    statistic = delta / (grand_sd / math.sqrt(x.shape[1]))
+    p_value = np.minimum(sp.erfc(np.abs(statistic) / math.sqrt(2.0)), 1.0)
+    return statistic, p_value, np.sign(delta).astype(int)
+
+
 def grand_mean_z_test(edge_values, grand_mean: float, grand_sd: float) -> TestResult:
     """Two-sided z-test of a sample mean against pooled grand statistics.
 
@@ -130,15 +149,63 @@ def grand_mean_z_test(edge_values, grand_mean: float, grand_sd: float) -> TestRe
         raise ValidationError("grand_mean_z_test needs a 1-d sample of size >= 2")
     if not grand_sd > 0:
         raise ValidationError(f"grand_sd must be positive, got {grand_sd!r}")
-    n = values.size
-    delta = float(values.mean() - grand_mean)
-    statistic = delta / (grand_sd / math.sqrt(n))
-    p_value = float(sp.erfc(abs(statistic) / math.sqrt(2.0)))
+    statistic, p_value, sign = grand_mean_z_family(values[:, None], grand_mean, grand_sd)
     return TestResult(
-        statistic=statistic,
-        p_value=min(p_value, 1.0),
-        effect_sign=_sign(delta),
+        statistic=float(statistic[0]),
+        p_value=float(p_value[0]),
+        effect_sign=int(sign[0]),
         dof=(math.inf, math.inf),
+    )
+
+
+def repeated_measures_family(values) -> FitFamily:
+    """repeated_measures_fit for every n x J table values[:, :, h] of an (n, J, H) array.
+
+    The tables are copied once into an (H, n, J) layout so that every sum
+    runs in the order a single table's would: the grand mean and the total
+    sum of squares are pairwise sums over each table's contiguous n * J
+    values, and condition and subject means accumulate sequentially.  A
+    one-table call therefore gives the same bits as the batched one.
+    """
+    x = np.moveaxis(np.asarray(values, dtype=float), -1, 0).copy()
+    h, n, j = x.shape
+    grand = x.reshape(h, n * j).mean(axis=1)
+    cond_means = x.mean(axis=1)
+    subj_means = x.mean(axis=2)
+
+    # the only family-sized temporary: squared deviations, formed in place
+    x -= grand[:, None, None]
+    x *= x
+    ss_total = x.reshape(h, n * j).sum(axis=1)
+    del x
+    ss_cond = n * ((cond_means - grand[:, None]) ** 2).sum(axis=1)
+    ss_subj = j * ((subj_means - grand[:, None]) ** 2).sum(axis=1)
+    ss_resid = np.maximum(ss_total - ss_cond - ss_subj, 0.0)
+
+    df_cond = j - 1
+    df_resid = (n - 1) * (j - 1)
+    ms_resid = ss_resid / df_resid
+
+    terms = (np.arange(1, j + 1) - (j + 1) / 2.0) * cond_means
+    contrast = terms.sum(axis=1)
+    slack = _SS_REL_TOL * np.abs(terms).sum(axis=1)
+    trend = np.where(contrast > slack, 1, np.where(contrast < -slack, -1, 0))
+
+    tol = _SS_REL_TOL * ss_total
+    flat = ss_cond <= tol
+    degenerate = ~flat & (ss_resid <= tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_stat = (ss_cond / df_cond) / ms_resid
+        p_value = sp.fdtrc(df_cond, df_resid, f_stat)
+    trend[flat] = 0
+    return FitFamily(
+        fixed_effects=cond_means,
+        subject_intercepts=subj_means - grand[:, None],
+        residual_variance=ms_resid,
+        f_statistic=np.where(flat, 0.0, np.where(degenerate, np.inf, f_stat)),
+        p_value=np.where(flat, 1.0, np.where(degenerate, 0.0, p_value)),
+        trend_sign=trend,
+        degenerate=degenerate,
     )
 
 
@@ -159,46 +226,16 @@ def repeated_measures_fit(values) -> EdgeModelFit:
         raise ValidationError(f"need n >= 2 subjects and J >= 2 conditions, got {n} x {j}")
     if not np.all(np.isfinite(table)):
         raise ValidationError("unsupported design: table has missing or non-finite cells")
-
-    grand = table.mean()
-    cond_means = table.mean(axis=0)
-    subj_means = table.mean(axis=1)
-
-    ss_total = float(((table - grand) ** 2).sum())
-    ss_cond = float(n * ((cond_means - grand) ** 2).sum())
-    ss_subj = float(j * ((subj_means - grand) ** 2).sum())
-    ss_resid = max(ss_total - ss_cond - ss_subj, 0.0)
-
-    df_cond = j - 1
-    df_resid = (n - 1) * (j - 1)
-    ms_resid = ss_resid / df_resid
-
-    contrast_coef = np.arange(1, j + 1) - (j + 1) / 2.0
-    terms = contrast_coef * cond_means
-    contrast = float(terms.sum())
-    trend = _sign(contrast, tol=_SS_REL_TOL * float(np.abs(terms).sum()))
-
-    tol = _SS_REL_TOL * ss_total
-    degenerate = False
-    if ss_cond <= tol:
-        f_stat, p_value = 0.0, 1.0
-        trend = 0
-    elif ss_resid <= tol:
-        f_stat, p_value = math.inf, 0.0
-        degenerate = True
-    else:
-        f_stat = (ss_cond / df_cond) / ms_resid
-        p_value = float(sp.fdtrc(df_cond, df_resid, f_stat))
-
+    fit = repeated_measures_family(table[:, :, None])
     return EdgeModelFit(
-        fixed_effects=cond_means,
-        subject_intercepts=subj_means - grand,
-        residual_variance=ms_resid,
-        f_statistic=f_stat,
-        p_value=p_value,
-        trend_sign=trend,
-        dof=(float(df_cond), float(df_resid)),
-        degenerate=degenerate,
+        fixed_effects=fit.fixed_effects[0],
+        subject_intercepts=fit.subject_intercepts[0],
+        residual_variance=float(fit.residual_variance[0]),
+        f_statistic=float(fit.f_statistic[0]),
+        p_value=float(fit.p_value[0]),
+        trend_sign=int(fit.trend_sign[0]),
+        dof=(float(j - 1), float((n - 1) * (j - 1))),
+        degenerate=bool(fit.degenerate[0]),
     )
 
 

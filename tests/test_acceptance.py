@@ -219,7 +219,7 @@ class TestCriterion6InferenceCorrectness:
             result = sk.mean_spn(data, condition=int(rng.integers(4)), base_rate=0.05)
             if pairs[planted] not in result.network.edges():
                 missed += 1
-            if result.per_edge[pairs[planted]].effect_sign != 1:
+            if result.sign[planted] != 1:
                 misrouted += 1
 
             rng = np.random.default_rng(np.random.SeedSequence((MASTER_SEED + 2, run)))

@@ -2,11 +2,13 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spnkit as sk
+from spnkit import cli as cli_mod
 from spnkit.cli import main as cli_main
 from spnkit.errors import DataError, IncompleteDesignError, SchemaError, ValidationError
 
@@ -97,6 +99,13 @@ class TestLoadDataset:
         corr = [[bad]]
         path = build_manifest(tmp_path, corr, ["A", "B", "C"], ["rest"], ["s1"])
         with pytest.raises(DataError, match=r"s1_rest\.csv.*\(0,1\)"):
+            sk.load_dataset(path)
+
+    def test_unit_correlation_names_file_and_cell(self, tmp_path):
+        bad = hollow(3, 0.2)
+        bad[1, 2] = bad[2, 1] = -1.0
+        path = build_manifest(tmp_path, [[bad]], ["A", "B", "C"], ["rest"], ["s1"])
+        with pytest.raises(DataError, match=r"s1_rest\.csv: entry \(1,2\) = -1\.0 outside"):
             sk.load_dataset(path)
 
     def test_asymmetric_matrix_rejected(self, tmp_path):
@@ -386,3 +395,136 @@ class TestCli:
         code = run_cli(["spn", "mean", "--manifest", str(manifest), "--condition", "only",
                         "--out-dir", str(tmp_path / "o2")])
         assert code == 0
+
+
+@pytest.fixture
+def trend_manifest(tmp_path):
+    """Six subjects x three conditions on 6 nodes, with a rising and a falling edge."""
+    rng = np.random.default_rng(3)
+    data = planted_trend_dataset(rng, edge_up=2, edge_down=9, n=6, j=3, n_v=6)
+    return build_manifest(tmp_path, data.correlations, data.node_labels,
+                          data.condition_labels, data.subject_ids)
+
+
+class TestOnePipeline:
+    def test_subcommands_write_the_report_step_bytes(self, trend_manifest, tmp_path):
+        m = ["--manifest", str(trend_manifest), "--abs"]
+        report = tmp_path / "report"
+        assert run_cli(["report", *m, "--format", "dot", "--grid", "1:15:2",
+                        "--out-dir", str(report)]) == 0
+        steps = tmp_path / "steps"
+        for condition in ("c0", "c1", "c2"):
+            assert run_cli(["spn", "mean", *m, "--condition", condition, "--format", "dot",
+                            "--out-dir", str(steps)]) == 0
+        assert run_cli(["spn", "diff", *m, "--format", "dot", "--out-dir", str(steps)]) == 0
+        assert run_cli(["density-profile", *m, "--grid", "1:15:2",
+                        "--out-dir", str(steps)]) == 0
+        compared = 0
+        for path in sorted(report.iterdir()):
+            if path.name[:3] in ("02_", "03_", "04_"):
+                assert path.read_bytes() == (steps / path.name[3:]).read_bytes(), path.name
+                compared += 1
+        assert compared == 3 * 2 + 3 + 2
+
+    def test_run_log_keeps_the_grid_spec_and_reruns_identically(self, trend_manifest, tmp_path):
+        args = ["density-profile", "--manifest", str(trend_manifest), "--abs",
+                "--metric", "modularity_q", "--grid", "1:15"]
+        assert run_cli(args + ["--out-dir", str(tmp_path / "a")]) == 0
+        assert run_cli(args + ["--out-dir", str(tmp_path / "a")]) == 0
+        assert run_cli(args + ["--out-dir", str(tmp_path / "b")]) == 0
+        log = (tmp_path / "a" / "run_log.txt").read_text()
+        assert log == (tmp_path / "b" / "run_log.txt").read_text()
+        lines = log.splitlines()
+        assert lines[0] == "density-profile"
+        assert '"grid": "1:15"' in lines[1]
+        assert lines[2].startswith(f"versions: spnkit {sk.__version__}, numpy ")
+        assert lines[3:] == ["wrote: density_integrated.csv", "wrote: density_profiles.csv"]
+
+    def test_failed_report_leaves_no_output(self, small_manifest, tmp_path):
+        # 3 nodes have 3 positive edges, so density level 5 fails in step 4
+        out = tmp_path / "runs" / "out"
+        code = run_cli(["report", "--manifest", str(small_manifest), "--grid", "1:5",
+                        "--out-dir", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert list((tmp_path / "runs").iterdir()) == []
+
+    def test_failed_run_leaves_an_existing_out_dir_as_it_was(self, small_manifest, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept\n")
+        code = run_cli(["report", "--manifest", str(small_manifest), "--grid", "1:5",
+                        "--out-dir", str(out)])
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "kept\n"
+
+    def test_staging_stays_inside_the_default_out_dir(self, small_manifest, tmp_path,
+                                                       monkeypatch):
+        # only --out-dir has to be writable: nothing is created beside it
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        staged_in = []
+        mkdtemp = cli_mod.tempfile.mkdtemp
+
+        def spy(*args, dir=None, **kwargs):
+            staged_in.append(Path(dir).resolve())
+            return mkdtemp(*args, dir=dir, **kwargs)
+
+        monkeypatch.setattr(cli_mod.tempfile, "mkdtemp", spy)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert run_cli(["spn", "diff", "--manifest", str(small_manifest)]) == 0
+        assert staged_in == [work.resolve()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert sorted(p.name for p in work.iterdir()) == [
+            "differential_spn_minus.json", "differential_spn_plus.json",
+            "differential_stats.csv", "run_log.txt"]
+
+    def test_manifest_options_are_used_and_logged(self, tmp_path):
+        rng = np.random.default_rng(3)
+        data = planted_trend_dataset(rng, edge_up=2, edge_down=9, n=6, j=3, n_v=6)
+        options = {"standardize": True, "density_grid": [1, 3, 5], "seed": 42}
+        with_options = build_manifest(tmp_path, data.correlations, data.node_labels,
+                                      data.condition_labels, data.subject_ids, options=options)
+        plain = tmp_path / "plain.json"
+        payload = json.loads(with_options.read_text())
+        del payload["options"]
+        plain.write_text(json.dumps(payload))
+        for command in (["density-profile"], ["report"]):
+            a, b = tmp_path / f"{command[0]}-a", tmp_path / f"{command[0]}-b"
+            assert run_cli([*command, "--manifest", str(with_options), "--abs",
+                            "--out-dir", str(a)]) == 0
+            assert run_cli([*command, "--manifest", str(plain), "--abs", "--standardize",
+                            "--grid", "1,3,5", "--out-dir", str(b)]) == 0
+            names = sorted(p.name for p in a.iterdir())
+            assert names == sorted(p.name for p in b.iterdir())
+            for name in names:
+                if name != "run_log.txt":
+                    assert (a / name).read_bytes() == (b / name).read_bytes(), name
+            lines = (a / "run_log.txt").read_text().splitlines()
+            assert lines[0] == command[0]
+            config = json.loads(lines[1][len("config: "):])
+            assert config["standardize"] is True
+            assert config["grid"] == [1, 3, 5]
+            assert config["base_rate"] == 0.05
+            assert "seed" not in config
+            assert lines.count("wrote: run_log.txt") == 0
+
+    def test_zero_residual_fit_is_degenerate(self, tmp_path):
+        # every subject has the same matrices, so each edge's table has no residual
+        corr = [[hollow(3, r) for r in (0.2, 0.4, 0.6)] for _ in range(3)]
+        manifest = build_manifest(tmp_path, corr, ["A", "B", "C"], ["c0", "c1", "c2"],
+                                  ["s1", "s2", "s3"])
+        args = ["spn", "diff", "--manifest", str(manifest)]
+        assert run_cli(args + ["--strict", "--out-dir", str(tmp_path / "strict")]) == 4
+        assert not (tmp_path / "strict").exists()
+        assert run_cli(args + ["--out-dir", str(tmp_path / "lax")]) == 0
+        log = (tmp_path / "lax" / "run_log.txt").read_text()
+        assert "warning: 3 fit(s) have zero residual variance" in log
+        assert "first: edge (0, 1)" in log
+
+    def test_seed_belongs_to_simulate_only(self, small_manifest, tmp_path):
+        with pytest.raises(SystemExit):
+            run_cli(["spn", "diff", "--manifest", str(small_manifest), "--seed", "1",
+                     "--out-dir", str(tmp_path)])
