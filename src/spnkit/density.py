@@ -24,6 +24,8 @@ from .graphs import (
     BinaryGraph,
     WeightedGraph,
     _binary_unchecked,
+    _efficiency_from_distances,
+    _insert_edge,
     global_efficiency,
     local_efficiency,
     max_edge_count,
@@ -113,21 +115,33 @@ def _validated_grid(g: WeightedGraph, grid, n_positive: int) -> list[int]:
 def _profile_values(
     g: WeightedGraph, order, ks: Sequence[int], metric: Callable[[BinaryGraph], float]
 ) -> np.ndarray:
-    # One incremental adjacency walk over the ranked edges; each needed k
-    # gets its own frozen snapshot.
-    values = np.empty(len(ks), dtype=float)
+    # One incremental walk over the ranked edges, evaluating each distinct k
+    # once.  Global efficiency (the module name, looked up per call) reads
+    # hop counts updated edge by edge; any other metric gets a frozen
+    # adjacency snapshot per level.  A 1-node graph takes the generic path,
+    # where global_efficiency itself refuses it.
+    n = g.n_nodes
+    incremental = metric is global_efficiency and n > 1
+    if incremental:
+        dist = np.full((n, n), np.inf)
+        np.fill_diagonal(dist, 0.0)
+        diameter_two = False
+    else:
+        adjacency = np.zeros((n, n), dtype=np.uint8)
     by_k: dict[int, float] = {}
-    adjacency = np.zeros((g.n_nodes, g.n_nodes), dtype=np.uint8)
     filled = 0
     for k in sorted(set(ks)):
-        while filled < k:
-            i, j, _ = order[filled]
-            adjacency[i, j] = adjacency[j, i] = 1
-            filled += 1
-        by_k[k] = float(metric(_binary_unchecked(g.node_labels, adjacency.copy())))
-    for idx, k in enumerate(ks):
-        values[idx] = by_k[k]
-    return values
+        for i, j, _ in order[filled:k]:
+            if incremental:
+                diameter_two = _insert_edge(dist, i, j, diameter_two)
+            else:
+                adjacency[i, j] = adjacency[j, i] = 1
+        filled = k
+        if incremental:
+            by_k[k] = _efficiency_from_distances(dist)
+        else:
+            by_k[k] = float(metric(_binary_unchecked(g.node_labels, adjacency.copy())))
+    return np.array([by_k[k] for k in ks], dtype=float)
 
 
 def density_integrated_metric(

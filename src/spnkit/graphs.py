@@ -260,6 +260,27 @@ def _hop_distances(adjacency: np.ndarray) -> np.ndarray:
         reach = grown
 
 
+def _insert_edge(dist: np.ndarray, u: int, v: int, diameter_two: bool) -> bool:
+    """Update all-pairs hop counts in place for a newly inserted edge (u, v).
+
+    A new edge can only shorten a path by being on it, in one direction or
+    the other (the edge-insertion update of Ausiello, Italiano,
+    Marchetti-Spaccamela and Nanni, J. Algorithms 1991), so
+    ``dist = min(dist, dist[:, u] + 1 + dist[v, :], its transpose)``: O(N^2)
+    per edge, exact because hop counts are integers held in floats.  Once
+    the graph is connected with diameter at most two, only ``dist[u, v]``
+    can still change.  Returns whether that now holds; the caller passes
+    the answer back as ``diameter_two`` on the next insertion.
+    """
+    if diameter_two:
+        dist[u, v] = dist[v, u] = 1.0
+        return True
+    through = dist[:, u, None] + 1.0 + dist[None, v, :]
+    np.minimum(dist, through, out=dist)
+    np.minimum(dist, through.T, out=dist)
+    return bool(dist.max() <= 2.0)
+
+
 def shortest_paths_unweighted(g: BinaryGraph) -> DistanceMatrix:
     """Hop-count shortest paths; disconnected graphs allowed."""
     if g.n_nodes == 1:

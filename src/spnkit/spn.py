@@ -48,8 +48,9 @@ class StudyDataset:
     """Balanced n x J array of per-subject, per-condition correlation matrices.
 
     ``correlations`` has shape (n, J, N_V, N_V); every cell is validated
-    symmetric (tolerance 1e-9, then symmetrized), hollow, with entries in
-    [-1, 1].  ``condition_labels`` are ordered by the experimental
+    symmetric (tolerance 1e-9, then symmetrized), hollow, with off-diagonal
+    entries in the open range (-1, 1), where the Fisher transform is
+    finite.  ``condition_labels`` are ordered by the experimental
     gradient.  ``node_coords`` is optional pass-through metadata.
     """
 
@@ -68,15 +69,6 @@ class StudyDataset:
         n, j, n_v, _ = arr.shape
         if not np.all(np.isfinite(arr)):
             raise IncompleteDesignError("dataset has missing or non-finite cells")
-        if np.any(np.abs(arr) > 1):
-            raise ValidationError("correlation entries must lie in [-1, 1]")
-        cleaned = np.empty_like(arr)
-        for i in range(n):
-            for k in range(j):
-                cleaned[i, k] = validate_symmetric_hollow(
-                    arr[i, k], f"correlations[subject {i}, condition {k}]"
-                )
-        cleaned.setflags(write=False)
         labels = tuple(str(x) for x in self.node_labels)
         conditions = tuple(str(x) for x in self.condition_labels)
         subjects = tuple(str(x) for x in self.subject_ids)
@@ -86,6 +78,23 @@ class StudyDataset:
             raise ValidationError(f"{len(conditions)} condition labels for {j} conditions")
         if len(subjects) != n:
             raise ValidationError(f"{len(subjects)} subject ids for {n} subjects")
+        # |r| = 1 off the diagonal has no Fisher transform; the diagonal is
+        # left to the hollowness check
+        bad = np.argwhere((np.abs(arr) >= 1) & ~np.eye(n_v, dtype=bool))
+        if bad.size:
+            s, c, a, b = (int(x) for x in bad[0])
+            raise ValidationError(
+                f"correlations[subject {subjects[s]!r}, condition {conditions[c]!r}]: "
+                f"entry ({a},{b}) = {float(arr[s, c, a, b])!r} outside the open "
+                "correlation range (-1, 1)"
+            )
+        cleaned = np.empty_like(arr)
+        for i in range(n):
+            for k in range(j):
+                cleaned[i, k] = validate_symmetric_hollow(
+                    arr[i, k], f"correlations[subject {i}, condition {k}]"
+                )
+        cleaned.setflags(write=False)
         coords = self.node_coords
         if coords is not None:
             coords = np.asarray(coords, dtype=float)

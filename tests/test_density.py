@@ -148,6 +148,77 @@ class TestDensityIntegratedMetric:
         assert count.values[-1] >= 1.0
 
 
+def reference_global_efficiency(bg):
+    # a fresh callable is not ``global_efficiency`` itself, so the profile
+    # takes the per-graph path: one all-pairs hop count per level
+    return sk.global_efficiency(bg)
+
+
+def assert_same_profile(g, grid=None):
+    fast = sk.density_integrated_metric(g, sk.global_efficiency, grid=grid)
+    slow = sk.density_integrated_metric(g, reference_global_efficiency, grid=grid)
+    assert fast.densities == slow.densities
+    assert np.array_equal(fast.values, slow.values)
+    assert [repr(v) for v in fast.values] == [repr(v) for v in slow.values]
+    assert repr(fast.integrated) == repr(slow.integrated)
+    return fast
+
+
+class TestIncrementalGlobalEfficiency:
+    """The edge-insertion kernel against the per-graph reference, bit for bit."""
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_random_graphs(self, ties):
+        rng = np.random.default_rng(21 + ties)
+        for n in range(2, 41):
+            g = random_weighted(rng, n, density=0.7)
+            if ties:  # few distinct weights: the (i, j) tie rule orders most edges
+                g = sk.WeightedGraph.from_matrix(np.ceil(g.weights * 3) / 3)
+            if g.positive_edges():
+                assert_same_profile(g)
+
+    def test_grids_on_disconnected_prefixes(self):
+        rng = np.random.default_rng(23)
+        g = random_weighted(rng, 30, density=0.5)
+        # a prefix of fewer than n - 1 edges cannot connect n nodes
+        prefix = sk.density_threshold(g, 28)
+        assert sk.shortest_paths_unweighted(prefix).dist.max() == np.inf
+        assert_same_profile(g, grid=range(1, 29))
+        assert_same_profile(g, grid=[3, 28, 200])
+
+    def test_zero_unsorted_and_repeated_levels(self):
+        rng = np.random.default_rng(24)
+        g = random_weighted(rng, 20, density=0.6)
+        m = len(g.positive_edges())
+        assert_same_profile(g, grid=[0, 1, 2])
+        assert_same_profile(g, grid=[m, 7, 0, 30, 3])
+        profile = assert_same_profile(g, grid=[5, 5, 40, 5, 0, 40])
+        assert profile.values[0] == profile.values[1] == profile.values[3]
+        assert profile.values[4] == 0.0
+
+    def test_full_grid_crosses_diameter_two(self):
+        rng = np.random.default_rng(25)
+        n = 24
+        g = random_weighted(rng, n, density=1.0)
+        m = len(g.positive_edges())
+        assert m == sk.max_edge_count(n)
+        diameters = [
+            sk.shortest_paths_unweighted(sk.density_threshold(g, k)).dist.max()
+            for k in range(1, m + 1)
+        ]
+        # the walk sees diameter > 2 (or disconnection) first, then <= 2
+        assert diameters[0] > 2 and diameters[-1] == 1
+        assert any(d == 2 for d in diameters)
+        profile = assert_same_profile(g)
+        assert profile.values[-1] == 1.0
+
+    def test_one_node_graph_refused_on_both_paths(self):
+        g = sk.WeightedGraph.from_matrix(np.zeros((1, 1)))
+        for metric in (sk.global_efficiency, reference_global_efficiency):
+            with pytest.raises(ValidationError):
+                sk.density_integrated_metric(g, metric, grid=[0])
+
+
 class TestMonotoneInvariance:
     def test_scaling_cubing_exponential(self):
         rng = np.random.default_rng(11)

@@ -31,6 +31,21 @@ class TestStudyDatasetValidation:
         with pytest.raises(ValidationError):
             sk.StudyDataset(corr, ("a", "b", "c"), ("c0", "c1"), ("s0", "s1"))
 
+    def test_rejects_unit_correlation_naming_subject_condition_and_cell(self):
+        corr = np.zeros((3, 2, 3, 3))
+        corr[:, :, 0, 1] = corr[:, :, 1, 0] = 0.4
+        labels, conditions, subjects = ("a", "b", "c"), ("rest", "task"), ("s0", "s1", "s7")
+        for r in (1.0, -1.0):
+            corr[2, 1, 0, 2] = corr[2, 1, 2, 0] = r
+            with pytest.raises(ValidationError) as err:
+                sk.StudyDataset(corr, labels, conditions, subjects)
+            message = str(err.value)
+            assert "'s7'" in message and "'task'" in message and "(0,2)" in message
+            assert "(-1, 1)" in message
+        corr[2, 1, 0, 2] = corr[2, 1, 2, 0] = -0.999
+        data = sk.StudyDataset(corr, labels, conditions, subjects)
+        sk.mean_spn(data, condition=1)  # the accepted dataset has finite Fisher z
+
     def test_rejects_missing_cells(self):
         corr = np.zeros((2, 2, 3, 3))
         corr[1, 1, 0, 1] = corr[1, 1, 1, 0] = np.nan
