@@ -25,10 +25,17 @@ from .modularity import edges_sweep, randomness_sweep
 from .spn import node_differential_spn
 
 
+def _grid_ints(text: str, pieces) -> list[int]:
+    try:
+        return [int(x) for x in pieces]
+    except ValueError:
+        raise ValidationError(f"grid {text!r} holds a non-integer entry") from None
+
+
 def _parse_grid(text: str) -> list[int]:
     """Parse '0,50,100' or inclusive 'start:stop[:step]' into a list of ints."""
     if ":" in text:
-        parts = [int(x) for x in text.split(":")]
+        parts = _grid_ints(text, text.split(":"))
         if len(parts) == 2:
             start, stop, step = parts[0], parts[1], 1
         elif len(parts) == 3:
@@ -38,7 +45,7 @@ def _parse_grid(text: str) -> list[int]:
         if step <= 0 or stop < start:
             raise ValidationError(f"bad grid range {text!r}")
         return list(range(start, stop + 1, step))
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+    return _grid_ints(text, [x for x in text.split(",") if x.strip() != ""])
 
 
 def _profile_grid(args) -> list[int] | None:

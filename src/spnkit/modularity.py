@@ -108,13 +108,15 @@ def greedy_modularity(g: BinaryGraph) -> Partition:
     a = adjacency.sum(axis=1) / (2.0 * m)
     alive = np.ones(n, dtype=bool)
     community = np.arange(n)
-    lower = np.tril_indices(n)
 
-    while int(alive.sum()) > 1:
-        gain = 2.0 * (e - np.outer(a, a))
-        gain[~alive, :] = -np.inf
-        gain[:, ~alive] = -np.inf
-        gain[lower] = -np.inf
+    # gain[i, j] (i < j, both alive): Q change of merging j into i; every
+    # other entry is -inf.  A merge of j into i changes only e's and a's row
+    # and column i, so only row and column i are recomputed, each entry by
+    # the same expression a full rebuild would use.
+    gain = 2.0 * (e - np.outer(a, a))
+    gain[np.tril_indices(n)] = -np.inf
+
+    for _ in range(n - 1):  # each merge leaves one community fewer
         flat = int(np.argmax(gain))
         i, j = divmod(flat, n)
         if not gain[i, j] > 0.0:
@@ -127,6 +129,10 @@ def greedy_modularity(g: BinaryGraph) -> Partition:
         a[j] = 0.0
         alive[j] = False
         community[community == j] = i
+        gain[j, :] = -np.inf
+        gain[:, j] = -np.inf
+        gain[i, i + 1:] = np.where(alive[i + 1:], 2.0 * (e[i, i + 1:] - a[i] * a[i + 1:]), -np.inf)
+        gain[:i, i] = np.where(alive[:i], 2.0 * (e[:i, i] - a[:i] * a[i]), -np.inf)
 
     q = float(np.sum(np.diag(e)[alive] - a[alive] ** 2))
     representatives = np.unique(community)
@@ -239,6 +245,9 @@ def randomness_sweep(
     """
     if replicates < 1:
         raise ValidationError("replicates must be >= 1")
+    rewiring_grid = list(rewiring_grid)
+    if not rewiring_grid:
+        raise ValidationError("rewiring grid is empty")
     base = ring_lattice(n_v, n_e)
     rows = []
     for gi, steps in enumerate(rewiring_grid):
@@ -262,6 +271,9 @@ def edges_sweep(
         raise ValidationError("replicates must be >= 1")
     if topology not in ("lattice", "random"):
         raise ValidationError(f"topology must be 'lattice' or 'random', got {topology!r}")
+    edge_grid = list(edge_grid)
+    if not edge_grid:
+        raise ValidationError("edge grid is empty")
     rows = []
     for gi, n_e in enumerate(edge_grid):
         if topology == "lattice":

@@ -3,7 +3,9 @@
 Nothing here may call into spnkit's own algorithms: distances come from
 exhaustive simple-path search, modularity from explicit Python loops and
 full set-partition enumeration, tail probabilities from math.erfc and
-mpmath's incomplete beta.
+mpmath's incomplete beta.  Where spnkit keeps a fast path, the plain
+version it replaced lives here as its slow reference (greedy modularity
+with a full gain rebuild per merge).
 """
 
 import math
@@ -158,3 +160,43 @@ def exhaustive_max_q(adjacency) -> float:
                 assignment[v] = module
         best = max(best, newman_q(adjacency, assignment))
     return best
+
+
+def greedy_modularity_full_rebuild(adjacency):
+    """Greedy modularity rebuilding the whole gain matrix on every merge.
+
+    Returns (assignment, module_count, q) under the same merge rule and
+    smallest-(row, column) tie-break as spnkit's incremental version.
+    """
+    adjacency = np.asarray(adjacency).astype(float)
+    n = adjacency.shape[0]
+    m = int(adjacency.sum()) // 2
+    e = adjacency / (2.0 * m)
+    a = adjacency.sum(axis=1) / (2.0 * m)
+    alive = np.ones(n, dtype=bool)
+    community = np.arange(n)
+    lower = np.tril_indices(n)
+
+    while int(alive.sum()) > 1:
+        gain = 2.0 * (e - np.outer(a, a))
+        gain[~alive, :] = -np.inf
+        gain[:, ~alive] = -np.inf
+        gain[lower] = -np.inf
+        flat = int(np.argmax(gain))
+        i, j = divmod(flat, n)
+        if not gain[i, j] > 0.0:
+            break
+        e[i, :] += e[j, :]
+        e[:, i] += e[:, j]
+        e[j, :] = 0.0
+        e[:, j] = 0.0
+        a[i] += a[j]
+        a[j] = 0.0
+        alive[j] = False
+        community[community == j] = i
+
+    q = float(np.sum(np.diag(e)[alive] - a[alive] ** 2))
+    representatives = np.unique(community)
+    remap = {int(rep): idx for idx, rep in enumerate(representatives)}
+    return tuple(remap[int(c)] for c in community), len(representatives), q
+

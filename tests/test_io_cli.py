@@ -363,6 +363,40 @@ class TestCli:
         assert code == 0
         assert (out / "edges_sweep_random.csv").exists()
 
+    @pytest.mark.parametrize("flag,args", [
+        ("--grid", ["simulate", "rewire", "--n-v", "10", "--n-e", "15", "--replicates", "2"]),
+        ("--edge-grid", ["simulate", "edges", "--n-v", "10", "--topology", "random",
+                         "--replicates", "2"]),
+        ("--grid", ["density-profile"]),
+    ])
+    @pytest.mark.parametrize("grid", ["0:x:50", "0,abc", "1.5"])
+    def test_non_integer_grid_is_a_validation_error(self, small_manifest, tmp_path, capsys,
+                                                    flag, args, grid):
+        if args == ["density-profile"]:
+            args = args + ["--manifest", str(small_manifest)]
+        out = tmp_path / "out"
+        assert run_cli([*args, flag, grid, "--out-dir", str(out)]) == 2
+        assert f"grid {grid!r} holds a non-integer entry" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "rewire", "--n-e", "15", "--grid", ""],
+        ["simulate", "edges", "--topology", "random", "--edge-grid", ""],
+        ["simulate", "edges", "--topology", "lattice", "--edge-grid", ""],
+    ])
+    def test_empty_sweep_grid_is_refused(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run_cli([*args, "--n-v", "10", "--replicates", "2", "--out-dir", str(out)]) == 2
+        assert "grid is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_density_grid_means_the_default(self, small_manifest, tmp_path):
+        m = ["density-profile", "--manifest", str(small_manifest)]
+        assert run_cli([*m, "--grid", "", "--out-dir", str(tmp_path / "a")]) == 0
+        assert run_cli([*m, "--out-dir", str(tmp_path / "b")]) == 0
+        for name in ("density_profiles.csv", "density_integrated.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_report(self, small_manifest, tmp_path):
         out = tmp_path / "out"
         code = run_cli(["report", "--manifest", str(small_manifest), "--out-dir", str(out)])

@@ -102,6 +102,56 @@ class TestGreedyModularity:
         assert sorted(set(part.assignment)) == list(range(part.module_count))
 
 
+def assert_matches_full_rebuild(g):
+    part = sk.greedy_modularity(g)
+    assignment, module_count, q = oracles.greedy_modularity_full_rebuild(g.adjacency)
+    assert part.assignment == assignment
+    assert part.module_count == module_count
+    assert repr(part.q) == repr(q)
+
+
+class TestIncrementalGainsMatchFullRebuild:
+    """The row-and-column gain update gives the full rebuild's partition and Q bit for bit."""
+
+    @pytest.mark.parametrize("n_v,n_e", [(12, 12), (12, 30), (13, 39), (40, 80), (112, 112),
+                                         (112, 600), (112, 1100), (112, 2100)])
+    def test_ring_lattices(self, n_v, n_e):
+        # regular lattices tie many gains, which exercises the tie-break
+        assert_matches_full_rebuild(sk.ring_lattice(n_v, n_e))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rewired_lattices(self, seed):
+        base = sk.ring_lattice(112, 600)
+        for steps in (1, 20, 100, 500):
+            assert_matches_full_rebuild(sk.rewire(base, steps, seed))
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_random_graphs(self, seed):
+        for n_e in (100, 600, 1600, 4000):
+            assert_matches_full_rebuild(sk.random_graph(112, n_e, seed))
+
+    @pytest.mark.parametrize("count,size", [(2, 3), (3, 4), (5, 6), (8, 14)])
+    def test_disjoint_cliques(self, count, size):
+        assert_matches_full_rebuild(disjoint_cliques(count, size))
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_complete_graph(self, n):
+        assert_matches_full_rebuild(complete(n))
+
+    def test_isolated_nodes_are_never_merged(self):
+        # two triangles beside four isolated nodes, and a sparse random graph
+        a = np.zeros((10, 10), dtype=int)
+        a[:6, :6] = disjoint_cliques(2, 3).adjacency
+        graphs = [sk.BinaryGraph.from_adjacency(a), sk.random_graph(112, 40, seed=6)]
+        for g in graphs:
+            assert_matches_full_rebuild(g)
+            part = sk.greedy_modularity(g)
+            sizes = collections.Counter(part.assignment)
+            isolated = np.flatnonzero(g.degrees() == 0)
+            assert isolated.size > 0
+            assert all(sizes[part.assignment[v]] == 1 for v in isolated)
+
+
 class TestRingLattice:
     def test_cycle_graph(self):
         g = sk.ring_lattice(6, 6)
@@ -211,6 +261,13 @@ class TestSweeps:
         for row in sweep.rows:
             assert row.replicates == 1
             assert row.sd_modules == 0.0
+
+    def test_empty_grids_are_refused(self):
+        with pytest.raises(ValidationError, match="rewiring grid is empty"):
+            sk.randomness_sweep(12, 18, [], replicates=2, seed=0)
+        for topology in ("lattice", "random"):
+            with pytest.raises(ValidationError, match="edge grid is empty"):
+                sk.edges_sweep(12, [], topology, replicates=2, seed=0)
 
     def test_csv_serialization(self, tmp_path):
         sweep = sk.edges_sweep(10, [5, 10], "random", replicates=2, seed=3)
