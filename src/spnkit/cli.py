@@ -163,7 +163,6 @@ def cmd_report(args, manifest, data, out: Path) -> str:
         metric=args.metric,
         density_grid=_profile_grid(args),
         fmt=args.format,
-        run_log=False,
     )
     return f"report bundle: {len(bundle.paths) + 1} files"  # and the runner's run_log.txt
 

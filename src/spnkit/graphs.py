@@ -321,7 +321,7 @@ def global_efficiency(g: BinaryGraph) -> float:
     """
     if g.n_nodes < 2:
         raise ValidationError("global_efficiency needs at least 2 nodes")
-    return _efficiency_from_distances(shortest_paths_unweighted(g).dist)
+    return _efficiency_from_distances(_hop_distances(g.adjacency))
 
 
 def local_efficiency(g: BinaryGraph) -> float:
@@ -334,11 +334,8 @@ def local_efficiency(g: BinaryGraph) -> float:
     total = 0.0
     for v in range(g.n_nodes):
         nbrs = np.flatnonzero(g.adjacency[v])
-        if nbrs.size < 2:
-            continue
-        sub = g.adjacency[np.ix_(nbrs, nbrs)]
-        labels = tuple(g.node_labels[i] for i in nbrs)
-        total += global_efficiency(BinaryGraph(labels, sub))
+        if nbrs.size >= 2:
+            total += _efficiency_from_distances(_hop_distances(g.adjacency[np.ix_(nbrs, nbrs)]))
     return total / g.n_nodes
 
 

@@ -112,12 +112,33 @@ def parse_manifest(path) -> Manifest:
     # other keys in "options" (an old "seed" among them) are ignored
     opts = raw.get("options", {})
     grid = opts.get("density_grid")
+    if grid is not None and not (
+        isinstance(grid, list) and all(type(k) is int for k in grid)
+    ):
+        raise SchemaError(f"{path}: options.density_grid must be a list of integers, got {grid!r}")
     options = ManifestOptions(
         standardize=bool(opts.get("standardize", False)),
         base_rate=float(opts.get("base_rate", 0.05)),
-        density_grid=tuple(int(k) for k in grid) if grid is not None else None,
+        density_grid=tuple(grid) if grid is not None else None,
     )
     return Manifest(subjects, conditions, labels, coords, files, signal_files, options, path.parent)
+
+
+def _raise_if_ragged(path: Path) -> None:
+    """Name the first line whose value count differs from the first row's."""
+    expected = first = None
+    for lineno, line in enumerate(path.read_text(errors="replace").splitlines(), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        count = len(text.split(","))
+        if expected is None:
+            expected, first = count, lineno
+        elif count != expected:
+            raise DataError(
+                f"{path}: line {lineno} holds {count} values, expected {expected} "
+                f"(as on line {first})"
+            )
 
 
 def load_matrix_csv(path, n_nodes: int | None = None) -> np.ndarray:
@@ -125,9 +146,8 @@ def load_matrix_csv(path, n_nodes: int | None = None) -> np.ndarray:
     path = Path(path)
     try:
         matrix = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError:
-        raise
     except ValueError as exc:
+        _raise_if_ragged(path)
         raise DataError(f"{path}: cannot parse matrix: {exc}") from exc
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DataError(f"{path}: expected a square matrix, got shape {matrix.shape}")
@@ -187,12 +207,17 @@ def load_node_signals(manifest: Manifest | str | Path) -> NodeSignalDataset:
             path = manifest.signal_files[(subject, condition)]
             try:
                 vec = np.loadtxt(path, delimiter=",").ravel()
-            except OSError:
-                raise
             except ValueError as exc:
                 raise DataError(f"{path}: cannot parse signal vector: {exc}") from exc
             if vec.size != n_v:
                 raise SchemaError(f"{path}: expected {n_v} signal values, got {vec.size}")
+            bad = np.flatnonzero(~np.isfinite(vec))
+            if bad.size:
+                v = int(bad[0])
+                raise DataError(
+                    f"{path}: node {v} ({manifest.node_labels[v]}) has non-finite "
+                    f"signal value {float(vec[v])!r}"
+                )
             signals[si, ci] = vec
     return NodeSignalDataset(
         signals=signals,
@@ -343,7 +368,12 @@ def graph_from_json(path) -> BinaryGraph | WeightedGraph:
 
 @dataclass(frozen=True, eq=False)
 class ReportBundle:
-    """In-memory results plus the files written by report_pipeline."""
+    """In-memory results plus the files written by report_pipeline.
+
+    ``paths`` lists the report files; there is no run log among them
+    (``spnkit report`` writes ``run_log.txt`` itself).  ``warnings``
+    holds the message of every warning raised while the steps ran.
+    """
 
     density_table: tuple
     mean_spns: dict
@@ -542,7 +572,6 @@ def report_pipeline(
     metric: str = "global_efficiency",
     density_grid=None,
     fmt: str = "json",
-    run_log: bool = True,
 ) -> ReportBundle:
     """Emit the recommended reporting sequence into ``out_dir``.
 
@@ -550,8 +579,9 @@ def report_pipeline(
     (2) one mean SPN per condition, (3) the differential SPN pair,
     (4) density-integrated metric profiles per condition (computed on
     the condition-mean association matrix).  Reruns with identical
-    inputs and options produce byte-identical files.  With ``run_log``
-    false no ``run_log.txt`` is written: the CLI writes its own.
+    inputs and options produce byte-identical files.  No run log is
+    written: the warnings are in the returned bundle, and the CLI's
+    ``spnkit report`` writes ``run_log.txt`` next to these files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -567,24 +597,11 @@ def report_pipeline(
         profiles, written = step_density_profiles(
             data, out, "04_", negatives, standardize, metric, density_grid)
         paths += written
-    notes = tuple(str(w.message) for w in caught)
-
-    if run_log:
-        config = {
-            "base_rate": base_rate,
-            "correction": correction,
-            "density_grid": list(density_grid) if density_grid is not None else None,
-            "format": fmt,
-            "metric": metric,
-            "negatives": negatives,
-            "standardize": standardize,
-        }
-        paths.append(write_run_log(out, "report pipeline", config, notes, paths))
     return ReportBundle(
         density_table=tuple(table),
         mean_spns=mean_results,
         differential=differential,
         density_profiles=profiles,
         paths=tuple(paths),
-        warnings=notes,
+        warnings=tuple(str(w.message) for w in caught),
     )

@@ -1,17 +1,21 @@
 """Independent brute-force oracles that pin expected values for the suite.
 
-Nothing here may call into spnkit's own algorithms: distances come from
+The oracles call nothing of spnkit's own algorithms: distances come from
 exhaustive simple-path search, modularity from explicit Python loops and
 full set-partition enumeration, tail probabilities from math.erfc and
 mpmath's incomplete beta.  Where spnkit keeps a fast path, the plain
-version it replaced lives here as its slow reference (greedy modularity
-with a full gain rebuild per merge).
+version it replaced lives here as its slow reference: greedy modularity
+with a full gain rebuild per merge, and local efficiency through one
+validated ``BinaryGraph`` and one public ``global_efficiency`` call per
+neighbourhood (the only reference here that calls spnkit).
 """
 
 import math
 
 import numpy as np
 from mpmath import betainc, mp
+
+import spnkit as sk
 
 mp.dps = 30
 
@@ -200,3 +204,18 @@ def greedy_modularity_full_rebuild(adjacency):
     remap = {int(rep): idx for idx, rep in enumerate(representatives)}
     return tuple(remap[int(c)] for c in community), len(representatives), q
 
+
+
+def local_efficiency_per_neighbourhood(g):
+    """Local efficiency as one validated BinaryGraph per open neighbourhood,
+    each sent through ``global_efficiency``; nodes with fewer than two
+    neighbours contribute 0."""
+    total = 0.0
+    for v in range(g.n_nodes):
+        nbrs = np.flatnonzero(g.adjacency[v])
+        if nbrs.size < 2:
+            continue
+        sub = g.adjacency[np.ix_(nbrs, nbrs)]
+        labels = tuple(g.node_labels[i] for i in nbrs)
+        total += sk.global_efficiency(sk.BinaryGraph(labels, sub))
+    return total / g.n_nodes

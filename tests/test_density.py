@@ -54,6 +54,22 @@ class TestDensityThreshold:
         with pytest.raises(ValidationError):
             sk.density_threshold(sparse, 2)  # only one positive weight
 
+    def test_non_integer_levels_refused_on_both_paths(self):
+        g = triangle()
+        for k in (1.5, 2.0, "2"):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                sk.density_threshold(g, k)
+        for grid in ([1.5, 2.9], [1, 2.0], np.array([1.0, 2.0])):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                sk.density_integrated_metric(g, sk.global_efficiency, grid=grid)
+
+    def test_numpy_integer_levels_accepted(self):
+        g = triangle()
+        assert sk.density_threshold(g, np.int64(2)).edges() == [(0, 2), (1, 2)]
+        profile = sk.density_integrated_metric(g, sk.global_efficiency, grid=np.arange(1, 4))
+        assert profile.densities == (1, 2, 3)
+        assert all(type(k) is int for k in profile.densities)
+
     def test_nested_in_k(self):
         rng = np.random.default_rng(1)
         g = random_weighted(rng, 8)

@@ -184,6 +184,67 @@ class TestLocalEfficiency:
         assert sk.local_efficiency(g) == 1.0
 
 
+def assert_local_matches_reference(g):
+    assert repr(sk.local_efficiency(g)) == repr(oracles.local_efficiency_per_neighbourhood(g))
+
+
+class TestLocalEfficiencyMatchesReference:
+    """The direct neighbourhood kernel against one validated graph per neighbourhood."""
+
+    @pytest.mark.parametrize("density", [0.15, 0.4, 0.8])
+    def test_random_graphs(self, density):
+        rng = np.random.default_rng(int(density * 100))
+        for n in range(2, 41):
+            assert_local_matches_reference(random_binary(rng, n, density))
+
+    def test_isolated_nodes(self):
+        rng = np.random.default_rng(31)
+        for n in (6, 15, 30):
+            a = random_binary(rng, n, 0.5).adjacency.copy()
+            isolated = rng.choice(n, size=n // 3, replace=False)
+            a[isolated, :] = 0
+            a[:, isolated] = 0
+            g = sk.BinaryGraph.from_adjacency(a)
+            assert g.degrees()[isolated].sum() == 0
+            assert_local_matches_reference(g)
+        assert_local_matches_reference(sk.BinaryGraph.from_adjacency(np.zeros((5, 5))))
+
+    def test_disconnected_neighbourhoods(self):
+        # node 0 joins two triangles and a pendant path: its neighbourhood
+        # {1, 2, 3, 4, 5} splits into the pairs {1, 2}, {3, 4} and {5}
+        edges = [(0, v) for v in range(1, 6)] + [(1, 2), (3, 4), (5, 6), (6, 7)]
+        g = sk.BinaryGraph.from_edges(8, edges)
+        assert 0.0 < sk.local_efficiency(g) < 1.0
+        assert_local_matches_reference(g)
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            # sparse blocks joined only through one hub
+            n = int(rng.integers(8, 30))
+            a = random_binary(rng, n, 0.1).adjacency.copy()
+            a[0, 1:] = a[1:, 0] = 1
+            assert_local_matches_reference(sk.BinaryGraph.from_adjacency(a))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 20, 40])
+    def test_complete_graphs_and_stars(self, n):
+        complete = complete_binary(n)
+        star = sk.BinaryGraph.from_edges(n, [(0, v) for v in range(1, n)])
+        assert_local_matches_reference(complete)
+        assert_local_matches_reference(star)
+        # on two nodes the complete graph is a star
+        assert sk.local_efficiency(complete) == (1.0 if n > 2 else 0.0)
+        assert sk.local_efficiency(star) == 0.0
+
+    def test_density_profile_matches_reference_at_every_level(self):
+        # the density loop hands local_efficiency unvalidated graphs
+        rng = np.random.default_rng(33)
+        g = random_weighted(rng, 18, density=0.6)
+        profile = sk.density_integrated_metric(g, sk.local_efficiency)
+        assert profile.densities == tuple(range(1, len(g.positive_edges()) + 1))
+        for k, value in zip(profile.densities, profile.values):
+            reference = oracles.local_efficiency_per_neighbourhood(sk.density_threshold(g, k))
+            assert repr(float(value)) == repr(reference)
+
+
 class TestWeightedEfficiency:
     def test_triangle_under_spread_condition_equals_mean_weight(self):
         m = np.array([[0.0, 0.6, 0.8], [0.6, 0.0, 1.0], [0.8, 1.0, 0.0]])

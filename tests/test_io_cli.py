@@ -9,6 +9,7 @@ import pytest
 
 import spnkit as sk
 from spnkit import cli as cli_mod
+from spnkit import io as spnio
 from spnkit.cli import main as cli_main
 from spnkit.errors import DataError, IncompleteDesignError, SchemaError, ValidationError
 
@@ -145,6 +146,58 @@ class TestLoadDataset:
         np.testing.assert_allclose(sig.signals[1, 0], [1.1, 2.1, 3.1])
 
 
+class TestInputErrorsNameTheirSource:
+    def test_ragged_matrix_row_names_file_line_and_counts(self, tmp_path, capsys):
+        manifest = build_manifest(tmp_path, [[hollow(3, 0.2)]], ["A", "B", "C"],
+                                  ["rest"], ["s1"])
+        (tmp_path / "s1_rest.csv").write_text("0.0,0.2,0.2\n0.2,0.0\n0.2,0.2,0.0\n")
+        with pytest.raises(DataError, match=r"s1_rest\.csv: line 2 holds 2 values, expected 3"):
+            sk.load_dataset(manifest)
+        out = tmp_path / "out"
+        assert run_cli(["metrics", "--manifest", str(manifest), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "s1_rest.csv: line 2 holds 2 values, expected 3 (as on line 1)" in err
+        assert "usecols" not in err
+        assert not out.exists()
+
+    def test_ragged_row_after_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# header comment\n\n0.0,0.2\n\n0.2,0.0,0.1\n")
+        with pytest.raises(DataError, match=r"line 5 holds 3 values, expected 2 \(as on line 3\)"):
+            spnio.load_matrix_csv(path)
+
+    def test_undecodable_matrix_is_a_data_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"0.0,\xff\n0.2,0.0\n")
+        with pytest.raises(DataError, match=r"m\.csv: cannot parse matrix"):
+            spnio.load_matrix_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_signal_names_file_and_node(self, tmp_path, capsys, value):
+        corr = [[hollow(3, 0.2), hollow(3, 0.3)], [hollow(3, 0.25), hollow(3, 0.35)]]
+        signals = [[[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]], [[1.1, 2.1, 3.1], [1.6, 2.6, 3.6]]]
+        manifest = build_manifest(tmp_path, corr, ["A", "B", "C"], ["rest", "task"],
+                                  ["s1", "s2"], signals=signals)
+        (tmp_path / "s2_task_signal.csv").write_text(f"1.6,{value},3.6\n")
+        out = tmp_path / "out"
+        code = run_cli(["spn", "node-diff", "--manifest", str(manifest), "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"s2_task_signal.csv: node 1 (B) has non-finite signal value {float(value)!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [[1, 2.5], [1.0, 2.0], ["3"], "1:10", [True]])
+    def test_non_integer_manifest_density_grid_is_refused(self, tmp_path, capsys, grid):
+        manifest = build_manifest(tmp_path, [[hollow(3, 0.2)]], ["A", "B", "C"],
+                                  ["rest"], ["s1"], options={"density_grid": grid})
+        with pytest.raises(SchemaError, match=r"manifest\.json: options\.density_grid"):
+            sk.parse_manifest(manifest)
+        code = run_cli(["density-profile", "--manifest", str(manifest),
+                        "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "options.density_grid must be a list of integers" in capsys.readouterr().err
+
+
 class TestStandardizeWeights:
     def test_order_preserved_and_max_maps_to_one(self):
         m = np.zeros((3, 3))
@@ -279,6 +332,14 @@ class TestReportPipeline:
         for pa, pb in zip(a.paths, b.paths):
             assert pa.name == pb.name
             assert pa.read_bytes() == pb.read_bytes()
+
+    def test_writes_no_run_log(self, tmp_path):
+        rng = np.random.default_rng(8)
+        data = planted_trend_dataset(rng, edge_up=1, edge_down=4, n=8, n_v=6)
+        out = tmp_path / "out"
+        bundle = sk.report_pipeline(data, out, negatives="abs")
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in bundle.paths)
+        assert not (out / "run_log.txt").exists()
 
 
 class TestCli:
