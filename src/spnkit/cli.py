@@ -116,8 +116,7 @@ def cmd_metrics(args, manifest, data, out: Path) -> str:
     rows = []
     for si, subject in enumerate(data.subject_ids):
         for ci, condition in enumerate(data.condition_labels):
-            g = spnio.association_graph(data.correlations[si, ci], data.node_labels,
-                                        negatives=negatives)
+            g = spnio._cell_graph(data, si, ci, negatives)
             row = [subject, condition, repr(weighted_density(g)),
                    repr(weighted_efficiency(g)), int(spread_condition_holds(g))]
             if args.tau is not None:

@@ -58,7 +58,7 @@ class DensityProfile:
         if np.any(weights < 0):
             raise ValidationError("probability masses must be nonnegative")
         if abs(weights.sum() - 1.0) > _PROFILE_TOL:
-            raise ValidationError(f"probability masses sum to {weights.sum()!r}, not 1")
+            raise ValidationError(f"probability masses sum to {float(weights.sum())!r}, not 1")
         if abs(float(values @ weights) - self.integrated) > _PROFILE_TOL:
             raise ValidationError("integrated value does not match dot(values, weights)")
         values.setflags(write=False)
@@ -181,7 +181,7 @@ def _monotone_direction(weights: np.ndarray, h: Callable[[float], float]) -> int
     bad = int(np.flatnonzero(diffs <= 0 if diffs[0] > 0 else diffs >= 0)[0])
     raise ValidationError(
         "h is not strictly monotone on the graph's weights: "
-        f"h({distinct[bad]!r}) and h({distinct[bad + 1]!r}) break the order"
+        f"h({float(distinct[bad])!r}) and h({float(distinct[bad + 1])!r}) break the order"
     )
 
 

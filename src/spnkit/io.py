@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import density as density_mod
-from . import graphs as graph_mod
 from .errors import (
     DataError,
     DegenerateStatisticsWarning,
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .graphs import BinaryGraph, WeightedGraph, weighted_density
 from .spn import NodeSignalDataset, SpnResult, StudyDataset, differential_spn, mean_spn
+from .spn import _check_signals, _checked_correlation_matrix
 from .stats import fisher_z, fisher_z_inverse
 
 MANIFEST_SCHEMA = 1
@@ -62,40 +62,57 @@ class Manifest:
     root: Path
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", (int, float): "a number", type(None): "null"}
+
+
 def parse_manifest(path) -> Manifest:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+
+    def typed(value, kind: type, key: str):
+        if not isinstance(value, kind):
+            raise SchemaError(
+                f"{path}: {key} must be {_JSON_TYPES[kind]}, got {_JSON_TYPES[type(value)]}"
+            )
+        return value
+
+    typed(raw, dict, "the manifest")
     if raw.get("schema") != MANIFEST_SCHEMA:
         raise SchemaError(f"{path}: expected \"schema\": {MANIFEST_SCHEMA}, got {raw.get('schema')!r}")
     for key in ("subjects", "conditions", "nodes", "files"):
         if key not in raw:
             raise SchemaError(f"{path}: missing manifest key {key!r}")
-    subjects = tuple(str(s) for s in raw["subjects"])
-    conditions = tuple(str(c) for c in raw["conditions"])
+    subjects = tuple(str(s) for s in typed(raw["subjects"], list, "subjects"))
+    conditions = tuple(str(c) for c in typed(raw["conditions"], list, "conditions"))
     if len(set(subjects)) != len(subjects) or len(set(conditions)) != len(conditions):
         raise SchemaError(f"{path}: duplicate subject or condition ids")
-    nodes = raw["nodes"]
+    nodes = typed(raw["nodes"], dict, "nodes")
     if "labels" not in nodes:
         raise SchemaError(f"{path}: nodes must carry a 'labels' list")
-    labels = tuple(str(x) for x in nodes["labels"])
+    labels = tuple(str(x) for x in typed(nodes["labels"], list, "nodes.labels"))
     coords = None
     if nodes.get("coords") is not None:
-        coords = np.asarray(nodes["coords"], dtype=float)
+        try:
+            coords = np.asarray(nodes["coords"], dtype=float)
+        except (TypeError, ValueError):  # ragged or non-numeric
+            coords = np.empty(0)
         if coords.shape != (len(labels), 3):
             raise SchemaError(f"{path}: nodes.coords must be {len(labels)} 3-vectors")
 
     def check_cells(mapping, what: str) -> dict:
         cells = {}
-        for subject, per_condition in mapping.items():
+        for subject, per_condition in typed(mapping, dict, what).items():
             if subject not in subjects:
                 raise SchemaError(f"{path}: {what} names unknown subject {subject!r}")
-            for condition, file_name in per_condition.items():
+            for condition, file_name in typed(per_condition, dict, f"{what}[{subject!r}]").items():
                 if condition not in conditions:
                     raise SchemaError(f"{path}: {what} names unknown condition {condition!r}")
-                cells[(subject, condition)] = path.parent / str(file_name)
+                cells[(subject, condition)] = path.parent / typed(
+                    file_name, str, f"{what}[{subject!r}][{condition!r}]")
         for subject in subjects:
             for condition in conditions:
                 if (subject, condition) not in cells:
@@ -110,15 +127,15 @@ def parse_manifest(path) -> Manifest:
         signal_files = check_cells(raw["signal_files"], "signal_files")
 
     # other keys in "options" (an old "seed" among them) are ignored
-    opts = raw.get("options", {})
+    opts = typed(raw.get("options", {}), dict, "options")
     grid = opts.get("density_grid")
     if grid is not None and not (
         isinstance(grid, list) and all(type(k) is int for k in grid)
     ):
         raise SchemaError(f"{path}: options.density_grid must be a list of integers, got {grid!r}")
     options = ManifestOptions(
-        standardize=bool(opts.get("standardize", False)),
-        base_rate=float(opts.get("base_rate", 0.05)),
+        standardize=typed(opts.get("standardize", False), bool, "options.standardize"),
+        base_rate=float(typed(opts.get("base_rate", 0.05), (int, float), "options.base_rate")),
         density_grid=tuple(grid) if grid is not None else None,
     )
     return Manifest(subjects, conditions, labels, coords, files, signal_files, options, path.parent)
@@ -156,23 +173,6 @@ def load_matrix_csv(path, n_nodes: int | None = None) -> np.ndarray:
     return matrix
 
 
-def _validate_correlation_matrix(matrix: np.ndarray, path) -> np.ndarray:
-    # |r| = 1 off the diagonal has no Fisher transform; the diagonal is
-    # left to the hollowness check
-    off_diagonal = ~np.eye(matrix.shape[0], dtype=bool)
-    bad = np.argwhere(~(np.abs(matrix) < 1) & off_diagonal)
-    if bad.size:
-        i, j = (int(x) for x in bad[0])
-        raise DataError(
-            f"{path}: entry ({i},{j}) = {float(matrix[i, j])!r} outside the open "
-            "correlation range (-1, 1)"
-        )
-    try:
-        return graph_mod.validate_symmetric_hollow(matrix, str(path))
-    except ValidationError as exc:
-        raise DataError(str(exc)) from exc
-
-
 def load_dataset(manifest: Manifest | str | Path) -> StudyDataset:
     """Assemble the balanced subjects x conditions array from manifest files."""
     if not isinstance(manifest, Manifest):
@@ -183,7 +183,7 @@ def load_dataset(manifest: Manifest | str | Path) -> StudyDataset:
     for si, subject in enumerate(manifest.subjects):
         for ci, condition in enumerate(manifest.conditions):
             path = manifest.files[(subject, condition)]
-            data[si, ci] = _validate_correlation_matrix(load_matrix_csv(path, n_v), path)
+            data[si, ci] = _checked_correlation_matrix(load_matrix_csv(path, n_v), path)
     return StudyDataset(
         correlations=data,
         node_labels=manifest.node_labels,
@@ -211,13 +211,7 @@ def load_node_signals(manifest: Manifest | str | Path) -> NodeSignalDataset:
                 raise DataError(f"{path}: cannot parse signal vector: {exc}") from exc
             if vec.size != n_v:
                 raise SchemaError(f"{path}: expected {n_v} signal values, got {vec.size}")
-            bad = np.flatnonzero(~np.isfinite(vec))
-            if bad.size:
-                v = int(bad[0])
-                raise DataError(
-                    f"{path}: node {v} ({manifest.node_labels[v]}) has non-finite "
-                    f"signal value {float(vec[v])!r}"
-                )
+            _check_signals(vec, path, manifest.node_labels)
             signals[si, ci] = vec
     return NodeSignalDataset(
         signals=signals,
@@ -231,23 +225,37 @@ def association_graph(matrix, node_labels=None, node_coords=None, negatives: str
     """Turn a signed association matrix into a nonnegative WeightedGraph.
 
     negatives='error' refuses signed input (the analyst must decide);
-    negatives='abs' takes absolute values first.
+    negatives='abs' takes absolute values first.  WeightedGraph then
+    validates the result.
     """
-    m = graph_mod.validate_symmetric_hollow(matrix, "association matrix")
+    return _association_graph(matrix, node_labels, node_coords, negatives, "association matrix")
+
+
+def _association_graph(matrix, node_labels, node_coords, negatives: str,
+                       source: str) -> WeightedGraph:
+    m = np.asarray(matrix, dtype=float)
     if negatives == "abs":
         m = np.abs(m)
-    elif negatives == "error":
-        if m.min() < 0:
-            i, j = np.unravel_index(np.argmin(m), m.shape)
-            raise DataError(
-                f"association matrix has negative entry {m[i, j]!r} at ({i},{j}); "
-                "rerun with absolute-value standardization to accept signed input"
-            )
-    else:
+    elif negatives != "error":
         raise ValidationError(f"negatives must be 'error' or 'abs', got {negatives!r}")
+    elif m.ndim == 2 and np.any(m < 0):
+        i, j = np.unravel_index(np.nanargmin(m), m.shape)
+        raise DataError(
+            f"{source} has negative entry {float(m[i, j])!r} at ({i},{j}); "
+            "rerun with --abs (negatives='abs') to accept signed input"
+        )
     if node_labels is None:
         node_labels = tuple(f"n{i}" for i in range(m.shape[0]))
     return WeightedGraph(tuple(node_labels), m, node_coords)
+
+
+def _cell_graph(data: StudyDataset, si: int, ci: int, negatives: str) -> WeightedGraph:
+    """The association graph of one subject x condition cell."""
+    return _association_graph(
+        data.correlations[si, ci], data.node_labels, None, negatives,
+        f"association matrix of subject {data.subject_ids[si]!r}, "
+        f"condition {data.condition_labels[ci]!r}",
+    )
 
 
 def standardize_weights(g: WeightedGraph) -> WeightedGraph:
@@ -501,8 +509,7 @@ def write_node_differential_stats(path, node_labels, plus: SpnResult, minus: Spn
 def step_weighted_density(data: StudyDataset, out: Path, prefix: str, negatives: str):
     """Step 1: the weighted density of every subject x condition cell."""
     table = [
-        (subject, condition, weighted_density(
-            association_graph(data.correlations[si, ci], data.node_labels, negatives=negatives)))
+        (subject, condition, weighted_density(_cell_graph(data, si, ci, negatives)))
         for si, subject in enumerate(data.subject_ids)
         for ci, condition in enumerate(data.condition_labels)
     ]
@@ -544,8 +551,9 @@ def step_density_profiles(data: StudyDataset, out: Path, prefix: str, negatives:
     metric_fn = density_mod.metric_by_name(metric)
     profiles, profile_rows, summary_rows = {}, [], []
     for ci, condition in enumerate(data.condition_labels):
-        g = association_graph(
-            condition_mean_matrix(data, ci), data.node_labels, negatives=negatives
+        g = _association_graph(
+            condition_mean_matrix(data, ci), data.node_labels, None, negatives,
+            f"condition-mean association matrix of condition {condition!r}",
         )
         if standardize:
             g = standardize_weights(g)

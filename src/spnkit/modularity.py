@@ -49,12 +49,6 @@ class SweepRow:
     mean_modules: float
     sd_modules: float
 
-    def __post_init__(self):
-        if self.replicates < 1:
-            raise ValidationError("replicate count must be positive")
-        if self.sd_modules < 0:
-            raise ValidationError("sd must be nonnegative")
-
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:

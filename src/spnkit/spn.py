@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStatisticsWarning, IncompleteDesignError, ValidationError
+from .errors import DataError, DegenerateStatisticsWarning, ValidationError
 from .graphs import BinaryGraph, validate_symmetric_hollow
 from .stats import (
     FdrDecision,
@@ -43,14 +43,47 @@ def edge_pairs(n_nodes: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)]
 
 
+def _checked_correlation_matrix(matrix: np.ndarray, source) -> np.ndarray:
+    """The input rule for one correlation matrix; returns it symmetrized.
+
+    Every entry must be finite and every off-diagonal one inside the open
+    range (-1, 1), where the Fisher transform is finite; the matrix must
+    then be symmetric within SYMMETRY_TOL and hollow.  A DataError names
+    ``source`` and the first cell that breaks the rule.
+    """
+    inside = np.abs(matrix) < 1
+    np.fill_diagonal(inside, np.isfinite(np.diagonal(matrix)))
+    bad = np.argwhere(~inside)
+    if bad.size:
+        i, j = (int(x) for x in bad[0])
+        rule = "is not finite" if i == j else "outside the open correlation range (-1, 1)"
+        raise DataError(f"{source}: entry ({i},{j}) = {float(matrix[i, j])!r} {rule}")
+    try:
+        return validate_symmetric_hollow(matrix, str(source))
+    except ValidationError as exc:
+        raise DataError(str(exc)) from exc
+
+
+def _check_signals(vector: np.ndarray, source, node_labels) -> None:
+    """The input rule for one signal vector: a DataError names ``source``
+    and the first node whose value is not finite."""
+    bad = np.flatnonzero(~np.isfinite(vector))
+    if bad.size:
+        v = int(bad[0])
+        raise DataError(
+            f"{source}: node {v} ({node_labels[v]}) has non-finite signal value "
+            f"{float(vector[v])!r}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class StudyDataset:
     """Balanced n x J array of per-subject, per-condition correlation matrices.
 
-    ``correlations`` has shape (n, J, N_V, N_V); every cell is validated
-    symmetric (tolerance 1e-9, then symmetrized), hollow, with off-diagonal
-    entries in the open range (-1, 1), where the Fisher transform is
-    finite.  ``condition_labels`` are ordered by the experimental
+    ``correlations`` has shape (n, J, N_V, N_V); every cell must pass the
+    correlation-matrix rule (finite, off-diagonal entries in the open
+    range (-1, 1), symmetric within 1e-9, hollow) and is stored
+    symmetrized.  ``condition_labels`` are ordered by the experimental
     gradient.  ``node_coords`` is optional pass-through metadata.
     """
 
@@ -67,8 +100,6 @@ class StudyDataset:
                 f"correlations must have shape (n, J, N_V, N_V), got {arr.shape}"
             )
         n, j, n_v, _ = arr.shape
-        if not np.all(np.isfinite(arr)):
-            raise IncompleteDesignError("dataset has missing or non-finite cells")
         labels = tuple(str(x) for x in self.node_labels)
         conditions = tuple(str(x) for x in self.condition_labels)
         subjects = tuple(str(x) for x in self.subject_ids)
@@ -78,21 +109,11 @@ class StudyDataset:
             raise ValidationError(f"{len(conditions)} condition labels for {j} conditions")
         if len(subjects) != n:
             raise ValidationError(f"{len(subjects)} subject ids for {n} subjects")
-        # |r| = 1 off the diagonal has no Fisher transform; the diagonal is
-        # left to the hollowness check
-        bad = np.argwhere((np.abs(arr) >= 1) & ~np.eye(n_v, dtype=bool))
-        if bad.size:
-            s, c, a, b = (int(x) for x in bad[0])
-            raise ValidationError(
-                f"correlations[subject {subjects[s]!r}, condition {conditions[c]!r}]: "
-                f"entry ({a},{b}) = {float(arr[s, c, a, b])!r} outside the open "
-                "correlation range (-1, 1)"
-            )
         cleaned = np.empty_like(arr)
-        for i in range(n):
-            for k in range(j):
-                cleaned[i, k] = validate_symmetric_hollow(
-                    arr[i, k], f"correlations[subject {i}, condition {k}]"
+        for si, subject in enumerate(subjects):
+            for ci, condition in enumerate(conditions):
+                cleaned[si, ci] = _checked_correlation_matrix(
+                    arr[si, ci], f"correlations[subject {subject!r}, condition {condition!r}]"
                 )
         cleaned.setflags(write=False)
         coords = self.node_coords
@@ -127,7 +148,7 @@ class StudyDataset:
 
 @dataclass(frozen=True, eq=False)
 class NodeSignalDataset:
-    """Balanced n x J array of per-node time-averaged intensity signals."""
+    """Balanced n x J array of per-node time-averaged intensity signals, all finite."""
 
     signals: np.ndarray
     node_labels: tuple[str, ...]
@@ -138,8 +159,6 @@ class NodeSignalDataset:
         arr = np.asarray(self.signals, dtype=float)
         if arr.ndim != 3:
             raise ValidationError(f"signals must have shape (n, J, N_V), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise IncompleteDesignError("signal dataset has missing or non-finite cells")
         arr = arr.copy()
         arr.setflags(write=False)
         labels = tuple(str(x) for x in self.node_labels)
@@ -148,6 +167,11 @@ class NodeSignalDataset:
         n, j, n_v = arr.shape
         if len(labels) != n_v or len(conditions) != j or len(subjects) != n:
             raise ValidationError("label counts do not match the signal array shape")
+        for si, subject in enumerate(subjects):
+            for ci, condition in enumerate(conditions):
+                _check_signals(
+                    arr[si, ci], f"signals[subject {subject!r}, condition {condition!r}]", labels
+                )
         object.__setattr__(self, "signals", arr)
         object.__setattr__(self, "node_labels", labels)
         object.__setattr__(self, "condition_labels", conditions)

@@ -81,12 +81,6 @@ class EdgeModelFit:
     dof: tuple[float, float]
     degenerate: bool = False
 
-    def __post_init__(self):
-        if self.residual_variance < 0:
-            raise ValidationError("residual_variance must be nonnegative")
-        if self.trend_sign not in (-1, 0, 1):
-            raise ValidationError(f"trend_sign must be -1, 0, or +1, got {self.trend_sign!r}")
-
 
 @dataclass(frozen=True)
 class FdrDecision:
@@ -104,8 +98,6 @@ class FdrDecision:
         mask = np.array(self.rejected, dtype=bool, copy=True)
         mask.setflags(write=False)
         object.__setattr__(self, "rejected", mask)
-        if int(mask.sum()) != self.threshold_index:
-            raise ValidationError("threshold_index must equal the number of rejections")
 
     @property
     def n_rejected(self) -> int:

@@ -73,6 +73,15 @@ class TestThreshold:
             sk.threshold(np.array([[0.0, 0.5 + 1e-8], [0.5, 0.0]]), 0.4)
 
 
+    def test_weighted_graph_input_keeps_labels_and_coords(self):
+        coords = np.arange(9.0).reshape(3, 3)
+        w = np.array([[0.0, 0.5, 0.2], [0.5, 0.0, 0.8], [0.2, 0.8, 0.0]])
+        g = sk.threshold(sk.WeightedGraph(("x", "y", "z"), w, coords), 0.3)
+        assert g.node_labels == ("x", "y", "z")
+        np.testing.assert_array_equal(g.node_coords, coords)
+        assert g.edges() == [(0, 1), (1, 2)]
+
+
 class TestQuasilinearityWitness:
     def test_mean_then_threshold_differs_from_majority_of_thresholded(self):
         r1 = np.array([[0.0, 0.9], [0.9, 0.0]])
@@ -87,6 +96,12 @@ class TestQuasilinearityWitness:
 
 
 class TestShortestPathsUnweighted:
+    def test_one_node_graphs_have_zero_distance(self):
+        unweighted = sk.shortest_paths_unweighted(sk.BinaryGraph.from_adjacency(np.zeros((1, 1))))
+        weighted = sk.shortest_paths_weighted(sk.WeightedGraph.from_matrix(np.zeros((1, 1))))
+        for d in (unweighted.dist, weighted.dist):
+            np.testing.assert_array_equal(d, [[0.0]])
+
     def test_path_graph(self):
         g = sk.BinaryGraph.from_edges(3, [(0, 1), (1, 2)])
         d = sk.shortest_paths_unweighted(g)
@@ -343,6 +358,11 @@ class TestGraphValidation:
     def test_weighted_rejects_negative(self):
         m = np.array([[0.0, -0.2], [-0.2, 0.0]])
         with pytest.raises(ValidationError):
+            sk.WeightedGraph.from_matrix(m)
+
+    def test_negative_weight_message_prints_a_plain_float(self):
+        m = np.array([[0.0, -0.2], [-0.2, 0.0]])
+        with pytest.raises(ValidationError, match=r"weights: negative entry -0\.2 at \(0,1\)"):
             sk.WeightedGraph.from_matrix(m)
 
     def test_binary_rejects_noninteger_entries(self):

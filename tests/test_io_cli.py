@@ -109,6 +109,14 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=r"s1_rest\.csv: entry \(1,2\) = -1\.0 outside"):
             sk.load_dataset(path)
 
+    def test_asymmetric_matrix_message_prints_plain_floats(self, tmp_path):
+        bad = hollow(3, 0.2)
+        bad[0, 1] = 0.9
+        path = build_manifest(tmp_path, [[bad]], ["A", "B", "C"], ["rest"], ["s1"])
+        with pytest.raises(DataError) as err:
+            sk.load_dataset(path)
+        assert str(err.value) == f"{tmp_path / 's1_rest.csv'}: not symmetric at (0,1): 0.9 vs 0.2"
+
     def test_asymmetric_matrix_rejected(self, tmp_path):
         bad = hollow(3, 0.2)
         bad[0, 1] = 0.9
@@ -196,6 +204,134 @@ class TestInputErrorsNameTheirSource:
                         "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert "options.density_grid must be a list of integers" in capsys.readouterr().err
+
+
+def refused(capsys, args, out) -> str:
+    """Run the CLI, expect exit 2 and no --out-dir left behind; return stderr."""
+    assert run_cli([*args, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+def edit_manifest(path, change) -> None:
+    payload = json.loads(path.read_text())
+    change(payload)
+    path.write_text(json.dumps(payload))
+
+
+class TestSignedInputRefusal:
+    @pytest.fixture
+    def signed_manifest(self, tmp_path):
+        """Every 'task' cell holds r = -0.3 at (0,2); every 'rest' cell is positive."""
+        task = hollow(3, 0.2)
+        task[0, 2] = task[2, 0] = -0.3
+        corr = [[hollow(3, 0.2), task], [hollow(3, 0.3), task]]
+        return build_manifest(tmp_path, corr, ["A", "B", "C"], ["rest", "task"], ["s1", "s2"])
+
+    @pytest.mark.parametrize("command", [["metrics", "--tau", "0.1"], ["report"]])
+    def test_cell_refusal_names_subject_condition_cell_and_flag(self, signed_manifest, tmp_path,
+                                                                 capsys, command):
+        err = refused(capsys, [*command, "--manifest", str(signed_manifest)], tmp_path / "out")
+        assert ("association matrix of subject 's1', condition 'task' has negative entry "
+                "-0.3 at (0,2); rerun with --abs") in err
+
+    def test_condition_mean_refusal_names_the_condition(self, signed_manifest, tmp_path, capsys):
+        err = refused(capsys, ["density-profile", "--manifest", str(signed_manifest)],
+                      tmp_path / "out")
+        assert "condition-mean association matrix of condition 'task' has negative entry" in err
+        assert "at (0,2); rerun with --abs" in err
+        assert "np.float64" not in err
+
+    def test_library_refusal_names_the_keyword(self):
+        m = np.array([[0.0, -0.5], [-0.5, 0.0]])
+        with pytest.raises(DataError, match=r"negative entry -0\.5 at \(0,1\).*negatives='abs'"):
+            sk.association_graph(m)
+
+
+class TestManifestErrors:
+    @pytest.mark.parametrize("change,message", [
+        (lambda p: p.pop("files"), "missing manifest key 'files'"),
+        (lambda p: p.update(subjects=["s1", "s1"]), "duplicate subject or condition ids"),
+        (lambda p: p["nodes"].pop("labels"), "nodes must carry a 'labels' list"),
+        (lambda p: p["nodes"].update(coords=[[1, 2, 3]]), "nodes.coords must be 3 3-vectors"),
+        (lambda p: p["nodes"].update(coords=[[1, 2, 3], [4, 5], [6, 7, 8]]),
+         "nodes.coords must be 3 3-vectors"),
+        (lambda p: p["files"].update(s9={"rest": "s1_rest.csv"}), "files names unknown subject 's9'"),
+        (lambda p: p["files"]["s1"].update(nap="s1_rest.csv"), "files names unknown condition 'nap'"),
+        (lambda p: p.update(subjects="s1"), "subjects must be a list, got a string"),
+        (lambda p: p.update(conditions={"rest": 0}), "conditions must be a list, got an object"),
+        (lambda p: p.update(nodes=["A", "B", "C"]), "nodes must be an object, got a list"),
+        (lambda p: p["nodes"].update(labels="ABC"), "nodes.labels must be a list, got a string"),
+        (lambda p: p.update(files=[]), "files must be an object, got a list"),
+        (lambda p: p["files"].update(s1="s1_rest.csv"), "files['s1'] must be an object, got a string"),
+        (lambda p: p["files"]["s1"].update(rest=None),
+         "files['s1']['rest'] must be a string, got null"),
+        (lambda p: p.update(signal_files={"s1": ["a.csv"]}),
+         "signal_files['s1'] must be an object, got a list"),
+        (lambda p: p.update(options=[]), "options must be an object, got a list"),
+        (lambda p: p.update(options={"standardize": "false"}),
+         "options.standardize must be a boolean, got a string"),
+        (lambda p: p.update(options={"base_rate": "0.01"}),
+         "options.base_rate must be a number, got a string"),
+    ])
+    def test_refused_with_manifest_and_key(self, small_manifest, tmp_path, capsys, change,
+                                           message):
+        edit_manifest(small_manifest, change)
+        with pytest.raises(SchemaError):
+            sk.parse_manifest(small_manifest)
+        err = refused(capsys, ["spn", "diff", "--manifest", str(small_manifest)], tmp_path / "out")
+        assert f"{small_manifest}: {message}" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("[]", "the manifest must be an object, got a list"),
+        ("{\"schema\": 1,", "not valid JSON"),
+    ])
+    def test_unreadable_top_level(self, tmp_path, capsys, text, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        err = refused(capsys, ["metrics", "--manifest", str(manifest)], tmp_path / "out")
+        assert f"{manifest}: {message}" in err
+
+
+class TestInputErrorBranches:
+    @pytest.mark.parametrize("args", [
+        ["density-profile", "--manifest", "MANIFEST", "--grid"],
+        ["simulate", "rewire", "--n-v", "10", "--n-e", "15", "--replicates", "2", "--grid"],
+    ])
+    @pytest.mark.parametrize("grid,message", [
+        ("1:2:3:4", "bad grid syntax '1:2:3:4'"),
+        ("10:5", "bad grid range '10:5'"),
+    ])
+    def test_bad_grid(self, small_manifest, tmp_path, capsys, args, grid, message):
+        args = [str(small_manifest) if a == "MANIFEST" else a for a in args]
+        assert message in refused(capsys, [*args, grid], tmp_path / "out")
+
+    @pytest.mark.parametrize("condition,message", [
+        ("nap", "unknown condition 'nap'; choose from ['rest', 'task'] or an index"),
+        ("2", "condition index 2 out of range 0..1"),
+    ])
+    def test_bad_condition(self, small_manifest, tmp_path, capsys, condition, message):
+        err = refused(capsys, ["spn", "mean", "--manifest", str(small_manifest),
+                               "--condition", condition], tmp_path / "out")
+        assert message in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("1.6,3.6\n", "expected 3 signal values, got 2"),
+        ("1.6,abc,3.6\n", "cannot parse signal vector"),
+    ])
+    def test_bad_signal_file(self, tmp_path, capsys, text, message):
+        corr = [[hollow(3, 0.2), hollow(3, 0.3)], [hollow(3, 0.25), hollow(3, 0.35)]]
+        signals = [[[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]], [[1.1, 2.1, 3.1], [1.6, 2.6, 3.6]]]
+        manifest = build_manifest(tmp_path, corr, ["A", "B", "C"], ["rest", "task"],
+                                  ["s1", "s2"], signals=signals)
+        (tmp_path / "s2_task_signal.csv").write_text(text)
+        err = refused(capsys, ["spn", "node-diff", "--manifest", str(manifest)], tmp_path / "out")
+        assert f"{tmp_path / 's2_task_signal.csv'}: {message}" in err
+
+    def test_non_square_matrix(self, small_manifest, tmp_path, capsys):
+        (tmp_path / "s2_rest.csv").write_text("0.0,0.3,0.3\n0.3,0.0,0.3\n")
+        err = refused(capsys, ["spn", "diff", "--manifest", str(small_manifest)], tmp_path / "out")
+        assert f"{tmp_path / 's2_rest.csv'}: expected a square matrix, got shape (2, 3)" in err
 
 
 class TestStandardizeWeights:
@@ -305,7 +441,8 @@ class TestReportPipeline:
     def test_constant_dataset_yields_constant_table_and_empty_spns(self, tmp_path):
         corr = np.stack([np.stack([hollow(4, 0.3)] * 2)] * 3)
         data = sk.StudyDataset(corr, ("a", "b", "c", "d"), ("c0", "c1"), ("s0", "s1", "s2"))
-        bundle = sk.report_pipeline(data, tmp_path / "out")
+        with pytest.warns(sk.DegenerateStatisticsWarning, match="grand SD is zero"):
+            bundle = sk.report_pipeline(data, tmp_path / "out")
         densities = {row[2] for row in bundle.density_table}
         assert len(densities) == 1
         for result in bundle.mean_spns.values():

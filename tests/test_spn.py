@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spnkit as sk
-from spnkit.errors import DegenerateStatisticsWarning, ValidationError
+from spnkit.errors import DataError, DegenerateStatisticsWarning, ValidationError
 
 from datasets import (
     dataset_from_z,
@@ -57,6 +57,29 @@ class TestStudyDatasetValidation:
         corr[0, 0] = np.eye(2)
         with pytest.raises(ValidationError):
             sk.StudyDataset(corr, ("a", "b"), ("c0",), ("s0",))
+
+
+    @pytest.mark.parametrize("cell,values,message", [
+        ((0, 2), (np.nan, np.nan), "entry (0,2) = nan outside the open correlation range (-1, 1)"),
+        ((1, 1), (np.nan, np.nan), "entry (1,1) = nan is not finite"),
+        ((0, 2), (0.9, 0.2), "not symmetric at (0,2): 0.9 vs 0.2"),
+    ])
+    def test_bad_cell_names_subject_condition_and_cell(self, cell, values, message):
+        corr = np.zeros((2, 2, 3, 3))
+        (a, b), (upper, lower) = cell, values
+        corr[1, 1, a, b], corr[1, 1, b, a] = upper, lower
+        with pytest.raises(DataError) as err:
+            sk.StudyDataset(corr, ("a", "b", "c"), ("rest", "task"), ("s0", "s7"))
+        assert str(err.value) == f"correlations[subject 's7', condition 'task']: {message}"
+
+    def test_non_finite_signal_names_subject_condition_and_node(self):
+        values = np.ones((2, 2, 3))
+        values[1, 0, 2] = np.inf
+        with pytest.raises(DataError) as err:
+            signal_dataset(values)
+        assert str(err.value) == (
+            "signals[subject 's1', condition 'c0']: node 2 (n2) has non-finite signal value inf"
+        )
 
 
 class TestMeanSpn:
