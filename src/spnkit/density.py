@@ -23,7 +23,6 @@ from .errors import ValidationError
 from .graphs import (
     BinaryGraph,
     WeightedGraph,
-    _binary_unchecked,
     _efficiency_from_distances,
     _insert_edge,
     global_efficiency,
@@ -41,7 +40,8 @@ class DensityProfile:
 
     ``densities`` are edge counts k, ``values`` the metric at each k,
     ``weights`` the probability mass p(k) (sums to 1), and ``integrated``
-    the dot product of values and weights.
+    the dot product of values and weights.  The arrays are frozen copies
+    of those given.
     """
 
     densities: tuple[int, ...]
@@ -51,8 +51,8 @@ class DensityProfile:
 
     def __post_init__(self):
         densities = tuple(int(k) for k in self.densities)
-        values = np.asarray(self.values, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        values = np.array(self.values, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if not (len(densities) == values.size == weights.size):
             raise ValidationError("densities, values, and weights must have equal length")
         if np.any(weights < 0):
@@ -113,9 +113,10 @@ def _profile_values(
 ) -> np.ndarray:
     # One incremental walk over the ranked edges, evaluating each distinct k
     # once.  Global efficiency (the module name, looked up per call) reads
-    # hop counts updated edge by edge; any other metric gets a frozen
-    # adjacency snapshot per level.  A 1-node graph takes the generic path,
-    # where global_efficiency itself refuses it.
+    # hop counts updated edge by edge; any other metric gets a BinaryGraph
+    # per level, whose constructor checks and copies the adjacency, so the
+    # walk goes on filling the same array.  A 1-node graph takes the
+    # generic path, where global_efficiency itself refuses it.
     n = g.n_nodes
     incremental = metric is global_efficiency and n > 1
     if incremental:
@@ -136,7 +137,7 @@ def _profile_values(
         if incremental:
             by_k[k] = _efficiency_from_distances(dist)
         else:
-            by_k[k] = float(metric(_binary_unchecked(g.node_labels, adjacency.copy())))
+            by_k[k] = float(metric(BinaryGraph(g.node_labels, adjacency)))
     return np.array([by_k[k] for k in ks], dtype=float)
 
 

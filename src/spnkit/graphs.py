@@ -68,6 +68,25 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _node_metadata(node_labels, node_coords, n: int, what: str):
+    """The node rule of every value type that carries node labels.
+
+    Returns the labels as a tuple of strings, checked to number ``n``
+    (``what`` names the n-node object in the error), and the coordinates
+    as a frozen (n, 3) float copy, or None.  The copy leaves the caller's
+    array writable and unshared.
+    """
+    labels = tuple(str(x) for x in node_labels)
+    if len(labels) != n:
+        raise ValidationError(f"{len(labels)} node labels for a {n}-node {what}")
+    if node_coords is None:
+        return labels, None
+    coords = np.array(node_coords, dtype=float)
+    if coords.shape != (n, 3):
+        raise ValidationError(f"node_coords must have shape ({n}, 3), got {coords.shape}")
+    return labels, _freeze(coords)
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Symmetric nonnegative-weight graph; one-to-one with an association matrix.
@@ -90,19 +109,8 @@ class WeightedGraph:
                 f"weights: negative entry {float(w[i, j])!r} at ({i},{j}); "
                 "standardize signed association matrices first"
             )
-        labels = tuple(str(x) for x in self.node_labels)
-        if len(labels) != w.shape[0]:
-            raise ValidationError(
-                f"{len(labels)} node labels for a {w.shape[0]}-node weight matrix"
-            )
-        coords = self.node_coords
-        if coords is not None:
-            coords = np.asarray(coords, dtype=float)
-            if coords.shape != (w.shape[0], 3):
-                raise ValidationError(
-                    f"node_coords must have shape ({w.shape[0]}, 3), got {coords.shape}"
-                )
-            coords = _freeze(coords)
+        labels, coords = _node_metadata(
+            self.node_labels, self.node_coords, w.shape[0], "weight matrix")
         object.__setattr__(self, "node_labels", labels)
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "node_coords", coords)
@@ -110,7 +118,7 @@ class WeightedGraph:
     @classmethod
     def from_matrix(cls, weights, node_labels=None, node_coords=None) -> "WeightedGraph":
         w = np.asarray(weights, dtype=float)
-        labels = _default_labels(w.shape[0]) if node_labels is None else tuple(node_labels)
+        labels = _default_labels(w.shape[0]) if node_labels is None else node_labels
         return cls(labels, w, node_coords)
 
     @property
@@ -144,19 +152,8 @@ class BinaryGraph:
             raise ValidationError("adjacency: diagonal must be zero")
         if not np.isin(a, (0, 1)).all():
             raise ValidationError("adjacency: entries must be 0 or 1")
-        labels = tuple(str(x) for x in self.node_labels)
-        if len(labels) != a.shape[0]:
-            raise ValidationError(
-                f"{len(labels)} node labels for a {a.shape[0]}-node adjacency matrix"
-            )
-        coords = self.node_coords
-        if coords is not None:
-            coords = np.asarray(coords, dtype=float)
-            if coords.shape != (a.shape[0], 3):
-                raise ValidationError(
-                    f"node_coords must have shape ({a.shape[0]}, 3), got {coords.shape}"
-                )
-            coords = _freeze(coords)
+        labels, coords = _node_metadata(
+            self.node_labels, self.node_coords, a.shape[0], "adjacency matrix")
         object.__setattr__(self, "node_labels", labels)
         object.__setattr__(self, "adjacency", _freeze(a.astype(np.uint8)))
         object.__setattr__(self, "node_coords", coords)
@@ -165,7 +162,7 @@ class BinaryGraph:
     @classmethod
     def from_adjacency(cls, adjacency, node_labels=None, node_coords=None) -> "BinaryGraph":
         a = np.asarray(adjacency)
-        labels = _default_labels(a.shape[0]) if node_labels is None else tuple(node_labels)
+        labels = _default_labels(a.shape[0]) if node_labels is None else node_labels
         return cls(labels, a, node_coords)
 
     @classmethod
@@ -204,35 +201,19 @@ class DistanceMatrix:
         return self.dist.shape[0]
 
 
-def _binary_unchecked(node_labels: tuple[str, ...], adjacency: np.ndarray) -> BinaryGraph:
-    """Construct a BinaryGraph without re-validation.
-
-    Internal fast path for tight loops; the caller guarantees a
-    symmetric, hollow 0/1 uint8 array that it will not mutate.
-    """
-    g = object.__new__(BinaryGraph)
-    object.__setattr__(g, "node_labels", node_labels)
-    object.__setattr__(g, "adjacency", _freeze(adjacency))
-    object.__setattr__(g, "node_coords", None)
-    object.__setattr__(g, "edge_count", int(adjacency.sum()) // 2)
-    return g
-
-
 def threshold(matrix, tau: float) -> BinaryGraph:
     """Binarize a symmetric hollow association matrix at cut-off ``tau``.
 
     An edge (i, j) is kept iff matrix[i, j] > tau (strict), so tau = 0
     drops zero entries of a nonnegative matrix.
     """
-    coords = None
     if isinstance(matrix, WeightedGraph):
         m, labels, coords = matrix.weights, matrix.node_labels, matrix.node_coords
     else:
-        m = validate_symmetric_hollow(matrix, "threshold input")
-        labels = _default_labels(m.shape[0])
+        m, labels, coords = validate_symmetric_hollow(matrix, "threshold input"), None, None
     adjacency = (m > tau).astype(np.uint8)
     np.fill_diagonal(adjacency, 0)
-    return BinaryGraph(labels, adjacency, coords)
+    return BinaryGraph.from_adjacency(adjacency, labels, coords)
 
 
 def _hop_distances(adjacency: np.ndarray) -> np.ndarray:

@@ -45,10 +45,6 @@ class ManifestOptions:
     base_rate: float = 0.05
     density_grid: tuple[int, ...] | None = None
 
-    def __post_init__(self):
-        if not 0.0 < self.base_rate < 1.0:
-            raise SchemaError(f"base_rate must lie in (0, 1), got {self.base_rate!r}")
-
 
 @dataclass(frozen=True, eq=False)
 class Manifest:
@@ -133,9 +129,12 @@ def parse_manifest(path) -> Manifest:
         isinstance(grid, list) and all(type(k) is int for k in grid)
     ):
         raise SchemaError(f"{path}: options.density_grid must be a list of integers, got {grid!r}")
+    base_rate = float(typed(opts.get("base_rate", 0.05), (int, float), "options.base_rate"))
+    if not 0.0 < base_rate < 1.0:
+        raise SchemaError(f"{path}: options.base_rate must lie in (0, 1), got {base_rate!r}")
     options = ManifestOptions(
         standardize=typed(opts.get("standardize", False), bool, "options.standardize"),
-        base_rate=float(typed(opts.get("base_rate", 0.05), (int, float), "options.base_rate")),
+        base_rate=base_rate,
         density_grid=tuple(grid) if grid is not None else None,
     )
     return Manifest(subjects, conditions, labels, coords, files, signal_files, options, path.parent)
@@ -208,6 +207,7 @@ def load_node_signals(manifest: Manifest | str | Path) -> NodeSignalDataset:
             try:
                 vec = np.loadtxt(path, delimiter=",").ravel()
             except ValueError as exc:
+                _raise_if_ragged(path)
                 raise DataError(f"{path}: cannot parse signal vector: {exc}") from exc
             if vec.size != n_v:
                 raise SchemaError(f"{path}: expected {n_v} signal values, got {vec.size}")
@@ -244,9 +244,7 @@ def _association_graph(matrix, node_labels, node_coords, negatives: str,
             f"{source} has negative entry {float(m[i, j])!r} at ({i},{j}); "
             "rerun with --abs (negatives='abs') to accept signed input"
         )
-    if node_labels is None:
-        node_labels = tuple(f"n{i}" for i in range(m.shape[0]))
-    return WeightedGraph(tuple(node_labels), m, node_coords)
+    return WeightedGraph.from_matrix(m, node_labels, node_coords)
 
 
 def _cell_graph(data: StudyDataset, si: int, ci: int, negatives: str) -> WeightedGraph:
@@ -355,15 +353,22 @@ def export_graph(g, fmt: str, path) -> Path:
 
 def graph_from_json(path) -> BinaryGraph | WeightedGraph:
     path = Path(path)
-    payload = json.loads(path.read_text())
-    if payload.get("schema") != 1 or payload.get("kind") not in ("binary", "weighted"):
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    if not (isinstance(payload, dict) and payload.get("schema") == 1
+            and payload.get("kind") in ("binary", "weighted")):
         raise SchemaError(f"{path}: not a graph JSON payload")
-    labels = tuple(payload["node_labels"])
-    coords = payload.get("node_coords")
-    coords = None if coords is None else np.asarray(coords, dtype=float)
-    if payload["kind"] == "binary":
-        return BinaryGraph(labels, np.asarray(payload["adjacency"]), coords)
-    return WeightedGraph(labels, np.asarray(payload["weights"], dtype=float), coords)
+    matrix_key = "adjacency" if payload["kind"] == "binary" else "weights"
+    for key in ("node_labels", matrix_key):
+        if key not in payload:
+            raise SchemaError(f"{path}: missing graph key {key!r}")
+    cls = BinaryGraph if payload["kind"] == "binary" else WeightedGraph
+    try:
+        return cls(payload["node_labels"], payload[matrix_key], payload.get("node_coords"))
+    except ValidationError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

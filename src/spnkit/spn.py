@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateStatisticsWarning, ValidationError
-from .graphs import BinaryGraph, validate_symmetric_hollow
+from .graphs import BinaryGraph, _node_metadata, validate_symmetric_hollow
 from .stats import (
     FdrDecision,
     bh_fdr,
@@ -76,6 +76,17 @@ def _check_signals(vector: np.ndarray, source, node_labels) -> None:
         )
 
 
+def _design_labels(condition_labels, subject_ids, j: int, n: int):
+    """Condition labels and subject ids as string tuples, checked to number J and n."""
+    conditions = tuple(str(x) for x in condition_labels)
+    subjects = tuple(str(x) for x in subject_ids)
+    if len(conditions) != j:
+        raise ValidationError(f"{len(conditions)} condition labels for {j} conditions")
+    if len(subjects) != n:
+        raise ValidationError(f"{len(subjects)} subject ids for {n} subjects")
+    return conditions, subjects
+
+
 @dataclass(frozen=True, eq=False)
 class StudyDataset:
     """Balanced n x J array of per-subject, per-condition correlation matrices.
@@ -100,15 +111,8 @@ class StudyDataset:
                 f"correlations must have shape (n, J, N_V, N_V), got {arr.shape}"
             )
         n, j, n_v, _ = arr.shape
-        labels = tuple(str(x) for x in self.node_labels)
-        conditions = tuple(str(x) for x in self.condition_labels)
-        subjects = tuple(str(x) for x in self.subject_ids)
-        if len(labels) != n_v:
-            raise ValidationError(f"{len(labels)} node labels for {n_v} nodes")
-        if len(conditions) != j:
-            raise ValidationError(f"{len(conditions)} condition labels for {j} conditions")
-        if len(subjects) != n:
-            raise ValidationError(f"{len(subjects)} subject ids for {n} subjects")
+        labels, coords = _node_metadata(self.node_labels, self.node_coords, n_v, "dataset")
+        conditions, subjects = _design_labels(self.condition_labels, self.subject_ids, j, n)
         cleaned = np.empty_like(arr)
         for si, subject in enumerate(subjects):
             for ci, condition in enumerate(conditions):
@@ -116,12 +120,6 @@ class StudyDataset:
                     arr[si, ci], f"correlations[subject {subject!r}, condition {condition!r}]"
                 )
         cleaned.setflags(write=False)
-        coords = self.node_coords
-        if coords is not None:
-            coords = np.asarray(coords, dtype=float)
-            if coords.shape != (n_v, 3):
-                raise ValidationError(f"node_coords must have shape ({n_v}, 3)")
-            coords.setflags(write=False)
         object.__setattr__(self, "correlations", cleaned)
         object.__setattr__(self, "node_labels", labels)
         object.__setattr__(self, "condition_labels", conditions)
@@ -156,17 +154,13 @@ class NodeSignalDataset:
     subject_ids: tuple[str, ...]
 
     def __post_init__(self):
-        arr = np.asarray(self.signals, dtype=float)
+        arr = np.array(self.signals, dtype=float)
         if arr.ndim != 3:
             raise ValidationError(f"signals must have shape (n, J, N_V), got {arr.shape}")
-        arr = arr.copy()
         arr.setflags(write=False)
-        labels = tuple(str(x) for x in self.node_labels)
-        conditions = tuple(str(x) for x in self.condition_labels)
-        subjects = tuple(str(x) for x in self.subject_ids)
         n, j, n_v = arr.shape
-        if len(labels) != n_v or len(conditions) != j or len(subjects) != n:
-            raise ValidationError("label counts do not match the signal array shape")
+        labels, _ = _node_metadata(self.node_labels, None, n_v, "dataset")
+        conditions, subjects = _design_labels(self.condition_labels, self.subject_ids, j, n)
         for si, subject in enumerate(subjects):
             for ci, condition in enumerate(conditions):
                 _check_signals(

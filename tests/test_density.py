@@ -282,3 +282,16 @@ class TestDensityProfileType:
     def test_validates_integrated(self):
         with pytest.raises(ValidationError):
             sk.DensityProfile((1, 2), np.array([0.1, 0.2]), np.array([0.5, 0.5]), 0.5)
+
+    def test_callers_arrays_stay_writable_and_unshared(self):
+        mass = np.array([0.25, 0.75])
+        profile = sk.density_integrated_metric(triangle(), sk.global_efficiency, grid=[1, 3],
+                                               mass=mass)
+        values, weights = np.array([0.1, 0.2]), np.array([0.5, 0.5])
+        direct = sk.DensityProfile((1, 2), values, weights, 0.15)
+        for given, kept in ((mass, profile.weights), (values, direct.values),
+                            (weights, direct.weights)):
+            assert given.flags.writeable
+            assert not np.shares_memory(given, kept)
+            assert not kept.flags.writeable
+            np.testing.assert_array_equal(given, kept)

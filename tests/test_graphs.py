@@ -382,3 +382,29 @@ class TestGraphValidation:
     def test_label_count_must_match(self):
         with pytest.raises(ValidationError):
             sk.BinaryGraph(("a",), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: sk.WeightedGraph(("a",), np.zeros((2, 2))),
+         "1 node labels for a 2-node weight matrix"),
+        (lambda: sk.WeightedGraph(("a", "b"), np.zeros((2, 2)), np.zeros((2, 2))),
+         "node_coords must have shape (2, 3), got (2, 2)"),
+        (lambda: sk.BinaryGraph(("a", "b"), np.zeros((2, 2)), np.zeros(6)),
+         "node_coords must have shape (2, 3), got (6,)"),
+    ], ids=["weighted-labels", "weighted-coords", "binary-coords"])
+    def test_node_metadata_errors(self, build, message):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("build", [
+        lambda c: sk.WeightedGraph.from_matrix(np.zeros((3, 3)), node_coords=c),
+        lambda c: sk.BinaryGraph.from_adjacency(np.zeros((3, 3)), node_coords=c),
+        lambda c: sk.threshold(sk.WeightedGraph.from_matrix(np.zeros((3, 3)), node_coords=c), 0.5),
+    ], ids=["weighted", "binary", "threshold"])
+    def test_node_coords_are_a_frozen_copy(self, build):
+        coords = np.arange(9.0).reshape(3, 3)
+        g = build(coords)
+        assert coords.flags.writeable
+        assert not np.shares_memory(coords, g.node_coords)
+        assert not g.node_coords.flags.writeable
+        np.testing.assert_array_equal(g.node_coords, coords)

@@ -282,6 +282,14 @@ class TestManifestErrors:
         err = refused(capsys, ["spn", "diff", "--manifest", str(small_manifest)], tmp_path / "out")
         assert f"{small_manifest}: {message}" in err
 
+    @pytest.mark.parametrize("rate", [1.5, 0, -0.1])
+    def test_out_of_range_base_rate_names_manifest_and_key(self, small_manifest, tmp_path,
+                                                           capsys, rate):
+        edit_manifest(small_manifest, lambda p: p.update(options={"base_rate": rate}))
+        err = refused(capsys, ["spn", "diff", "--manifest", str(small_manifest)], tmp_path / "out")
+        assert (f"{small_manifest}: options.base_rate must lie in (0, 1), "
+                f"got {float(rate)!r}") in err
+
     @pytest.mark.parametrize("text,message", [
         ("[]", "the manifest must be an object, got a list"),
         ("{\"schema\": 1,", "not valid JSON"),
@@ -327,6 +335,17 @@ class TestInputErrorBranches:
         (tmp_path / "s2_task_signal.csv").write_text(text)
         err = refused(capsys, ["spn", "node-diff", "--manifest", str(manifest)], tmp_path / "out")
         assert f"{tmp_path / 's2_task_signal.csv'}: {message}" in err
+
+    def test_ragged_signal_file_names_file_and_line(self, tmp_path, capsys):
+        corr = [[hollow(3, 0.2), hollow(3, 0.3)], [hollow(3, 0.25), hollow(3, 0.35)]]
+        signals = [[[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]], [[1.1, 2.1, 3.1], [1.6, 2.6, 3.6]]]
+        manifest = build_manifest(tmp_path, corr, ["A", "B", "C"], ["rest", "task"],
+                                  ["s1", "s2"], signals=signals)
+        (tmp_path / "s2_task_signal.csv").write_text("1,2,3\n4,5\n")
+        err = refused(capsys, ["spn", "node-diff", "--manifest", str(manifest)], tmp_path / "out")
+        assert (f"{tmp_path / 's2_task_signal.csv'}: line 2 holds 2 values, expected 3 "
+                "(as on line 1)") in err
+        assert "usecols" not in err
 
     def test_non_square_matrix(self, small_manifest, tmp_path, capsys):
         (tmp_path / "s2_rest.csv").write_text("0.0,0.3,0.3\n0.3,0.0,0.3\n")
@@ -408,6 +427,20 @@ class TestExporters:
         back = sk.graph_from_json(path)
         assert isinstance(back, sk.BinaryGraph)
         assert np.array_equal(back.adjacency, g.adjacency)
+
+    @pytest.mark.parametrize("text,message", [
+        ("graph spn {}\n", "not valid JSON"),
+        ('{"schema": 1, "kind": "binary"}', "missing graph key 'node_labels'"),
+        ("[1, 2]", "not a graph JSON payload"),
+        ('{"schema": 1, "kind": "binary", "node_labels": ["a"], "adjacency": [[0, 1], [1, 0]]}',
+         "1 node labels for a 2-node adjacency matrix"),
+    ])
+    def test_malformed_graph_json_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as err:
+            sk.graph_from_json(path)
+        assert str(err.value).startswith(f"{path}: {message}")
 
     def test_spn_networks_keep_coordinates_for_layout(self, tmp_path):
         corr = [

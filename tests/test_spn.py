@@ -72,6 +72,33 @@ class TestStudyDatasetValidation:
             sk.StudyDataset(corr, ("a", "b", "c"), ("rest", "task"), ("s0", "s7"))
         assert str(err.value) == f"correlations[subject 's7', condition 'task']: {message}"
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: sk.StudyDataset(np.zeros((2, 2, 4, 4)), ("a", "b", "c"), ("c0", "c1"),
+                                 ("s0", "s1")),
+         "3 node labels for a 4-node dataset"),
+        (lambda: sk.StudyDataset(np.zeros((2, 2, 3, 3)), ("a", "b", "c"), ("c0", "c1"),
+                                 ("s0", "s1"), np.zeros((3, 2))),
+         "node_coords must have shape (3, 3), got (3, 2)"),
+        (lambda: sk.NodeSignalDataset(np.ones((2, 2, 4)), ("a", "b", "c"), ("c0", "c1"),
+                                      ("s0", "s1")),
+         "3 node labels for a 4-node dataset"),
+        (lambda: sk.NodeSignalDataset(np.ones((2, 2, 3)), ("a", "b", "c"), ("c0", "c1", "c2"),
+                                      ("s0", "s1")),
+         "3 condition labels for 2 conditions"),
+    ], ids=["study-labels", "study-coords", "signal-labels", "signal-conditions"])
+    def test_label_and_coords_errors(self, build, message):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_node_coords_are_a_frozen_copy(self):
+        coords = np.arange(9.0).reshape(3, 3)
+        data = sk.StudyDataset(np.zeros((1, 1, 3, 3)), ("a", "b", "c"), ("c0",), ("s0",), coords)
+        assert coords.flags.writeable
+        assert not np.shares_memory(coords, data.node_coords)
+        assert not data.node_coords.flags.writeable
+        np.testing.assert_array_equal(data.node_coords, coords)
+
     def test_non_finite_signal_names_subject_condition_and_node(self):
         values = np.ones((2, 2, 3))
         values[1, 0, 2] = np.inf
