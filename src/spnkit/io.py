@@ -360,11 +360,11 @@ def graph_from_json(path) -> BinaryGraph | WeightedGraph:
     if not (isinstance(payload, dict) and payload.get("schema") == 1
             and payload.get("kind") in ("binary", "weighted")):
         raise SchemaError(f"{path}: not a graph JSON payload")
-    matrix_key = "adjacency" if payload["kind"] == "binary" else "weights"
+    cls, matrix_key = ((BinaryGraph, "adjacency") if payload["kind"] == "binary"
+                       else (WeightedGraph, "weights"))
     for key in ("node_labels", matrix_key):
         if key not in payload:
             raise SchemaError(f"{path}: missing graph key {key!r}")
-    cls = BinaryGraph if payload["kind"] == "binary" else WeightedGraph
     try:
         return cls(payload["node_labels"], payload[matrix_key], payload.get("node_coords"))
     except ValidationError as exc:
