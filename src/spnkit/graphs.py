@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path as _csgraph_shortest_path
 
 from .errors import ValidationError
 
@@ -81,7 +80,12 @@ def _node_metadata(node_labels, node_coords, n: int, what: str):
         raise ValidationError(f"{len(labels)} node labels for a {n}-node {what}")
     if node_coords is None:
         return labels, None
-    coords = np.array(node_coords, dtype=float)
+    try:
+        coords = np.array(node_coords, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"node_coords must have shape ({n}, 3), got ragged or non-numeric rows"
+        ) from exc
     if coords.shape != (n, 3):
         raise ValidationError(f"node_coords must have shape ({n}, 3), got {coords.shape}")
     return labels, _freeze(coords)
@@ -265,11 +269,14 @@ def shortest_paths_weighted(g: WeightedGraph) -> DistanceMatrix:
 
     Stronger connections are shorter; zero-weight pairs carry no edge.
     """
+    # imported here so that processes which never call this skip loading csgraph
+    from scipy.sparse.csgraph import shortest_path
+
     w = g.weights
     lengths = np.zeros_like(w)
     pos = w > 0
     lengths[pos] = 1.0 / w[pos]
-    d = _csgraph_shortest_path(lengths, method="D", directed=False, unweighted=False)
+    d = shortest_path(lengths, method="D", directed=False, unweighted=False)
     return DistanceMatrix(d)
 
 

@@ -62,12 +62,19 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a bool
                int: "a number", float: "a number", (int, float): "a number", type(None): "null"}
 
 
-def parse_manifest(path) -> Manifest:
-    path = Path(path)
+def _read_json(path: Path):
+    """The parsed JSON text of ``path``; undecodable bytes or bad JSON name the file."""
     try:
-        raw = json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def parse_manifest(path) -> Manifest:
+    path = Path(path)
+    raw = _read_json(path)
 
     def typed(value, kind: type, key: str):
         if not isinstance(value, kind):
@@ -353,10 +360,7 @@ def export_graph(g, fmt: str, path) -> Path:
 
 def graph_from_json(path) -> BinaryGraph | WeightedGraph:
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    payload = _read_json(path)
     if not (isinstance(payload, dict) and payload.get("schema") == 1
             and payload.get("kind") in ("binary", "weighted")):
         raise SchemaError(f"{path}: not a graph JSON payload")

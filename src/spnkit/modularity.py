@@ -177,12 +177,38 @@ def random_graph(n_v: int, n_e: int, seed: int) -> BinaryGraph:
     return BinaryGraph.from_adjacency(adjacency)
 
 
+def _uint32_stream(rng: np.random.Generator, chunk: int):
+    """The generator's uint32 draws as Python ints, taken ``chunk`` at a time."""
+    while True:
+        yield from rng.integers(0, 1 << 32, size=chunk, dtype=np.uint32).tolist()
+
+
+def _bounded(next_u32, bound: int) -> int:
+    """The integer ``rng.integers(bound)`` gives, for 1 <= bound <= 2**32.
+
+    numpy draws such a bound from the generator's uint32 stream by
+    Lemire's multiply-and-reject rule (and draws nothing for bound 1);
+    fed the same uint32 values, this returns the same integers.
+    ``tests/test_modularity.py`` holds it to ``rng.integers``, so a numpy
+    release that changes the rule fails there.
+    """
+    if bound == 1:
+        return 0
+    threshold = (1 << 32) % bound
+    while True:
+        product = next_u32() * bound
+        if product & 0xFFFFFFFF >= threshold:
+            return product >> 32
+
+
 def rewire(g: BinaryGraph, steps: int, seed: int) -> BinaryGraph:
     """Move ``steps`` edges, one at a time, to uniformly chosen absent slots.
 
     Every step deletes a uniform existing edge and adds a uniform
     currently-absent pair, so the edge count is invariant and the graph
-    stays simple.  ``steps == 0`` returns the input graph.
+    stays simple.  ``steps == 0`` returns the input graph.  The draws are
+    those of one scalar ``rng.integers`` call each, taken from batched
+    uint32 draws of ``default_rng(seed)``.
     """
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
@@ -193,20 +219,22 @@ def rewire(g: BinaryGraph, steps: int, seed: int) -> BinaryGraph:
     m = g.edge_count
     if m == 0 or m == limit:
         raise ValidationError("no legal rewiring move on an empty or complete graph")
+    if limit > 1 << 32:
+        raise ValidationError(f"rewire draws at most 2**32 node pairs, got {limit}")
     rows, cols = np.triu_indices(n, k=1)
     slot_of = g.adjacency[rows, cols].astype(bool)
     edges = list(np.flatnonzero(slot_of))
     edge_set = set(edges)
-    rng = np.random.default_rng(seed)
+    draw = _uint32_stream(np.random.default_rng(seed), 2 * steps + 64).__next__
     dense = m > 0.9 * limit
     for _ in range(steps):
-        pos = int(rng.integers(len(edges)))
+        pos = _bounded(draw, m)
         if dense:
             absent = [t for t in range(limit) if t not in edge_set]
-            new = absent[int(rng.integers(len(absent)))]
+            new = absent[_bounded(draw, len(absent))]
         else:
             while True:
-                new = int(rng.integers(limit))
+                new = _bounded(draw, limit)
                 if new not in edge_set:
                     break
         edge_set.remove(edges[pos])

@@ -6,7 +6,9 @@ condition effects plus a per-subject random intercept, estimable in
 closed form), and Benjamini-Hochberg step-up FDR control.
 
 Tail probabilities come from scipy.special (erf / regularized
-incomplete-beta routines, accurate well past 1e-10).
+incomplete-beta routines, accurate well past 1e-10).  It is imported
+inside the two family functions that call it, so a process that never
+tests a hypothesis does not load it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import ValidationError
 
@@ -123,6 +124,8 @@ def grand_mean_z_family(values, grand_mean: float, grand_sd: float):
     column's mean is a pairwise sum over a contiguous row, as for a
     single sample, so the results match one-column calls bit for bit.
     """
+    from scipy import special as sp
+
     x = np.ascontiguousarray(np.asarray(values, dtype=float).T)
     delta = x.mean(axis=1) - grand_mean
     statistic = delta / (grand_sd / math.sqrt(x.shape[1]))
@@ -159,6 +162,8 @@ def repeated_measures_family(values) -> FitFamily:
     values, and condition and subject means accumulate sequentially.  A
     one-table call therefore gives the same bits as the batched one.
     """
+    from scipy import special as sp
+
     x = np.moveaxis(np.asarray(values, dtype=float), -1, 0).copy()
     h, n, j = x.shape
     grand = x.reshape(h, n * j).mean(axis=1)

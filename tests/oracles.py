@@ -5,9 +5,10 @@ exhaustive simple-path search, modularity from explicit Python loops and
 full set-partition enumeration, tail probabilities from math.erfc and
 mpmath's incomplete beta.  Where spnkit keeps a fast path, the plain
 version it replaced lives here as its slow reference: greedy modularity
-with a full gain rebuild per merge, and local efficiency through one
+with a full gain rebuild per merge, local efficiency through one
 validated ``BinaryGraph`` and one public ``global_efficiency`` call per
-neighbourhood (the only reference here that calls spnkit).
+neighbourhood, and ``rewire`` with one scalar ``rng.integers`` call per
+draw.  The last two are the only references here that call spnkit.
 """
 
 import math
@@ -219,3 +220,45 @@ def local_efficiency_per_neighbourhood(g):
         labels = tuple(g.node_labels[i] for i in nbrs)
         total += sk.global_efficiency(sk.BinaryGraph(labels, sub))
     return total / g.n_nodes
+
+
+def rewire_per_draw(g, steps: int, seed: int):
+    """``rewire`` with one scalar ``rng.integers`` call per draw.
+
+    spnkit's ``rewire`` maps a batched uint32 stream to bounded integers
+    itself; this loop leaves that to numpy, so the two agree only while
+    numpy's bounded-integer rule is the one spnkit copies.
+    """
+    if steps < 0:
+        raise sk.ValidationError("steps must be nonnegative")
+    if steps == 0:
+        return g
+    n = g.n_nodes
+    limit = sk.max_edge_count(n)
+    m = g.edge_count
+    if m == 0 or m == limit:
+        raise sk.ValidationError("no legal rewiring move on an empty or complete graph")
+    rows, cols = np.triu_indices(n, k=1)
+    slot_of = g.adjacency[rows, cols].astype(bool)
+    edges = list(np.flatnonzero(slot_of))
+    edge_set = set(edges)
+    rng = np.random.default_rng(seed)
+    dense = m > 0.9 * limit
+    for _ in range(steps):
+        pos = int(rng.integers(len(edges)))
+        if dense:
+            absent = [t for t in range(limit) if t not in edge_set]
+            new = absent[int(rng.integers(len(absent)))]
+        else:
+            while True:
+                new = int(rng.integers(limit))
+                if new not in edge_set:
+                    break
+        edge_set.remove(edges[pos])
+        edge_set.add(new)
+        edges[pos] = new
+    adjacency = np.zeros((n, n), dtype=np.uint8)
+    idx = np.fromiter(edge_set, dtype=int)
+    adjacency[rows[idx], cols[idx]] = 1
+    adjacency |= adjacency.T
+    return sk.BinaryGraph(g.node_labels, adjacency)

@@ -390,7 +390,12 @@ class TestGraphValidation:
          "node_coords must have shape (2, 3), got (2, 2)"),
         (lambda: sk.BinaryGraph(("a", "b"), np.zeros((2, 2)), np.zeros(6)),
          "node_coords must have shape (2, 3), got (6,)"),
-    ], ids=["weighted-labels", "weighted-coords", "binary-coords"])
+        (lambda: sk.BinaryGraph(("a", "b"), np.zeros((2, 2)), [[1, 2, 3], [4, 5]]),
+         "node_coords must have shape (2, 3), got ragged or non-numeric rows"),
+        (lambda: sk.WeightedGraph(("a", "b"), np.zeros((2, 2)), [[1, 2, 3], [4, 5, "x"]]),
+         "node_coords must have shape (2, 3), got ragged or non-numeric rows"),
+    ], ids=["weighted-labels", "weighted-coords", "binary-coords", "binary-ragged-coords",
+            "weighted-non-numeric-coords"])
     def test_node_metadata_errors(self, build, message):
         with pytest.raises(ValidationError) as err:
             build()

@@ -1,6 +1,9 @@
 """Manifest loading, standardization, exporters, report bundle, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -300,6 +303,14 @@ class TestManifestErrors:
         err = refused(capsys, ["metrics", "--manifest", str(manifest)], tmp_path / "out")
         assert f"{manifest}: {message}" in err
 
+    def test_manifest_that_is_not_utf8_names_the_manifest(self, small_manifest, tmp_path,
+                                                          capsys):
+        small_manifest.write_bytes(b"\xff\xfe" + small_manifest.read_text().encode("utf-16-le"))
+        with pytest.raises(SchemaError):
+            sk.parse_manifest(small_manifest)
+        err = refused(capsys, ["spn", "diff", "--manifest", str(small_manifest)], tmp_path / "out")
+        assert f"{small_manifest}: not UTF-8 text" in err
+
 
 class TestInputErrorBranches:
     @pytest.mark.parametrize("args", [
@@ -434,6 +445,9 @@ class TestExporters:
         ("[1, 2]", "not a graph JSON payload"),
         ('{"schema": 1, "kind": "binary", "node_labels": ["a"], "adjacency": [[0, 1], [1, 0]]}',
          "1 node labels for a 2-node adjacency matrix"),
+        ('{"schema": 1, "kind": "binary", "node_labels": ["a", "b"], "adjacency": [[0, 1], [1, 0]], '
+         '"node_coords": [[1, 2, 3], [4, 5]]}',
+         "node_coords must have shape (2, 3), got ragged or non-numeric rows"),
     ])
     def test_malformed_graph_json_names_the_file(self, tmp_path, text, message):
         path = tmp_path / "g.json"
@@ -441,6 +455,13 @@ class TestExporters:
         with pytest.raises(SchemaError) as err:
             sk.graph_from_json(path)
         assert str(err.value).startswith(f"{path}: {message}")
+
+    def test_graph_json_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(SchemaError) as err:
+            sk.graph_from_json(path)
+        assert str(err.value).startswith(f"{path}: not UTF-8 text")
 
     def test_spn_networks_keep_coordinates_for_layout(self, tmp_path):
         corr = [
@@ -660,6 +681,16 @@ class TestCli:
         code = run_cli(["spn", "mean", "--manifest", str(manifest), "--condition", "only",
                         "--out-dir", str(tmp_path / "o2")])
         assert code == 0
+
+    def test_import_leaves_the_heavy_scipy_modules_unloaded(self):
+        # scipy.special and scipy.sparse.csgraph are imported by the functions
+        # that call them, so simulate, density-profile and --help never load them
+        probe = ("import sys, spnkit, spnkit.cli; "
+                 "print(sorted({'scipy.special', 'scipy.sparse.csgraph'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": str(Path(sk.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
 """Greedy modularity, graph generators, rewiring, and simulation sweeps."""
 
 import collections
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import spnkit as sk
+from spnkit import modularity
 from spnkit.errors import ValidationError
 
 import oracles
@@ -237,6 +239,60 @@ class TestRewire:
         a = sk.rewire(g, 25, seed=9)
         b = sk.rewire(g, 25, seed=9)
         assert np.array_equal(a.adjacency, b.adjacency)
+
+
+class TestRewireMatchesPerDrawReference:
+    """rewire draws from batched uint32 values with numpy's bounded-integer rule
+    copied in; these tests fail if a numpy release changes that rule."""
+
+    @staticmethod
+    def assert_same_as_reference(g, steps, seed):
+        fast = sk.rewire(g, steps, seed)
+        slow = oracles.rewire_per_draw(g, steps, seed)
+        assert np.array_equal(fast.adjacency, slow.adjacency), (steps, seed)
+
+    @pytest.mark.parametrize("n_v,n_e", [
+        (112, 600),  # the Fig 4 randomness-sweep base lattice
+        (12, 1),  # one edge: the edge draw has bound 1 and takes no value
+        (10, 38),  # sparse branch with many rejected slot draws, so the stream refills
+    ])
+    def test_sparse_branch(self, n_v, n_e):
+        base = sk.ring_lattice(n_v, n_e)
+        for seed in range(60):
+            for steps in (1, 50, 500):
+                self.assert_same_as_reference(base, steps, seed)
+
+    @pytest.mark.parametrize("n_v,n_e", [
+        (10, 42),  # m > 0.9 * limit (45)
+        (10, 44),  # one absent slot: the slot draw has bound 1
+    ])
+    def test_dense_branch(self, n_v, n_e):
+        base = sk.ring_lattice(n_v, n_e)
+        for seed in range(100):
+            for steps in (1, 7, 60):
+                self.assert_same_as_reference(base, steps, seed)
+
+    def test_rewired_random_graphs(self):
+        for seed in range(40):
+            g = sk.random_graph(30, 100 + 3 * seed, seed)
+            self.assert_same_as_reference(g, 200, seed)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_bounded_draws_match_rng_integers(self, chunk):
+        hard = [2**31 + 1, 3 * 2**30, 2**32, 2**32 - 1, 1, 2, 3, 600, 6216]
+        picker = np.random.default_rng(11)
+        bounds = hard * 40 + [int(b) for b in picker.integers(1, 2**32, size=400, endpoint=True)]
+        picker.shuffle(bounds)
+        for seed in range(5):
+            draw = modularity._uint32_stream(np.random.default_rng(seed), chunk).__next__
+            reference = np.random.default_rng(seed)
+            got = [modularity._bounded(draw, b) for b in bounds]
+            assert got == [int(reference.integers(b)) for b in bounds]
+
+    def test_more_than_2_to_the_32_slots_is_refused(self):
+        huge = SimpleNamespace(n_nodes=92683, edge_count=1)  # 92683 * 92682 / 2 > 2**32
+        with pytest.raises(ValidationError, match=r"at most 2\*\*32 node pairs"):
+            sk.rewire(huge, 1, seed=0)
 
 
 class TestSweeps:
