@@ -6,7 +6,7 @@ metric evaluated along a distribution over k and averaged gives its
 density-integrated version.  Because the per-k edge selection depends
 only on weight *ranks*, the integrated value is invariant under any
 strictly monotone rescaling of the weights - the property
-``verify_monotone_invariance`` checks edge-set-wise.
+``verify_monotone_invariance`` checks for a given map.
 
 Ties between equal weights are broken by the lexicographic (i, j) node
 pair, so selections are deterministic and nested in k.
@@ -168,39 +168,33 @@ def density_integrated_metric(
     return DensityProfile(tuple(ks), values, weights, integrated)
 
 
-def _monotone_direction(weights: np.ndarray, h: Callable[[float], float]) -> int:
-    """+1 if h is strictly increasing on the given weights, -1 if decreasing."""
-    distinct = np.unique(weights)
-    if distinct.size == 1:
-        return 1
-    hv = np.array([h(float(w)) for w in distinct], dtype=float)
-    diffs = np.diff(hv)
-    if np.all(diffs > 0):
-        return 1
-    if np.all(diffs < 0):
-        return -1
-    bad = int(np.flatnonzero(diffs <= 0 if diffs[0] > 0 else diffs >= 0)[0])
-    raise ValidationError(
-        "h is not strictly monotone on the graph's weights: "
-        f"h({float(distinct[bad])!r}) and h({float(distinct[bad + 1])!r}) break the order"
-    )
-
-
 def verify_monotone_invariance(g: WeightedGraph, h: Callable[[float], float]) -> bool:
-    """Check that rescaling weights by a strictly monotone h selects the
-    same edge set at every density level.
+    """Check that rescaling weights by h selects the same edge set at every
+    density level; True, or a ValidationError naming where h fails.
 
-    A decreasing h reverses the ranks, so its selection order is read in
-    reverse.  Every density-integrated metric is a function of these
-    selections alone, so equal selections give equal values for any
-    metric; there is no metric argument.
+    The one condition is that h be strictly monotone on ``g``'s distinct
+    positive weights, and it suffices: equal weights get equal images, so
+    ties stay ties; distinct weights keep their order (reversed for a
+    decreasing h, whose selection order is read in reverse); and both
+    orders break ties by the same (i, j) pair.  Every density-integrated
+    metric is a function of these selections alone, so there is no metric
+    argument.  The error names the first neighbouring pair of weights
+    whose images break the order; a NaN image breaks it too.
     """
-    base_order = ranked_edges(g)
-    if not base_order:
+    weights = g.weights[np.triu_indices(g.n_nodes, k=1)]
+    distinct = np.unique(weights[weights > 0])
+    if not distinct.size:
         raise ValidationError("graph has no positive weights")
-    direction = _monotone_direction(np.array([e[2] for e in base_order]), h)
-    trans_order = sorted(base_order, key=lambda e: (-direction * h(e[2]), e[0], e[1]))
-    return trans_order == base_order
+    diffs = np.diff(np.array([h(float(w)) for w in distinct], dtype=float))
+    direction = -1.0 if diffs.size and diffs[0] < 0 else 1.0
+    broken = np.flatnonzero(~(direction * diffs > 0))
+    if broken.size:
+        bad = int(broken[0])
+        raise ValidationError(
+            "h is not strictly monotone on the graph's weights: "
+            f"h({float(distinct[bad])!r}) and h({float(distinct[bad + 1])!r}) break the order"
+        )
+    return True
 
 
 METRICS: dict[str, Callable[[BinaryGraph], float]] = {

@@ -72,7 +72,8 @@ def _node_metadata(node_labels, node_coords, n: int, what: str):
 
     Returns the labels as a tuple of strings, checked to number ``n``
     (``what`` names the n-node object in the error), and the coordinates
-    as a frozen (n, 3) float copy, or None.  The copy leaves the caller's
+    as a frozen (n, 3) float copy, or None; a node whose coordinates are
+    not all finite is named in the error.  The copy leaves the caller's
     array writable and unshared.
     """
     labels = tuple(str(x) for x in node_labels)
@@ -88,6 +89,11 @@ def _node_metadata(node_labels, node_coords, n: int, what: str):
         ) from exc
     if coords.shape != (n, 3):
         raise ValidationError(f"node_coords must have shape ({n}, 3), got {coords.shape}")
+    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+    if bad.size:
+        v = int(bad[0])
+        raise ValidationError(
+            f"node {v} ({labels[v]}) has non-finite coordinates {coords[v].tolist()}")
     return labels, _freeze(coords)
 
 

@@ -30,7 +30,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .graphs import BinaryGraph, WeightedGraph, weighted_density
+from .graphs import BinaryGraph, WeightedGraph, _node_metadata, weighted_density
 from .spn import NodeSignalDataset, SpnResult, StudyDataset, differential_spn, mean_spn
 from .spn import _check_signals, _checked_correlation_matrix
 from .stats import fisher_z, fisher_z_inverse
@@ -105,6 +105,10 @@ def parse_manifest(path) -> Manifest:
             coords = np.empty(0)
         if coords.shape != (len(labels), 3):
             raise SchemaError(f"{path}: nodes.coords must be {len(labels)} 3-vectors")
+        try:  # the value types' rule, which refuses non-finite coordinates
+            _node_metadata(labels, coords, len(labels), "manifest")
+        except ValidationError as exc:
+            raise SchemaError(f"{path}: nodes.coords: {exc}") from exc
 
     def check_cells(mapping, what: str) -> dict:
         cells = {}
@@ -164,15 +168,24 @@ def _raise_if_ragged(path: Path) -> None:
             )
 
 
+def _read_csv(path: Path, what: str) -> np.ndarray:
+    """The numbers of one headerless comma-separated file, as a 2-d array.
+
+    A file numpy cannot parse is a DataError naming it: the first ragged
+    line if there is one, else numpy's reason.
+    """
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        _raise_if_ragged(path)
+        raise DataError(f"{path}: cannot parse {what}: {exc}") from exc
+
+
 def load_matrix_csv(path, n_nodes: int | None = None) -> np.ndarray:
     """Read one headerless comma-separated square matrix."""
     path = Path(path)
-    try:
-        matrix = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        _raise_if_ragged(path)
-        raise DataError(f"{path}: cannot parse matrix: {exc}") from exc
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    matrix = _read_csv(path, "matrix")
+    if matrix.shape[0] != matrix.shape[1]:
         raise DataError(f"{path}: expected a square matrix, got shape {matrix.shape}")
     if n_nodes is not None and matrix.shape[0] != n_nodes:
         raise SchemaError(f"{path}: expected a {n_nodes}x{n_nodes} matrix, got {matrix.shape}")
@@ -211,11 +224,7 @@ def load_node_signals(manifest: Manifest | str | Path) -> NodeSignalDataset:
     for si, subject in enumerate(manifest.subjects):
         for ci, condition in enumerate(manifest.conditions):
             path = manifest.signal_files[(subject, condition)]
-            try:
-                vec = np.loadtxt(path, delimiter=",").ravel()
-            except ValueError as exc:
-                _raise_if_ragged(path)
-                raise DataError(f"{path}: cannot parse signal vector: {exc}") from exc
+            vec = _read_csv(path, "signal vector").ravel()
             if vec.size != n_v:
                 raise SchemaError(f"{path}: expected {n_v} signal values, got {vec.size}")
             _check_signals(vec, path, manifest.node_labels)
@@ -291,24 +300,12 @@ def _quote(label: str) -> str:
     return '"' + label.replace('"', r"\"") + '"'
 
 
-def _graph_payload(g) -> dict:
-    payload: dict = {"schema": 1}
-    if isinstance(g, BinaryGraph):
-        payload["kind"] = "binary"
-        payload["node_labels"] = list(g.node_labels)
-        payload["node_coords"] = None if g.node_coords is None else g.node_coords.tolist()
-        payload["adjacency"] = g.adjacency.astype(int).tolist()
-    elif isinstance(g, WeightedGraph):
-        payload["kind"] = "weighted"
-        payload["node_labels"] = list(g.node_labels)
-        payload["node_coords"] = None if g.node_coords is None else g.node_coords.tolist()
-        payload["weights"] = g.weights.tolist()
-    else:
-        raise ValidationError(f"cannot export object of type {type(g).__name__}")
-    return payload
+# graph kind -> (value type, the field that holds its matrix); the JSON
+# payload stores the matrix under the field's name
+_GRAPH_KINDS = {"binary": (BinaryGraph, "adjacency"), "weighted": (WeightedGraph, "weights")}
 
 
-def _to_dot(g) -> str:
+def _to_dot(g, kind: str) -> str:
     lines = ["graph spn {"]
     coords = g.node_coords
     for v, label in enumerate(g.node_labels):
@@ -317,7 +314,7 @@ def _to_dot(g) -> str:
             lines.append(f"  {_quote(label)} [pos=\"{x},{y},{z}!\"];")
         else:
             lines.append(f"  {_quote(label)};")
-    if isinstance(g, BinaryGraph):
+    if kind == "binary":
         for i, j in g.edges():
             lines.append(f"  {_quote(g.node_labels[i])} -- {_quote(g.node_labels[j])};")
     else:
@@ -329,30 +326,31 @@ def _to_dot(g) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _to_csv_text(g) -> str:
-    if isinstance(g, BinaryGraph):
-        rows = ([str(int(x)) for x in row] for row in g.adjacency)
-    else:
-        rows = ([repr(float(x)) for x in row] for row in g.weights)
-    return "\n".join(",".join(row) for row in rows) + "\n"
-
-
 def export_graph(g, fmt: str, path) -> Path:
     """Write a graph as DOT, JSON, or a raw CSV matrix.
 
     DOT embeds node coordinates as pin positions when present; the JSON
-    form round-trips byte-identically through graph_from_json.
+    form round-trips byte-identically through graph_from_json.  Anything
+    but a BinaryGraph or WeightedGraph is refused before a file is opened.
     """
     if fmt not in EXPORT_FORMATS:
         raise ValidationError(f"format must be one of {EXPORT_FORMATS}, got {fmt!r}")
+    kind = next((k for k, (cls, _) in _GRAPH_KINDS.items() if isinstance(g, cls)), None)
+    if kind is None:
+        raise ValidationError(f"cannot export object of type {type(g).__name__}")
+    key = _GRAPH_KINDS[kind][1]
+    if fmt == "dot":
+        text = _to_dot(g, kind)
+    elif fmt == "json":
+        payload = {"schema": 1, "kind": kind, "node_labels": list(g.node_labels),
+                   "node_coords": None if g.node_coords is None else g.node_coords.tolist(),
+                   key: getattr(g, key).tolist()}
+        text = json.dumps(payload, indent=2) + "\n"
+    else:  # a uint8 adjacency lists as ints, weights as floats; repr prints both
+        text = "\n".join(",".join(map(repr, row)) for row in getattr(g, key).tolist()) + "\n"
     path = Path(path)
     try:
-        if fmt == "dot":
-            path.write_text(_to_dot(g))
-        elif fmt == "json":
-            path.write_text(json.dumps(_graph_payload(g), indent=2) + "\n")
-        else:
-            path.write_text(_to_csv_text(g))
+        path.write_text(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
     return path
@@ -361,11 +359,11 @@ def export_graph(g, fmt: str, path) -> Path:
 def graph_from_json(path) -> BinaryGraph | WeightedGraph:
     path = Path(path)
     payload = _read_json(path)
+    # membership in a tuple compares by ==, so a list-valued kind is refused, not hashed
     if not (isinstance(payload, dict) and payload.get("schema") == 1
-            and payload.get("kind") in ("binary", "weighted")):
+            and payload.get("kind") in tuple(_GRAPH_KINDS)):
         raise SchemaError(f"{path}: not a graph JSON payload")
-    cls, matrix_key = ((BinaryGraph, "adjacency") if payload["kind"] == "binary"
-                       else (WeightedGraph, "weights"))
+    cls, matrix_key = _GRAPH_KINDS[payload["kind"]]
     for key in ("node_labels", matrix_key):
         if key not in payload:
             raise SchemaError(f"{path}: missing graph key {key!r}")

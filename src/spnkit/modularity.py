@@ -257,6 +257,21 @@ def _row(parameter: int, counts) -> SweepRow:
     return SweepRow(int(parameter), int(values.size), float(values.mean()), sd)
 
 
+def _sweep(grid, replicates: int, what: str, graph) -> tuple[SweepRow, ...]:
+    """One row per grid value: module counts of ``graph(grid_index, value, replicate)``
+    for each of ``replicates`` replicates, clustered by greedy modularity."""
+    if replicates < 1:
+        raise ValidationError("replicates must be >= 1")
+    grid = list(grid)
+    if not grid:
+        raise ValidationError(f"{what} grid is empty")
+    return tuple(
+        _row(value, [greedy_modularity(graph(gi, int(value), r)).module_count
+                     for r in range(replicates)])
+        for gi, value in enumerate(grid)
+    )
+
+
 def randomness_sweep(
     n_v: int, n_e: int, rewiring_grid, replicates: int, seed: int
 ) -> SweepResult:
@@ -265,20 +280,10 @@ def randomness_sweep(
     For each rewiring count in the grid, ``replicates`` independently
     seeded rewirings of the same base lattice are clustered.
     """
-    if replicates < 1:
-        raise ValidationError("replicates must be >= 1")
-    rewiring_grid = list(rewiring_grid)
-    if not rewiring_grid:
-        raise ValidationError("rewiring grid is empty")
     base = ring_lattice(n_v, n_e)
-    rows = []
-    for gi, steps in enumerate(rewiring_grid):
-        counts = []
-        for r in range(replicates):
-            rewired = rewire(base, int(steps), _child_seed(seed, gi, r))
-            counts.append(greedy_modularity(rewired).module_count)
-        rows.append(_row(int(steps), counts))
-    return SweepResult(tuple(rows), seed, "lattice")
+    rows = _sweep(rewiring_grid, replicates, "rewiring",
+                  lambda gi, steps, r: rewire(base, steps, _child_seed(seed, gi, r)))
+    return SweepResult(rows, seed, "lattice")
 
 
 def edges_sweep(
@@ -289,21 +294,12 @@ def edges_sweep(
     Lattice generation is deterministic, so its rows collapse to a
     single evaluation (recorded replicates = 1, sd = 0).
     """
-    if replicates < 1:
-        raise ValidationError("replicates must be >= 1")
-    if topology not in ("lattice", "random"):
+    if topology == "lattice":
+        rows = _sweep(edge_grid, min(replicates, 1), "edge",
+                      lambda gi, n_e, r: ring_lattice(n_v, n_e))
+    elif topology == "random":
+        rows = _sweep(edge_grid, replicates, "edge",
+                      lambda gi, n_e, r: random_graph(n_v, n_e, _child_seed(seed, gi, r)))
+    else:
         raise ValidationError(f"topology must be 'lattice' or 'random', got {topology!r}")
-    edge_grid = list(edge_grid)
-    if not edge_grid:
-        raise ValidationError("edge grid is empty")
-    rows = []
-    for gi, n_e in enumerate(edge_grid):
-        if topology == "lattice":
-            counts = [greedy_modularity(ring_lattice(n_v, int(n_e))).module_count]
-        else:
-            counts = [
-                greedy_modularity(random_graph(n_v, int(n_e), _child_seed(seed, gi, r))).module_count
-                for r in range(replicates)
-            ]
-        rows.append(_row(int(n_e), counts))
-    return SweepResult(tuple(rows), seed, topology)
+    return SweepResult(rows, seed, topology)

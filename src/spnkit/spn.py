@@ -218,8 +218,21 @@ def _warn_zero_residual(degenerate: np.ndarray, name) -> None:
             f"{hits.size} fit(s) have zero residual variance and are reported as p = 0 "
             f"(infinite F); first: {name(int(hits[0]))}",
             DegenerateStatisticsWarning,
-            stacklevel=3,
+            stacklevel=4,  # past _trend_family and the public SPN function
         )
+
+
+def _trend_family(values, name, base_rate: float, correction: str):
+    """Fit every table of ``values``, warn of zero residuals, correct once, and
+    return the SpnResult fields an SPN+/SPN- pair shares with the masks of the
+    significant hypotheses whose linear trend is up, down and zero."""
+    fits = repeated_measures_family(values)
+    _warn_zero_residual(fits.degenerate, name)
+    decision = _correct(fits.p_value, base_rate, correction)
+    rejected, trend = decision.rejected, fits.trend_sign
+    shared = dict(correction=decision, statistic=fits.f_statistic, p_value=fits.p_value,
+                  sign=trend)
+    return shared, rejected & (trend > 0), rejected & (trend < 0), rejected & (trend == 0)
 
 
 def mean_spn(
@@ -286,26 +299,14 @@ def differential_spn(
     if data.n_subjects < 2 or data.n_conditions < 2:
         raise ValidationError("differential SPN needs n >= 2 subjects and J >= 2 conditions")
     rows, cols = np.triu_indices(data.n_nodes, k=1)
-    fits = repeated_measures_family(fisher_z(data.edge_values()))
-    _warn_zero_residual(fits.degenerate, lambda e: f"edge ({rows[e]}, {cols[e]})")
-    decision = _correct(fits.p_value, base_rate, correction)
-
-    rejected, trend = decision.rejected, fits.trend_sign
-    zero = rejected & (trend == 0)
-    shared = dict(
-        correction=decision,
-        statistic=fits.f_statistic,
-        p_value=fits.p_value,
-        sign=trend,
-        diagnostics=tuple(zip(rows[zero].tolist(), cols[zero].tolist())),
+    shared, up, down, zero = _trend_family(
+        fisher_z(data.edge_values()), lambda e: f"edge ({rows[e]}, {cols[e]})", base_rate, correction
     )
-    plus = SpnResult(
-        network=_edge_network(data, rejected & (trend > 0)), kind="differential_plus", **shared
+    shared["diagnostics"] = tuple(zip(rows[zero].tolist(), cols[zero].tolist()))
+    return (
+        SpnResult(network=_edge_network(data, up), kind="differential_plus", **shared),
+        SpnResult(network=_edge_network(data, down), kind="differential_minus", **shared),
     )
-    minus = SpnResult(
-        network=_edge_network(data, rejected & (trend < 0)), kind="differential_minus", **shared
-    )
-    return plus, minus
 
 
 def node_differential_spn(
@@ -321,24 +322,13 @@ def node_differential_spn(
     n, j, n_v = data.signals.shape
     if n < 2 or j < 2:
         raise ValidationError("node differential SPN needs n >= 2 and J >= 2")
-    fits = repeated_measures_family(data.signals)
-    _warn_zero_residual(fits.degenerate, lambda v: f"node {v} ({data.node_labels[v]})")
-    decision = _correct(fits.p_value, base_rate, correction)
-
-    rejected, trend = decision.rejected, fits.trend_sign
+    shared, up, down, _ = _trend_family(
+        data.signals, lambda v: f"node {v} ({data.node_labels[v]})", base_rate, correction
+    )
     empty = BinaryGraph(data.node_labels, np.zeros((n_v, n_v), dtype=np.uint8))
-    shared = dict(
-        network=empty, correction=decision, statistic=fits.f_statistic,
-        p_value=fits.p_value, sign=trend,
+    return (
+        SpnResult(network=empty, kind="node_differential_plus",
+                  flagged_nodes=tuple(np.flatnonzero(up).tolist()), **shared),
+        SpnResult(network=empty, kind="node_differential_minus",
+                  flagged_nodes=tuple(np.flatnonzero(down).tolist()), **shared),
     )
-    plus = SpnResult(
-        kind="node_differential_plus",
-        flagged_nodes=tuple(np.flatnonzero(rejected & (trend > 0)).tolist()),
-        **shared,
-    )
-    minus = SpnResult(
-        kind="node_differential_minus",
-        flagged_nodes=tuple(np.flatnonzero(rejected & (trend < 0)).tolist()),
-        **shared,
-    )
-    return plus, minus

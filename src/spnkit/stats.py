@@ -55,12 +55,6 @@ class TestResult:
     effect_sign: int
     dof: tuple[float, float]
 
-    def __post_init__(self):
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValidationError(f"p_value {self.p_value!r} outside [0, 1]")
-        if self.effect_sign not in (-1, 0, 1):
-            raise ValidationError(f"effect_sign must be -1, 0, or +1, got {self.effect_sign!r}")
-
 
 @dataclass(frozen=True)
 class EdgeModelFit:

@@ -1,5 +1,7 @@
 """Density thresholding, integrated metrics, and monotone invariance."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,15 @@ class TestMonotoneInvariance:
         pair[1, 2] = pair[2, 1] = 0.75
         with pytest.raises(ValidationError):
             sk.verify_monotone_invariance(sk.WeightedGraph.from_matrix(pair), lambda w: (w - 0.5) ** 2)
+
+    def test_nan_image_is_a_validation_error_naming_the_pair(self):
+        m = np.zeros((4, 4))
+        m[0, 1] = m[1, 0] = 0.2
+        m[1, 2] = m[2, 1] = 0.6
+        m[2, 3] = m[3, 2] = 0.8
+        g = sk.WeightedGraph.from_matrix(m)
+        with pytest.raises(ValidationError, match=r"h\(0\.2\) and h\(0\.6\) break the order"):
+            sk.verify_monotone_invariance(g, lambda w: math.nan if w > 0.5 else w)
 
     def test_rank_preservation_edge_set_wise(self):
         # stronger than value equality: identical selections at every k

@@ -401,6 +401,14 @@ class TestGraphValidation:
             build()
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("value", [None, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls", [sk.WeightedGraph, sk.BinaryGraph])
+    def test_non_finite_coordinates_name_the_node(self, cls, value):
+        with pytest.raises(ValidationError) as err:
+            cls(("a", "b"), np.zeros((2, 2)), [[1.0, 2.0, 3.0], [4.0, 5.0, value]])
+        shown = repr(math.nan if value is None else value)
+        assert str(err.value) == f"node 1 (b) has non-finite coordinates [4.0, 5.0, {shown}]"
+
     @pytest.mark.parametrize("build", [
         lambda c: sk.WeightedGraph.from_matrix(np.zeros((3, 3)), node_coords=c),
         lambda c: sk.BinaryGraph.from_adjacency(np.zeros((3, 3)), node_coords=c),

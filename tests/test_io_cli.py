@@ -1,6 +1,7 @@
 """Manifest loading, standardization, exporters, report bundle, and the CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -285,6 +286,18 @@ class TestManifestErrors:
         err = refused(capsys, ["spn", "diff", "--manifest", str(small_manifest)], tmp_path / "out")
         assert f"{small_manifest}: {message}" in err
 
+    @pytest.mark.parametrize("value,shown", [(None, "nan"), (math.nan, "nan"), (math.inf, "inf")])
+    def test_non_finite_coordinates_name_manifest_key_and_node(self, small_manifest, tmp_path,
+                                                               capsys, value, shown):
+        coords = [[1.0, 2.0, 3.0], [4.0, 5.0, value], [7.0, 8.0, 9.0]]
+        edit_manifest(small_manifest, lambda p: p["nodes"].update(coords=coords))
+        message = f"{small_manifest}: nodes.coords: node 1 (B) has non-finite coordinates [4.0, 5.0, {shown}]"
+        with pytest.raises(SchemaError) as err:
+            sk.parse_manifest(small_manifest)
+        assert str(err.value) == message
+        err = refused(capsys, ["spn", "diff", "--manifest", str(small_manifest)], tmp_path / "out")
+        assert message in err
+
     @pytest.mark.parametrize("rate", [1.5, 0, -0.1])
     def test_out_of_range_base_rate_names_manifest_and_key(self, small_manifest, tmp_path,
                                                            capsys, rate):
@@ -455,6 +468,37 @@ class TestExporters:
         with pytest.raises(SchemaError) as err:
             sk.graph_from_json(path)
         assert str(err.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize("fmt", ["json", "dot", "csv"])
+    def test_export_of_a_non_graph_is_refused_before_writing(self, tmp_path, fmt):
+        path = tmp_path / f"g.{fmt}"
+        with pytest.raises(ValidationError, match="cannot export object of type ndarray"):
+            sk.export_graph(hollow(3, 0.5), fmt, path)
+        assert not path.exists()
+
+    def test_list_valued_kind_is_not_a_graph_payload(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"schema": 1, "kind": ["binary"]}')
+        with pytest.raises(SchemaError) as err:
+            sk.graph_from_json(path)
+        assert str(err.value) == f"{path}: not a graph JSON payload"
+
+    def test_non_finite_coordinates_in_graph_json_name_the_file_and_node(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"schema": 1, "kind": "binary", "node_labels": ["a", "b"], '
+                        '"adjacency": [[0, 1], [1, 0]], "node_coords": [[1, 2, 3], [4, 5, NaN]]}')
+        with pytest.raises(SchemaError) as err:
+            sk.graph_from_json(path)
+        assert str(err.value) == f"{path}: node 1 (b) has non-finite coordinates [4.0, 5.0, nan]"
+
+    def test_csv_text_of_binary_and_weighted_graphs(self, tmp_path):
+        path_graph = sk.BinaryGraph.from_edges(3, [(0, 1), (1, 2)])
+        text = sk.export_graph(path_graph, "csv", tmp_path / "b.csv").read_text()
+        assert text == "0,1,0\n1,0,1\n0,1,0\n"
+        w = np.array([[0.0, 0.5, 1 / 3], [0.5, 0.0, 0.25], [1 / 3, 0.25, 0.0]])
+        text = sk.export_graph(sk.WeightedGraph.from_matrix(w), "csv", tmp_path / "w.csv").read_text()
+        assert text == ("0.0,0.5,0.3333333333333333\n0.5,0.0,0.25\n"
+                        "0.3333333333333333,0.25,0.0\n")
 
     def test_graph_json_that_is_not_utf8_names_the_file(self, tmp_path):
         path = tmp_path / "g.json"

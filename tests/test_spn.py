@@ -280,6 +280,26 @@ class TestNodeDifferentialSpn:
         assert down.flagged_nodes == fup.flagged_nodes
 
 
+class TestZeroResidualWarningNamesTheCaller:
+    """The zero-residual warning points at the line that called the SPN
+    function, not at spnkit's own helpers."""
+
+    def test_differential_spn(self):
+        z = np.zeros((4, 4, 3))
+        z[:, :, 0] = [0.0, 1.0, 1.0, 0.0]
+        with pytest.warns(DegenerateStatisticsWarning, match="zero residual") as record:
+            sk.differential_spn(dataset_from_z(z))
+        assert {w.filename for w in record} == {__file__}
+
+    def test_node_differential_spn(self):
+        rng = np.random.default_rng(14)
+        signals = rng.normal(0.0, 0.1, size=(4, 3, 5))
+        signals[:, :, 3] = [0.0, 1.0, 2.0]  # the same profile for every subject
+        with pytest.warns(DegenerateStatisticsWarning, match=r"node 3 \(n3\)") as record:
+            sk.node_differential_spn(signal_dataset(signals))
+        assert {w.filename for w in record} == {__file__}
+
+
 class TestThresholdAveragingDisagreement:
     """Binarizing and combining do not commute; inference bypasses both."""
 
