@@ -58,7 +58,7 @@ def _profile_grid(args) -> list[int] | None:
 def _resolve_options(args, options: spnio.ManifestOptions) -> None:
     """Fill the flags left unset from the manifest's options, so that the
     commands and the run log see the values the run uses."""
-    if args.base_rate is None:
+    if hasattr(args, "base_rate") and args.base_rate is None:
         args.base_rate = options.base_rate
     if hasattr(args, "standardize"):
         args.standardize = args.standardize or options.standardize
@@ -85,21 +85,21 @@ def _condition_index(conditions: tuple[str, ...], value: str) -> int:
 # options and loaded ``data`` (None for the simulations).
 
 
-def cmd_spn_mean(args, manifest, data, out: Path) -> str:
+def cmd_spn_mean(args, data, out: Path) -> str:
     ci = _condition_index(data.condition_labels, args.condition)
     result, _ = spnio.step_mean_spn(data, out, "", ci, args.base_rate, args.correction,
                                     args.format)
     return f"mean SPN ({data.condition_labels[ci]}): {result.network.edge_count} edges"
 
 
-def cmd_spn_diff(args, manifest, data, out: Path) -> str:
+def cmd_spn_diff(args, data, out: Path) -> str:
     (plus, minus), _ = spnio.step_differential_spn(data, out, "", args.base_rate,
                                                    args.correction, args.format)
     return (f"differential SPN+: {plus.network.edge_count} edges, "
             f"SPN-: {minus.network.edge_count} edges")
 
 
-def cmd_spn_node_diff(args, manifest, data, out: Path) -> str:
+def cmd_spn_node_diff(args, data, out: Path) -> str:
     plus, minus = node_differential_spn(data, args.base_rate, args.correction)
     spnio.write_node_differential_stats(out / "node_differential_stats.csv",
                                         data.node_labels, plus, minus)
@@ -111,7 +111,7 @@ def cmd_spn_node_diff(args, manifest, data, out: Path) -> str:
     return f"node differential SPN: {len(plus.flagged_nodes)} up, {len(minus.flagged_nodes)} down"
 
 
-def cmd_metrics(args, manifest, data, out: Path) -> str:
+def cmd_metrics(args, data, out: Path) -> str:
     negatives = "abs" if args.abs else "error"
     rows = []
     for si, subject in enumerate(data.subject_ids):
@@ -131,27 +131,27 @@ def cmd_metrics(args, manifest, data, out: Path) -> str:
     return f"metrics for {len(rows)} subject x condition cells"
 
 
-def cmd_density_profile(args, manifest, data, out: Path) -> str:
+def cmd_density_profile(args, data, out: Path) -> str:
     spnio.step_density_profiles(data, out, "", "abs" if args.abs else "error",
                                 args.standardize, args.metric, _profile_grid(args))
     return f"density profiles ({args.metric}) for {data.n_conditions} conditions"
 
 
-def cmd_simulate_rewire(args, manifest, data, out: Path) -> str:
+def cmd_simulate_rewire(args, data, out: Path) -> str:
     grid = _parse_grid(args.grid)
     randomness_sweep(args.n_v, args.n_e, grid, args.replicates, args.seed).to_csv(
         out / "rewire_sweep.csv")
     return f"rewiring sweep ({len(grid)} grid points x {args.replicates} replicates)"
 
 
-def cmd_simulate_edges(args, manifest, data, out: Path) -> str:
+def cmd_simulate_edges(args, data, out: Path) -> str:
     grid = _parse_grid(args.edge_grid)
     edges_sweep(args.n_v, grid, args.topology, args.replicates, args.seed).to_csv(
         out / f"edges_sweep_{args.topology}.csv")
     return f"edge sweep ({args.topology}, {len(grid)} grid points x {args.replicates} replicates)"
 
 
-def cmd_report(args, manifest, data, out: Path) -> str:
+def cmd_report(args, data, out: Path) -> str:
     bundle = spnio.report_pipeline(
         data,
         out,
@@ -186,12 +186,12 @@ def run(args) -> int:
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
         with spnio.recorded_warnings() as caught:
-            manifest = data = None
+            data = None
             if args.load is not None:
                 manifest = spnio.parse_manifest(args.manifest)
                 _resolve_options(args, manifest.options)
                 data = getattr(spnio, args.load)(manifest)
-            summary = args.func(args, manifest, data, staging)
+            summary = args.func(args, data, staging)
         degenerate = [str(w.message) for w in caught
                       if issubclass(w.category, DegenerateStatisticsWarning)]
         if args.strict and degenerate:
@@ -220,17 +220,27 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", default=".", help="output directory (default: .)")
     common.add_argument("--strict", action="store_true",
                         help="treat degenerate statistics as an error (exit 4)")
+    # one parent per flag group; each subcommand takes the groups it reads
     with_manifest = argparse.ArgumentParser(add_help=False)
     with_manifest.add_argument("--manifest", required=True, help="dataset manifest (JSON)")
-    with_manifest.add_argument("--base-rate", type=float, default=None,
-                               help="FDR base rate (default 0.05 or manifest option)")
-    with_manifest.add_argument("--correction", choices=("fdr", "none"), default="fdr")
-    with_manifest.add_argument("--abs", action="store_true",
-                               help="take absolute values of signed associations")
+    with_tests = argparse.ArgumentParser(add_help=False)
+    with_tests.add_argument("--base-rate", type=float, default=None,
+                            help="FDR base rate (default 0.05 or manifest option)")
+    with_tests.add_argument("--correction", choices=("fdr", "none"), default="fdr")
+    with_abs = argparse.ArgumentParser(add_help=False)
+    with_abs.add_argument("--abs", action="store_true",
+                          help="take absolute values of signed associations")
     with_format = argparse.ArgumentParser(add_help=False)
     with_format.add_argument("--format", choices=("dot", "json", "csv"), default="json")
-    with_seed = argparse.ArgumentParser(add_help=False)
-    with_seed.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    with_profile = argparse.ArgumentParser(add_help=False)
+    with_profile.add_argument("--metric", choices=sorted(density_mod.METRICS),
+                              default="global_efficiency")
+    with_profile.add_argument("--grid", default=None, help="density grid: '1,2,3' or 'start:stop[:step]'")
+    with_profile.add_argument("--standardize", action="store_true")
+    with_sweep = argparse.ArgumentParser(add_help=False)
+    with_sweep.add_argument("--n-v", type=int, default=112)
+    with_sweep.add_argument("--replicates", type=int, default=100)
+    with_sweep.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
     def add(subparsers, name: str, func, load, parents, help: str):
         p = subparsers.add_parser(name.split()[-1], parents=[common, *parents], help=help)
@@ -241,45 +251,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     spn = sub.add_parser("spn", help="build statistical parametric networks")
     spn_sub = spn.add_subparsers(dest="spn_command", required=True)
-    p = add(spn_sub, "spn mean", cmd_spn_mean, "load_dataset", [with_manifest, with_format],
-            "mean SPN for one condition")
+    p = add(spn_sub, "spn mean", cmd_spn_mean, "load_dataset",
+            [with_manifest, with_tests, with_format], "mean SPN for one condition")
     p.add_argument("--condition", required=True, help="condition label or index")
-    add(spn_sub, "spn diff", cmd_spn_diff, "load_dataset", [with_manifest, with_format],
-        "differential SPN+ / SPN-")
-    add(spn_sub, "spn node-diff", cmd_spn_node_diff, "load_node_signals", [with_manifest],
-        "node-level differential SPN")
+    add(spn_sub, "spn diff", cmd_spn_diff, "load_dataset",
+        [with_manifest, with_tests, with_format], "differential SPN+ / SPN-")
+    add(spn_sub, "spn node-diff", cmd_spn_node_diff, "load_node_signals",
+        [with_manifest, with_tests], "node-level differential SPN")
 
-    p = add(sub, "metrics", cmd_metrics, "load_dataset", [with_manifest],
+    p = add(sub, "metrics", cmd_metrics, "load_dataset", [with_manifest, with_abs],
             "weighted density/efficiency per subject and condition")
     p.add_argument("--tau", type=float, default=None,
                    help="also threshold at tau and report binary metrics")
 
-    p = add(sub, "density-profile", cmd_density_profile, "load_dataset", [with_manifest],
-            "density-integrated metric per condition")
-    p.add_argument("--metric", choices=sorted(density_mod.METRICS), default="global_efficiency")
-    p.add_argument("--grid", default=None, help="density grid: '1,2,3' or 'start:stop[:step]'")
-    p.add_argument("--standardize", action="store_true")
+    add(sub, "density-profile", cmd_density_profile, "load_dataset",
+        [with_manifest, with_abs, with_profile], "density-integrated metric per condition")
 
     sim = sub.add_parser("simulate", help="modularity-vs-density simulations")
     sim_sub = sim.add_subparsers(dest="simulate_command", required=True)
-    p = add(sim_sub, "simulate rewire", cmd_simulate_rewire, None, [with_seed],
+    p = add(sim_sub, "simulate rewire", cmd_simulate_rewire, None, [with_sweep],
             "module count vs rewiring")
-    p.add_argument("--n-v", type=int, default=112)
     p.add_argument("--n-e", type=int, required=True)
     p.add_argument("--grid", required=True, help="rewiring counts, e.g. '0:500:50'")
-    p.add_argument("--replicates", type=int, default=100)
-    p = add(sim_sub, "simulate edges", cmd_simulate_edges, None, [with_seed],
+    p = add(sim_sub, "simulate edges", cmd_simulate_edges, None, [with_sweep],
             "module count vs edge count")
-    p.add_argument("--n-v", type=int, default=112)
     p.add_argument("--edge-grid", required=True, help="edge counts, e.g. '100,600,1100'")
     p.add_argument("--topology", choices=("lattice", "random"), required=True)
-    p.add_argument("--replicates", type=int, default=100)
 
-    p = add(sub, "report", cmd_report, "load_dataset", [with_manifest, with_format],
-            "full reporting sequence")
-    p.add_argument("--metric", choices=sorted(density_mod.METRICS), default="global_efficiency")
-    p.add_argument("--grid", default=None)
-    p.add_argument("--standardize", action="store_true")
+    add(sub, "report", cmd_report, "load_dataset",
+        [with_manifest, with_tests, with_abs, with_format, with_profile],
+        "full reporting sequence")
     return parser
 
 

@@ -67,20 +67,29 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _node_metadata(node_labels, node_coords, n: int, what: str):
-    """The node rule of every value type that carries node labels.
-
-    Returns the labels as a tuple of strings, checked to number ``n``
-    (``what`` names the n-node object in the error), and the coordinates
-    as a frozen (n, 3) float copy, or None; a node whose coordinates are
-    not all finite is named in the error.  The copy leaves the caller's
-    array writable and unshared.
-    """
+def _node_labels(node_labels, n: int, what: str) -> tuple[str, ...]:
+    """The labels as a tuple of n distinct strings (``what`` names the
+    n-node object in the error).  A string is refused, not split into
+    characters; a repeated label is named with both of its nodes."""
+    if isinstance(node_labels, str):
+        raise ValidationError(f"node labels must be a list of labels, not the string {node_labels!r}")
     labels = tuple(str(x) for x in node_labels)
     if len(labels) != n:
         raise ValidationError(f"{len(labels)} node labels for a {n}-node {what}")
+    if len(set(labels)) != n:
+        v = next(v for v, label in enumerate(labels) if label in labels[:v])
+        u = labels.index(labels[v])
+        raise ValidationError(f"node label {labels[v]!r} is repeated at nodes {u} and {v}")
+    return labels
+
+
+def _node_coords(node_coords, labels: tuple[str, ...]) -> np.ndarray | None:
+    """The coordinates as a frozen (n, 3) float copy, or None; a node whose
+    coordinates are not all finite is named in the error.  The copy leaves
+    the caller's array writable and unshared."""
+    n = len(labels)
     if node_coords is None:
-        return labels, None
+        return None
     try:
         coords = np.array(node_coords, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -94,7 +103,14 @@ def _node_metadata(node_labels, node_coords, n: int, what: str):
         v = int(bad[0])
         raise ValidationError(
             f"node {v} ({labels[v]}) has non-finite coordinates {coords[v].tolist()}")
-    return labels, _freeze(coords)
+    return _freeze(coords)
+
+
+def _node_metadata(node_labels, node_coords, n: int, what: str):
+    """The node rule of every value type that carries node labels: the
+    checked labels and coordinates (see _node_labels and _node_coords)."""
+    labels = _node_labels(node_labels, n, what)
+    return labels, _node_coords(node_coords, labels)
 
 
 @dataclass(frozen=True, eq=False)

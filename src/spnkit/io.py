@@ -30,7 +30,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .graphs import BinaryGraph, WeightedGraph, _node_metadata, weighted_density
+from .graphs import BinaryGraph, WeightedGraph, _node_coords, _node_labels, weighted_density
 from .spn import NodeSignalDataset, SpnResult, StudyDataset, differential_spn, mean_spn
 from .spn import _check_signals, _checked_correlation_matrix
 from .stats import fisher_z, fisher_z_inverse
@@ -55,7 +55,7 @@ class Manifest:
     files: dict
     signal_files: dict | None
     options: ManifestOptions
-    root: Path
+    path: Path
 
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
@@ -96,7 +96,11 @@ def parse_manifest(path) -> Manifest:
     nodes = typed(raw["nodes"], dict, "nodes")
     if "labels" not in nodes:
         raise SchemaError(f"{path}: nodes must carry a 'labels' list")
-    labels = tuple(str(x) for x in typed(nodes["labels"], list, "nodes.labels"))
+    raw_labels = typed(nodes["labels"], list, "nodes.labels")
+    try:  # the value types' rule, which refuses repeated labels
+        labels = _node_labels(raw_labels, len(raw_labels), "manifest")
+    except ValidationError as exc:
+        raise SchemaError(f"{path}: nodes.labels: {exc}") from exc
     coords = None
     if nodes.get("coords") is not None:
         try:
@@ -106,7 +110,7 @@ def parse_manifest(path) -> Manifest:
         if coords.shape != (len(labels), 3):
             raise SchemaError(f"{path}: nodes.coords must be {len(labels)} 3-vectors")
         try:  # the value types' rule, which refuses non-finite coordinates
-            _node_metadata(labels, coords, len(labels), "manifest")
+            _node_coords(coords, labels)
         except ValidationError as exc:
             raise SchemaError(f"{path}: nodes.coords: {exc}") from exc
 
@@ -148,7 +152,7 @@ def parse_manifest(path) -> Manifest:
         base_rate=base_rate,
         density_grid=tuple(grid) if grid is not None else None,
     )
-    return Manifest(subjects, conditions, labels, coords, files, signal_files, options, path.parent)
+    return Manifest(subjects, conditions, labels, coords, files, signal_files, options, path)
 
 
 def _raise_if_ragged(path: Path) -> None:
@@ -192,24 +196,34 @@ def load_matrix_csv(path, n_nodes: int | None = None) -> np.ndarray:
     return matrix
 
 
+def _cell_files(manifest: Manifest, files: dict):
+    """(subject index, condition index, file) of every cell, subject-major."""
+    return [(si, ci, files[(subject, condition)])
+            for si, subject in enumerate(manifest.subjects)
+            for ci, condition in enumerate(manifest.conditions)]
+
+
 def load_dataset(manifest: Manifest | str | Path) -> StudyDataset:
-    """Assemble the balanced subjects x conditions array from manifest files."""
+    """Assemble the balanced subjects x conditions array from manifest files.
+
+    Each file is parsed and sized here; ``StudyDataset`` then runs the
+    correlation-matrix rule once per cell.  If a cell breaks it, the rule
+    is run again over the stack to name the first bad file instead.
+    """
     if not isinstance(manifest, Manifest):
         manifest = parse_manifest(manifest)
     n_v = len(manifest.node_labels)
-    n, j = len(manifest.subjects), len(manifest.conditions)
-    data = np.empty((n, j, n_v, n_v), dtype=float)
-    for si, subject in enumerate(manifest.subjects):
-        for ci, condition in enumerate(manifest.conditions):
-            path = manifest.files[(subject, condition)]
-            data[si, ci] = _checked_correlation_matrix(load_matrix_csv(path, n_v), path)
-    return StudyDataset(
-        correlations=data,
-        node_labels=manifest.node_labels,
-        condition_labels=manifest.conditions,
-        subject_ids=manifest.subjects,
-        node_coords=manifest.node_coords,
-    )
+    cells = _cell_files(manifest, manifest.files)
+    data = np.empty((len(manifest.subjects), len(manifest.conditions), n_v, n_v), dtype=float)
+    for si, ci, path in cells:
+        data[si, ci] = load_matrix_csv(path, n_v)
+    try:
+        return StudyDataset(data, manifest.node_labels, manifest.conditions, manifest.subjects,
+                            manifest.node_coords)
+    except DataError:
+        for si, ci, path in cells:
+            _checked_correlation_matrix(data[si, ci], path)
+        raise
 
 
 def load_node_signals(manifest: Manifest | str | Path) -> NodeSignalDataset:
@@ -217,24 +231,22 @@ def load_node_signals(manifest: Manifest | str | Path) -> NodeSignalDataset:
     if not isinstance(manifest, Manifest):
         manifest = parse_manifest(manifest)
     if manifest.signal_files is None:
-        raise SchemaError("manifest has no 'signal_files' map")
+        raise SchemaError(f"{manifest.path}: manifest has no 'signal_files' map")
     n_v = len(manifest.node_labels)
-    n, j = len(manifest.subjects), len(manifest.conditions)
-    signals = np.empty((n, j, n_v), dtype=float)
-    for si, subject in enumerate(manifest.subjects):
-        for ci, condition in enumerate(manifest.conditions):
-            path = manifest.signal_files[(subject, condition)]
-            vec = _read_csv(path, "signal vector").ravel()
-            if vec.size != n_v:
-                raise SchemaError(f"{path}: expected {n_v} signal values, got {vec.size}")
-            _check_signals(vec, path, manifest.node_labels)
-            signals[si, ci] = vec
-    return NodeSignalDataset(
-        signals=signals,
-        node_labels=manifest.node_labels,
-        condition_labels=manifest.conditions,
-        subject_ids=manifest.subjects,
-    )
+    cells = _cell_files(manifest, manifest.signal_files)
+    signals = np.empty((len(manifest.subjects), len(manifest.conditions), n_v), dtype=float)
+    for si, ci, path in cells:
+        vec = _read_csv(path, "signal vector").ravel()
+        if vec.size != n_v:
+            raise SchemaError(f"{path}: expected {n_v} signal values, got {vec.size}")
+        signals[si, ci] = vec
+    try:
+        return NodeSignalDataset(signals, manifest.node_labels, manifest.conditions,
+                                 manifest.subjects)
+    except DataError:  # as in load_dataset: name the first bad file
+        for si, ci, path in cells:
+            _check_signals(signals[si, ci], path, manifest.node_labels)
+        raise
 
 
 def association_graph(matrix, node_labels=None, node_coords=None, negatives: str = "error") -> WeightedGraph:

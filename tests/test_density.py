@@ -151,6 +151,17 @@ class TestDensityIntegratedMetric:
         with pytest.raises(ValidationError):
             sk.density_integrated_metric(g, sk.global_efficiency, grid=[])
 
+    def test_mass_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValidationError) as err:
+            sk.density_integrated_metric(triangle(), sk.global_efficiency, grid=[1, 3], mass=[1.0])
+        assert str(err.value) == "mass must have one entry per grid density"
+
+    def test_unknown_metric_name_is_refused(self):
+        with pytest.raises(ValidationError) as err:
+            sk.metric_by_name("diameter")
+        assert str(err.value) == ("unknown metric 'diameter'; choose from ['global_efficiency', "
+                                  "'local_efficiency', 'modularity_count', 'modularity_q']")
+
     def test_binary_density_profile_is_linear_in_k(self):
         rng = np.random.default_rng(9)
         g = random_weighted(rng, 7, density=0.8)
@@ -275,6 +286,11 @@ class TestMonotoneInvariance:
         with pytest.raises(ValidationError, match=r"h\(0\.2\) and h\(0\.6\) break the order"):
             sk.verify_monotone_invariance(g, lambda w: math.nan if w > 0.5 else w)
 
+    def test_graph_without_positive_weights_is_refused(self):
+        with pytest.raises(ValidationError) as err:
+            sk.verify_monotone_invariance(sk.WeightedGraph.from_matrix(np.zeros((3, 3))), np.exp)
+        assert str(err.value) == "graph has no positive weights"
+
     def test_rank_preservation_edge_set_wise(self):
         # stronger than value equality: identical selections at every k
         rng = np.random.default_rng(13)
@@ -293,6 +309,15 @@ class TestDensityProfileType:
     def test_validates_integrated(self):
         with pytest.raises(ValidationError):
             sk.DensityProfile((1, 2), np.array([0.1, 0.2]), np.array([0.5, 0.5]), 0.5)
+
+    @pytest.mark.parametrize("values,weights,message", [
+        ([0.1], [0.5, 0.5], "densities, values, and weights must have equal length"),
+        ([0.1, 0.2], [-0.5, 1.5], "probability masses must be nonnegative"),
+    ], ids=["lengths", "negative-mass"])
+    def test_refusals_name_the_rule(self, values, weights, message):
+        with pytest.raises(ValidationError) as err:
+            sk.DensityProfile((1, 2), np.array(values), np.array(weights), 0.0)
+        assert str(err.value) == message
 
     def test_callers_arrays_stay_writable_and_unshared(self):
         mass = np.array([0.25, 0.75])

@@ -394,9 +394,41 @@ class TestGraphValidation:
          "node_coords must have shape (2, 3), got ragged or non-numeric rows"),
         (lambda: sk.WeightedGraph(("a", "b"), np.zeros((2, 2)), [[1, 2, 3], [4, 5, "x"]]),
          "node_coords must have shape (2, 3), got ragged or non-numeric rows"),
+        (lambda: sk.WeightedGraph("ab", np.zeros((2, 2))),
+         "node labels must be a list of labels, not the string 'ab'"),
+        (lambda: sk.BinaryGraph(("a", "a", "b"), np.zeros((3, 3))),
+         "node label 'a' is repeated at nodes 0 and 1"),
+        (lambda: sk.WeightedGraph.from_matrix(np.zeros((3, 3)), ["x", 1, "1"]),
+         "node label '1' is repeated at nodes 1 and 2"),
     ], ids=["weighted-labels", "weighted-coords", "binary-coords", "binary-ragged-coords",
-            "weighted-non-numeric-coords"])
+            "weighted-non-numeric-coords", "weighted-string-labels", "binary-repeated-label",
+            "weighted-repeated-after-str"])
     def test_node_metadata_errors(self, build, message):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: sk.WeightedGraph.from_matrix(np.zeros((2, 3))),
+         "weights: expected a square matrix, got shape (2, 3)"),
+        (lambda: sk.WeightedGraph.from_matrix(np.zeros((0, 0))),
+         "weights: matrix must have at least one node"),
+        (lambda: sk.WeightedGraph.from_matrix([[0.0, np.inf], [np.inf, 0.0]]),
+         "weights: matrix entries must be finite"),
+        (lambda: sk.BinaryGraph.from_adjacency([[0, 1], [0, 0]]), "adjacency: not symmetric"),
+        (lambda: sk.BinaryGraph.from_adjacency([[1, 0], [0, 0]]),
+         "adjacency: diagonal must be zero"),
+        (lambda: sk.BinaryGraph.from_edges(3, [(0, 1), (2, 2)]), "self-loop (2,2) is not allowed"),
+        (lambda: sk.local_efficiency(sk.BinaryGraph.from_adjacency(np.zeros((1, 1)))),
+         "local_efficiency needs at least 2 nodes"),
+        (lambda: sk.weighted_efficiency(sk.WeightedGraph.from_matrix(np.zeros((1, 1)))),
+         "weighted_efficiency needs at least 2 nodes"),
+        (lambda: sk.weighted_density(sk.WeightedGraph.from_matrix(np.zeros((1, 1)))),
+         "weighted_density needs at least 2 nodes"),
+    ], ids=["non-square", "empty", "non-finite", "asymmetric-adjacency", "adjacency-diagonal",
+            "self-loop", "one-node-local-efficiency", "one-node-weighted-efficiency",
+            "one-node-weighted-density"])
+    def test_matrix_and_metric_refusals(self, build, message):
         with pytest.raises(ValidationError) as err:
             build()
         assert str(err.value) == message

@@ -1,5 +1,6 @@
 """Manifest loading, standardization, exporters, report bundle, and the CLI."""
 
+import collections
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 import spnkit as sk
 from spnkit import cli as cli_mod
 from spnkit import io as spnio
+from spnkit import spn as spn_mod
 from spnkit.cli import main as cli_main
 from spnkit.errors import DataError, IncompleteDesignError, SchemaError, ValidationError
 
@@ -148,6 +150,31 @@ class TestLoadDataset:
         data = sk.load_dataset(path)
         assert data.node_labels == ("zeta", "alpha", "mid")
 
+    def test_each_cell_is_checked_once(self, tmp_path, monkeypatch):
+        corr = [[hollow(3, 0.2), hollow(3, 0.3)], [hollow(3, 0.25), hollow(3, 0.35)]]
+        signals = [[[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]], [[1.1, 2.1, 3.1], [1.6, 2.6, 3.6]]]
+        manifest = build_manifest(tmp_path, corr, ["A", "B", "C"], ["rest", "task"],
+                                  ["s1", "s2"], signals=signals)
+        calls = collections.Counter()
+        for module in (spnio, spn_mod):  # the loaders' names and the datasets'
+            for name in ("_checked_correlation_matrix", "_check_signals"):
+                rule = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda *a, rule=rule, name=name: calls.update([name]) or rule(*a))
+        sk.load_dataset(manifest)
+        sk.load_node_signals(manifest)
+        assert calls == {"_checked_correlation_matrix": 4, "_check_signals": 4}
+
+    def test_a_parse_fault_is_reported_before_a_cell_fault(self, tmp_path):
+        # the files are all read and sized before any cell rule runs
+        bad = hollow(3, 0.2)
+        bad[0, 1] = bad[1, 0] = 1.5
+        manifest = build_manifest(tmp_path, [[bad, hollow(3, 0.3)]], ["A", "B", "C"],
+                                  ["rest", "task"], ["s1"])
+        write_matrix(tmp_path / "s1_task.csv", hollow(2, 0.3))
+        with pytest.raises(SchemaError, match=r"s1_task\.csv: expected a 3x3 matrix"):
+            sk.load_dataset(manifest)
+
     def test_node_signals(self, tmp_path):
         corr = [[hollow(3, 0.2), hollow(3, 0.3)], [hollow(3, 0.25), hollow(3, 0.35)]]
         signals = [[[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]], [[1.1, 2.1, 3.1], [1.6, 2.6, 3.6]]]
@@ -246,6 +273,11 @@ class TestSignedInputRefusal:
         assert "at (0,2); rerun with --abs" in err
         assert "np.float64" not in err
 
+    def test_unknown_negatives_mode_is_refused(self):
+        with pytest.raises(ValidationError) as err:
+            sk.association_graph(hollow(3, 0.2), negatives="x")
+        assert str(err.value) == "negatives must be 'error' or 'abs', got 'x'"
+
     def test_library_refusal_names_the_keyword(self):
         m = np.array([[0.0, -0.5], [-0.5, 0.0]])
         with pytest.raises(DataError, match=r"negative entry -0\.5 at \(0,1\).*negatives='abs'"):
@@ -277,6 +309,10 @@ class TestManifestErrors:
          "options.standardize must be a boolean, got a string"),
         (lambda p: p.update(options={"base_rate": "0.01"}),
          "options.base_rate must be a number, got a string"),
+        (lambda p: p["nodes"].update(labels=["A", "B", "A"]),
+         "nodes.labels: node label 'A' is repeated at nodes 0 and 2"),
+        (lambda p: p["nodes"].update(labels=[1, "1", "C"]),
+         "nodes.labels: node label '1' is repeated at nodes 0 and 1"),
     ])
     def test_refused_with_manifest_and_key(self, small_manifest, tmp_path, capsys, change,
                                            message):
@@ -305,6 +341,13 @@ class TestManifestErrors:
         err = refused(capsys, ["spn", "diff", "--manifest", str(small_manifest)], tmp_path / "out")
         assert (f"{small_manifest}: options.base_rate must lie in (0, 1), "
                 f"got {float(rate)!r}") in err
+
+    def test_node_diff_without_signal_files_names_the_manifest(self, small_manifest, tmp_path,
+                                                               capsys):
+        assert sk.parse_manifest(small_manifest).path == small_manifest
+        err = refused(capsys, ["spn", "node-diff", "--manifest", str(small_manifest)],
+                      tmp_path / "out")
+        assert f"{small_manifest}: manifest has no 'signal_files' map" in err
 
     @pytest.mark.parametrize("text,message", [
         ("[]", "the manifest must be an object, got a list"),
@@ -461,6 +504,11 @@ class TestExporters:
         ('{"schema": 1, "kind": "binary", "node_labels": ["a", "b"], "adjacency": [[0, 1], [1, 0]], '
          '"node_coords": [[1, 2, 3], [4, 5]]}',
          "node_coords must have shape (2, 3), got ragged or non-numeric rows"),
+        ('{"schema": 1, "kind": "binary", "node_labels": "ab", "adjacency": [[0, 1], [1, 0]]}',
+         "node labels must be a list of labels, not the string 'ab'"),
+        ('{"schema": 1, "kind": "weighted", "node_labels": ["a", "a"], '
+         '"weights": [[0, 0.5], [0.5, 0]]}',
+         "node label 'a' is repeated at nodes 0 and 1"),
     ])
     def test_malformed_graph_json_names_the_file(self, tmp_path, text, message):
         path = tmp_path / "g.json"
@@ -475,6 +523,18 @@ class TestExporters:
         with pytest.raises(ValidationError, match="cannot export object of type ndarray"):
             sk.export_graph(hollow(3, 0.5), fmt, path)
         assert not path.exists()
+
+    def test_unknown_format_is_refused_before_writing(self, tmp_path):
+        path = tmp_path / "g.png"
+        with pytest.raises(ValidationError) as err:
+            sk.export_graph(sk.BinaryGraph.from_edges(2, [(0, 1)]), "png", path)
+        assert str(err.value) == "format must be one of ('dot', 'json', 'csv'), got 'png'"
+        assert not path.exists()
+
+    def test_unwritable_path_is_an_os_error_naming_it(self, tmp_path):
+        with pytest.raises(OSError) as err:
+            sk.export_graph(sk.BinaryGraph.from_edges(2, [(0, 1)]), "json", tmp_path)
+        assert str(err.value).startswith(f"cannot write {tmp_path}: ")
 
     def test_list_valued_kind_is_not_a_graph_payload(self, tmp_path):
         path = tmp_path / "g.json"
@@ -748,16 +808,16 @@ def trend_manifest(tmp_path):
 
 class TestOnePipeline:
     def test_subcommands_write_the_report_step_bytes(self, trend_manifest, tmp_path):
-        m = ["--manifest", str(trend_manifest), "--abs"]
+        m = ["--manifest", str(trend_manifest)]
         report = tmp_path / "report"
-        assert run_cli(["report", *m, "--format", "dot", "--grid", "1:15:2",
+        assert run_cli(["report", *m, "--abs", "--format", "dot", "--grid", "1:15:2",
                         "--out-dir", str(report)]) == 0
         steps = tmp_path / "steps"
         for condition in ("c0", "c1", "c2"):
             assert run_cli(["spn", "mean", *m, "--condition", condition, "--format", "dot",
                             "--out-dir", str(steps)]) == 0
         assert run_cli(["spn", "diff", *m, "--format", "dot", "--out-dir", str(steps)]) == 0
-        assert run_cli(["density-profile", *m, "--grid", "1:15:2",
+        assert run_cli(["density-profile", *m, "--abs", "--grid", "1:15:2",
                         "--out-dir", str(steps)]) == 0
         compared = 0
         for path in sorted(report.iterdir()):
@@ -847,7 +907,10 @@ class TestOnePipeline:
             config = json.loads(lines[1][len("config: "):])
             assert config["standardize"] is True
             assert config["grid"] == [1, 3, 5]
-            assert config["base_rate"] == 0.05
+            if command == ["report"]:
+                assert config["base_rate"] == 0.05
+            else:  # density-profile tests no hypotheses, so it takes no --base-rate
+                assert "base_rate" not in config
             assert "seed" not in config
             assert lines.count("wrote: run_log.txt") == 0
 
@@ -868,3 +931,22 @@ class TestOnePipeline:
         with pytest.raises(SystemExit):
             run_cli(["spn", "diff", "--manifest", str(small_manifest), "--seed", "1",
                      "--out-dir", str(tmp_path)])
+
+    @pytest.mark.parametrize("command,flag", [
+        (["spn", "mean", "--condition", "rest"], ["--abs"]),
+        (["spn", "diff"], ["--abs"]),
+        (["spn", "node-diff"], ["--abs"]),
+        (["metrics"], ["--base-rate", "0.01"]),
+        (["metrics"], ["--correction", "none"]),
+        (["density-profile"], ["--base-rate", "0.01"]),
+        (["density-profile"], ["--correction", "none"]),
+    ], ids=["spn-mean-abs", "spn-diff-abs", "spn-node-diff-abs", "metrics-base-rate",
+            "metrics-correction", "density-profile-base-rate", "density-profile-correction"])
+    def test_flags_belong_to_the_subcommands_that_read_them(self, small_manifest, tmp_path,
+                                                            capsys, command, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            run_cli([*command, "--manifest", str(small_manifest), *flag, "--out-dir", str(out)])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()

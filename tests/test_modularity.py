@@ -98,6 +98,11 @@ class TestGreedyModularity:
         with pytest.raises(ValidationError):
             sk.greedy_modularity(sk.BinaryGraph.from_adjacency(np.zeros((3, 3))))
 
+    def test_modularity_q_of_an_edgeless_graph_is_refused(self):
+        with pytest.raises(ValidationError) as err:
+            sk.modularity_q(sk.BinaryGraph.from_adjacency(np.zeros((3, 3))), [0, 1, 2])
+        assert str(err.value) == "modularity is undefined for an edgeless graph"
+
     def test_partition_ids_contiguous(self):
         g = disjoint_cliques(3, 3)
         part = sk.greedy_modularity(g)
@@ -234,6 +239,11 @@ class TestRewire:
         with pytest.raises(ValidationError):
             sk.rewire(sk.BinaryGraph.from_adjacency(np.zeros((4, 4))), 1, seed=0)
 
+    def test_negative_steps_are_refused(self):
+        with pytest.raises(ValidationError) as err:
+            sk.rewire(sk.ring_lattice(6, 6), -1, seed=0)
+        assert str(err.value) == "steps must be nonnegative"
+
     def test_deterministic_per_seed(self):
         g = sk.ring_lattice(20, 40)
         a = sk.rewire(g, 25, seed=9)
@@ -324,6 +334,16 @@ class TestSweeps:
         for topology in ("lattice", "random"):
             with pytest.raises(ValidationError, match="edge grid is empty"):
                 sk.edges_sweep(12, [], topology, replicates=2, seed=0)
+
+    @pytest.mark.parametrize("run,message", [
+        (lambda: sk.randomness_sweep(12, 18, [0], replicates=0, seed=0), "replicates must be >= 1"),
+        (lambda: sk.edges_sweep(12, [10], "ring", replicates=2, seed=0),
+         "topology must be 'lattice' or 'random', got 'ring'"),
+    ], ids=["no-replicates", "unknown-topology"])
+    def test_bad_arguments_are_refused(self, run, message):
+        with pytest.raises(ValidationError) as err:
+            run()
+        assert str(err.value) == message
 
     def test_csv_serialization(self, tmp_path):
         sweep = sk.edges_sweep(10, [5, 10], "random", replicates=2, seed=3)

@@ -85,7 +85,16 @@ class TestStudyDatasetValidation:
         (lambda: sk.NodeSignalDataset(np.ones((2, 2, 3)), ("a", "b", "c"), ("c0", "c1", "c2"),
                                       ("s0", "s1")),
          "3 condition labels for 2 conditions"),
-    ], ids=["study-labels", "study-coords", "signal-labels", "signal-conditions"])
+        (lambda: sk.StudyDataset(np.zeros((2, 3, 3)), ("a", "b", "c"), ("c0", "c1"), ("s0", "s1")),
+         "correlations must have shape (n, J, N_V, N_V), got (2, 3, 3)"),
+        (lambda: sk.NodeSignalDataset(np.ones((2, 3)), ("a", "b", "c"), ("c0",), ("s0", "s1")),
+         "signals must have shape (n, J, N_V), got (2, 3)"),
+        (lambda: sk.StudyDataset(np.zeros((2, 2, 3, 3)), ("a", "b", "c"), ("c0", "c1"), ("s0",)),
+         "1 subject ids for 2 subjects"),
+        (lambda: sk.StudyDataset(np.zeros((1, 1, 3, 3)), ("a", "b", "a"), ("c0",), ("s0",)),
+         "node label 'a' is repeated at nodes 0 and 2"),
+    ], ids=["study-labels", "study-coords", "signal-labels", "signal-conditions", "study-ndim",
+            "signal-ndim", "study-subjects", "study-repeated-label"])
     def test_label_and_coords_errors(self, build, message):
         with pytest.raises(ValidationError) as err:
             build()
@@ -194,6 +203,25 @@ class TestMeanSpn:
         data = noise_dataset(rng, n=3, j=2, n_v=4)
         with pytest.raises(ValidationError):
             sk.mean_spn(data, 5)
+
+
+class TestPipelineRefusals:
+    @pytest.mark.parametrize("run,message", [
+        (lambda: sk.mean_spn(noise_dataset(np.random.default_rng(0), n=3, j=2, n_v=4), 0,
+                             correction="bonferroni"),
+         "correction must be one of ('fdr', 'none'), got 'bonferroni'"),
+        (lambda: sk.mean_spn(noise_dataset(np.random.default_rng(0), n=1, j=2, n_v=4), 0),
+         "mean SPN needs at least 2 subjects"),
+        (lambda: sk.differential_spn(noise_dataset(np.random.default_rng(0), n=3, j=1, n_v=4)),
+         "differential SPN needs n >= 2 subjects and J >= 2 conditions"),
+        (lambda: sk.node_differential_spn(signal_dataset(np.ones((3, 1, 4)))),
+         "node differential SPN needs n >= 2 and J >= 2"),
+    ], ids=["mean-correction", "mean-one-subject", "differential-one-condition",
+            "node-differential-one-condition"])
+    def test_refusals_name_the_rule(self, run, message):
+        with pytest.raises(ValidationError) as err:
+            run()
+        assert str(err.value) == message
 
 
 class TestDifferentialSpn:

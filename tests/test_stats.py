@@ -144,6 +144,11 @@ class TestRepeatedMeasuresFit:
         with pytest.raises(ValidationError):
             sk.repeated_measures_fit(np.zeros((3, 1)))
 
+    def test_one_dimensional_table_is_refused(self):
+        with pytest.raises(ValidationError) as err:
+            sk.repeated_measures_fit(np.zeros(4))
+        assert str(err.value) == "repeated_measures_fit needs an n x J table"
+
 
 class TestBhFdr:
     def test_worked_example(self):
@@ -209,8 +214,18 @@ class TestBhFdr:
         with pytest.raises(ValidationError):
             sk.bh_fdr([0.5], 0.0)
 
+    def test_two_dimensional_p_values_are_refused(self):
+        with pytest.raises(ValidationError) as err:
+            sk.bh_fdr([[0.5, 0.1]], 0.05)
+        assert str(err.value) == "p_values must be one-dimensional"
+
 
 class TestUncorrected:
     def test_thresholds_pointwise(self):
         d = sk.uncorrected([0.005, 0.02, 0.5], 0.01)
         assert d.rejected.tolist() == [True, False, False]
+
+    def test_alpha_must_lie_inside_the_unit_interval(self):
+        with pytest.raises(ValidationError) as err:
+            sk.uncorrected([0.5], 1.0)
+        assert str(err.value) == "alpha must lie in (0, 1), got 1.0"
