@@ -9,7 +9,6 @@ statistics under --strict.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
@@ -19,10 +18,8 @@ from pathlib import Path
 from . import density as density_mod
 from . import io as spnio
 from .errors import DegenerateStatisticsError, DegenerateStatisticsWarning, ValidationError
-from .graphs import global_efficiency, local_efficiency, spread_condition_holds, threshold, \
-    weighted_density, weighted_efficiency
-from .modularity import edges_sweep, randomness_sweep
-from .spn import node_differential_spn
+from .modularity import TOPOLOGIES, edges_sweep, randomness_sweep
+from .spn import CORRECTIONS
 
 
 def _grid_ints(text: str, pieces) -> list[int]:
@@ -100,34 +97,13 @@ def cmd_spn_diff(args, data, out: Path) -> str:
 
 
 def cmd_spn_node_diff(args, data, out: Path) -> str:
-    plus, minus = node_differential_spn(data, args.base_rate, args.correction)
-    spnio.write_node_differential_stats(out / "node_differential_stats.csv",
-                                        data.node_labels, plus, minus)
-    payload = {
-        "upweighted": [data.node_labels[v] for v in plus.flagged_nodes],
-        "downweighted": [data.node_labels[v] for v in minus.flagged_nodes],
-    }
-    (out / "node_differential.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (plus, minus), _ = spnio.step_node_differential_spn(data, out, "", args.base_rate,
+                                                        args.correction)
     return f"node differential SPN: {len(plus.flagged_nodes)} up, {len(minus.flagged_nodes)} down"
 
 
 def cmd_metrics(args, data, out: Path) -> str:
-    negatives = "abs" if args.abs else "error"
-    rows = []
-    for si, subject in enumerate(data.subject_ids):
-        for ci, condition in enumerate(data.condition_labels):
-            g = spnio._cell_graph(data, si, ci, negatives)
-            row = [subject, condition, repr(weighted_density(g)),
-                   repr(weighted_efficiency(g)), int(spread_condition_holds(g))]
-            if args.tau is not None:
-                bg = threshold(data.correlations[si, ci], args.tau)
-                row += [bg.edge_count, repr(global_efficiency(bg)), repr(local_efficiency(bg))]
-            rows.append(row)
-    header = ["subject", "condition", "weighted_density", "weighted_efficiency",
-              "spread_condition_holds"]
-    if args.tau is not None:
-        header += ["n_edges_tau", "global_efficiency_tau", "local_efficiency_tau"]
-    spnio.write_csv(out / "metrics.csv", header, rows)
+    rows, _ = spnio.step_metrics(data, out, "", "abs" if args.abs else "error", args.tau)
     return f"metrics for {len(rows)} subject x condition cells"
 
 
@@ -226,12 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     with_tests = argparse.ArgumentParser(add_help=False)
     with_tests.add_argument("--base-rate", type=float, default=None,
                             help="FDR base rate (default 0.05 or manifest option)")
-    with_tests.add_argument("--correction", choices=("fdr", "none"), default="fdr")
+    with_tests.add_argument("--correction", choices=CORRECTIONS, default="fdr")
     with_abs = argparse.ArgumentParser(add_help=False)
     with_abs.add_argument("--abs", action="store_true",
                           help="take absolute values of signed associations")
     with_format = argparse.ArgumentParser(add_help=False)
-    with_format.add_argument("--format", choices=("dot", "json", "csv"), default="json")
+    with_format.add_argument("--format", choices=spnio.EXPORT_FORMATS, default="json")
     with_profile = argparse.ArgumentParser(add_help=False)
     with_profile.add_argument("--metric", choices=sorted(density_mod.METRICS),
                               default="global_efficiency")
@@ -276,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(sim_sub, "simulate edges", cmd_simulate_edges, None, [with_sweep],
             "module count vs edge count")
     p.add_argument("--edge-grid", required=True, help="edge counts, e.g. '100,600,1100'")
-    p.add_argument("--topology", choices=("lattice", "random"), required=True)
+    p.add_argument("--topology", choices=TOPOLOGIES, required=True)
 
     add(sub, "report", cmd_report, "load_dataset",
         [with_manifest, with_tests, with_abs, with_format, with_profile],

@@ -15,9 +15,11 @@ inputs and options is byte-identical.
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
 import warnings
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +32,10 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .graphs import BinaryGraph, WeightedGraph, _node_coords, _node_labels, weighted_density
+from .graphs import BinaryGraph, WeightedGraph, _node_coords, _node_labels, global_efficiency, \
+    local_efficiency, spread_condition_holds, threshold, weighted_density, weighted_efficiency
 from .spn import NodeSignalDataset, SpnResult, StudyDataset, differential_spn, mean_spn
-from .spn import _check_signals, _checked_correlation_matrix
+from .spn import _check_signals, _checked_correlation_matrix, node_differential_spn
 from .stats import fisher_z, fisher_z_inverse
 
 MANIFEST_SCHEMA = 1
@@ -275,13 +278,15 @@ def _association_graph(matrix, node_labels, node_coords, negatives: str,
     return WeightedGraph.from_matrix(m, node_labels, node_coords)
 
 
-def _cell_graph(data: StudyDataset, si: int, ci: int, negatives: str) -> WeightedGraph:
-    """The association graph of one subject x condition cell."""
-    return _association_graph(
-        data.correlations[si, ci], data.node_labels, None, negatives,
-        f"association matrix of subject {data.subject_ids[si]!r}, "
-        f"condition {data.condition_labels[ci]!r}",
-    )
+def _cell_graphs(data: StudyDataset, negatives: str):
+    """(subject, condition, signed matrix, association graph) of each cell, subject-major."""
+    for si, subject in enumerate(data.subject_ids):
+        for ci, condition in enumerate(data.condition_labels):
+            matrix = data.correlations[si, ci]
+            yield subject, condition, matrix, _association_graph(
+                matrix, data.node_labels, None, negatives,
+                f"association matrix of subject {subject!r}, condition {condition!r}",
+            )
 
 
 def standardize_weights(g: WeightedGraph) -> WeightedGraph:
@@ -415,10 +420,12 @@ def safe_name(label: str) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write a CSV table at once: LF line ends, a field quoted only if it holds , " or LF."""
+    text = StringIO()
+    table = csv.writer(text, lineterminator="\n")
+    table.writerow(header)
+    table.writerows(rows)
+    path.write_text(text.getvalue())
     return path
 
 
@@ -527,17 +534,42 @@ def write_node_differential_stats(path, node_labels, plus: SpnResult, minus: Spn
 
 def step_weighted_density(data: StudyDataset, out: Path, prefix: str, negatives: str):
     """Step 1: the weighted density of every subject x condition cell."""
-    table = [
-        (subject, condition, weighted_density(_cell_graph(data, si, ci, negatives)))
-        for si, subject in enumerate(data.subject_ids)
-        for ci, condition in enumerate(data.condition_labels)
-    ]
-    path = write_csv(
-        out / f"{prefix}weighted_density.csv",
-        ["subject", "condition", "weighted_density"],
-        ((s, c, repr(v)) for s, c, v in table),
-    )
-    return table, [path]
+    table = [(subject, condition, weighted_density(g))
+             for subject, condition, _, g in _cell_graphs(data, negatives)]
+    return table, [write_csv(out / f"{prefix}weighted_density.csv",
+                             ["subject", "condition", "weighted_density"],
+                             ((s, c, repr(v)) for s, c, v in table))]
+
+
+def step_metrics(data: StudyDataset, out: Path, prefix: str, negatives: str, tau: float | None):
+    """Weighted density, weighted efficiency and spread condition of every cell; with
+    ``tau``, binary metrics of the cell's signed matrix thresholded at tau. Returns the rows."""
+    header = ["subject", "condition", "weighted_density", "weighted_efficiency",
+              "spread_condition_holds"]
+    if tau is not None:
+        header += ["n_edges_tau", "global_efficiency_tau", "local_efficiency_tau"]
+    rows = []
+    for subject, condition, matrix, g in _cell_graphs(data, negatives):
+        row = [subject, condition, repr(weighted_density(g)), repr(weighted_efficiency(g)),
+               int(spread_condition_holds(g))]
+        if tau is not None:
+            bg = threshold(matrix, tau)
+            row += [bg.edge_count, repr(global_efficiency(bg)), repr(local_efficiency(bg))]
+        rows.append(row)
+    return rows, [write_csv(out / f"{prefix}metrics.csv", header, rows)]
+
+
+def step_node_differential_spn(data: NodeSignalDataset, out: Path, prefix: str,
+                               base_rate: float, correction: str):
+    """The node differential SPN pair: a per-node stats CSV and the flagged labels as JSON."""
+    plus, minus = node_differential_spn(data, base_rate, correction)
+    stats = write_node_differential_stats(out / f"{prefix}node_differential_stats.csv",
+                                          data.node_labels, plus, minus)
+    payload = {tag: [data.node_labels[v] for v in result.flagged_nodes]
+               for tag, result in (("upweighted", plus), ("downweighted", minus))}
+    flagged = out / f"{prefix}node_differential.json"
+    flagged.write_text(json.dumps(payload, indent=2) + "\n")
+    return (plus, minus), [stats, flagged]
 
 
 def step_mean_spn(data: StudyDataset, out: Path, prefix: str, condition: int,

@@ -15,8 +15,8 @@ bit-reproducible.
 
 from __future__ import annotations
 
-from csv import writer as csv_writer
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import ValidationError
 from .graphs import BinaryGraph, max_edge_count
 
 _Q_TOL = 1e-9
+TOPOLOGIES = ("lattice", "random")
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,13 +60,11 @@ class SweepResult:
     topology: str
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            out = csv_writer(fh)
-            out.writerow(["parameter", "replicates", "mean_modules", "sd_modules"])
-            for row in self.rows:
-                out.writerow(
-                    [row.parameter, row.replicates, repr(row.mean_modules), repr(row.sd_modules)]
-                )
+        from .io import write_csv  # io imports this module
+
+        write_csv(Path(path), ["parameter", "replicates", "mean_modules", "sd_modules"],
+                  ((row.parameter, row.replicates, repr(row.mean_modules), repr(row.sd_modules))
+                   for row in self.rows))
 
 
 def modularity_q(g: BinaryGraph, assignment) -> float:
@@ -205,10 +204,11 @@ def rewire(g: BinaryGraph, steps: int, seed: int) -> BinaryGraph:
     """Move ``steps`` edges, one at a time, to uniformly chosen absent slots.
 
     Every step deletes a uniform existing edge and adds a uniform
-    currently-absent pair, so the edge count is invariant and the graph
-    stays simple.  ``steps == 0`` returns the input graph.  The draws are
-    those of one scalar ``rng.integers`` call each, taken from batched
-    uint32 draws of ``default_rng(seed)``.
+    currently-absent pair, drawn by rejection over all node pairs at every
+    density, so the edge count is invariant and the graph stays simple.
+    ``steps == 0`` returns the input graph.  The draws are those of one
+    scalar ``rng.integers`` call each, taken from batched uint32 draws of
+    ``default_rng(seed)``.
     """
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
@@ -226,17 +226,12 @@ def rewire(g: BinaryGraph, steps: int, seed: int) -> BinaryGraph:
     edges = list(np.flatnonzero(slot_of))
     edge_set = set(edges)
     draw = _uint32_stream(np.random.default_rng(seed), 2 * steps + 64).__next__
-    dense = m > 0.9 * limit
     for _ in range(steps):
         pos = _bounded(draw, m)
-        if dense:
-            absent = [t for t in range(limit) if t not in edge_set]
-            new = absent[_bounded(draw, len(absent))]
-        else:
-            while True:
-                new = _bounded(draw, limit)
-                if new not in edge_set:
-                    break
+        while True:
+            new = _bounded(draw, limit)
+            if new not in edge_set:
+                break
         edge_set.remove(edges[pos])
         edge_set.add(new)
         edges[pos] = new
@@ -294,12 +289,12 @@ def edges_sweep(
     Lattice generation is deterministic, so its rows collapse to a
     single evaluation (recorded replicates = 1, sd = 0).
     """
+    if topology not in TOPOLOGIES:
+        raise ValidationError(f"topology must be 'lattice' or 'random', got {topology!r}")
     if topology == "lattice":
         rows = _sweep(edge_grid, min(replicates, 1), "edge",
                       lambda gi, n_e, r: ring_lattice(n_v, n_e))
-    elif topology == "random":
+    else:
         rows = _sweep(edge_grid, replicates, "edge",
                       lambda gi, n_e, r: random_graph(n_v, n_e, _child_seed(seed, gi, r)))
-    else:
-        raise ValidationError(f"topology must be 'lattice' or 'random', got {topology!r}")
     return SweepResult(rows, seed, topology)

@@ -243,17 +243,12 @@ def rewire_per_draw(g, steps: int, seed: int):
     edges = list(np.flatnonzero(slot_of))
     edge_set = set(edges)
     rng = np.random.default_rng(seed)
-    dense = m > 0.9 * limit
     for _ in range(steps):
         pos = int(rng.integers(len(edges)))
-        if dense:
-            absent = [t for t in range(limit) if t not in edge_set]
-            new = absent[int(rng.integers(len(absent)))]
-        else:
-            while True:
-                new = int(rng.integers(limit))
-                if new not in edge_set:
-                    break
+        while True:
+            new = int(rng.integers(limit))
+            if new not in edge_set:
+                break
         edge_set.remove(edges[pos])
         edge_set.add(new)
         edges[pos] = new

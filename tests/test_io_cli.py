@@ -1,6 +1,7 @@
 """Manifest loading, standardization, exporters, report bundle, and the CLI."""
 
 import collections
+import csv
 import json
 import math
 import os
@@ -806,6 +807,22 @@ def trend_manifest(tmp_path):
                           data.condition_labels, data.subject_ids)
 
 
+QUOTED_LABELS = ("a,1", 'c"q', 'x,"y"', "n3", "n4", "n5")
+QUOTED_SUBJECTS = ("s,1", 's"2', "s3", "s4", "s5", "s6")
+QUOTED_CONDITIONS = ("c,0", 'c"1', "c2")
+
+
+@pytest.fixture
+def quoted_manifest(tmp_path):
+    """The trend study with commas and double quotes in node labels, subject
+    ids and condition labels, and with per-node signals."""
+    rng = np.random.default_rng(3)
+    data = planted_trend_dataset(rng, edge_up=2, edge_down=9, n=6, j=3, n_v=6)
+    signals = rng.normal(size=(6, 3, 6)) + np.arange(3)[None, :, None]
+    return build_manifest(tmp_path, data.correlations, QUOTED_LABELS, QUOTED_CONDITIONS,
+                          QUOTED_SUBJECTS, signals=signals)
+
+
 class TestOnePipeline:
     def test_subcommands_write_the_report_step_bytes(self, trend_manifest, tmp_path):
         m = ["--manifest", str(trend_manifest)]
@@ -825,6 +842,23 @@ class TestOnePipeline:
                 assert path.read_bytes() == (steps / path.name[3:]).read_bytes(), path.name
                 compared += 1
         assert compared == 3 * 2 + 3 + 2
+
+    def test_metrics_and_node_diff_write_the_step_bytes(self, quoted_manifest, tmp_path):
+        m = ["--manifest", str(quoted_manifest)]
+        via_cli = tmp_path / "cli"
+        assert run_cli(["metrics", *m, "--abs", "--tau", "0.3", "--out-dir", str(via_cli)]) == 0
+        assert run_cli(["spn", "node-diff", *m, "--out-dir", str(via_cli)]) == 0
+        direct = tmp_path / "direct"
+        direct.mkdir()
+        manifest = spnio.parse_manifest(quoted_manifest)
+        _, paths = spnio.step_metrics(spnio.load_dataset(manifest), direct, "", "abs", 0.3)
+        _, written = spnio.step_node_differential_spn(spnio.load_node_signals(manifest), direct,
+                                                      "", 0.05, "fdr")
+        paths += written
+        assert [p.name for p in paths] == [
+            "metrics.csv", "node_differential_stats.csv", "node_differential.json"]
+        for path in paths:
+            assert path.read_bytes() == (via_cli / path.name).read_bytes(), path.name
 
     def test_run_log_keeps_the_grid_spec_and_reruns_identically(self, trend_manifest, tmp_path):
         args = ["density-profile", "--manifest", str(trend_manifest), "--abs",
@@ -950,3 +984,55 @@ class TestOnePipeline:
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def read_table(path) -> list[dict]:
+    """The rows of a CSV table as dicts, each checked to the header's width."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert all(len(row) == len(header) for row in rows), path.name
+    return [dict(zip(header, row)) for row in rows]
+
+
+class TestCsvTables:
+    def test_commas_and_quotes_read_back(self, quoted_manifest, tmp_path):
+        m = ["--manifest", str(quoted_manifest), "--abs"]
+        assert run_cli(["report", *m, "--out-dir", str(tmp_path / "report")]) == 0
+        assert run_cli(["metrics", *m, "--tau", "0.3", "--out-dir", str(tmp_path / "metrics")]) == 0
+        tables = sorted([*(tmp_path / "report").glob("*.csv"), tmp_path / "metrics" / "metrics.csv"])
+        assert len(tables) == 1 + 3 + 1 + 2 + 1
+        cells = [(s, c) for s in QUOTED_SUBJECTS for c in QUOTED_CONDITIONS]
+        for path in tables:
+            rows = read_table(path)
+            if "subject" in rows[0]:
+                assert [(r["subject"], r["condition"]) for r in rows] == cells, path.name
+            elif "condition" in rows[0]:
+                assert {r["condition"] for r in rows} == set(QUOTED_CONDITIONS), path.name
+            else:
+                assert len(rows) == 15, path.name
+                for r in rows:
+                    assert r["label_i"] == QUOTED_LABELS[int(r["i"])], path.name
+                    assert r["label_j"] == QUOTED_LABELS[int(r["j"])], path.name
+
+    def test_no_subcommand_writes_a_carriage_return(self, quoted_manifest, tmp_path):
+        m = ["--manifest", str(quoted_manifest)]
+        sweep = ["--n-v", "10", "--replicates", "2"]
+        runs = [
+            ["spn", "mean", *m, "--condition", "0"],
+            ["spn", "diff", *m],
+            ["spn", "node-diff", *m],
+            ["metrics", *m, "--abs", "--tau", "0.3"],
+            ["density-profile", *m, "--abs"],
+            ["simulate", "rewire", *sweep, "--n-e", "15", "--grid", "0,5"],
+            ["simulate", "edges", *sweep, "--topology", "lattice", "--edge-grid", "10,20"],
+            ["simulate", "edges", *sweep, "--topology", "random", "--edge-grid", "10,20"],
+            ["report", *m, "--abs"],
+        ]
+        for k, args in enumerate(runs):
+            assert run_cli([*args, "--out-dir", str(tmp_path / str(k))]) == 0, args
+        tables = sorted(tmp_path.glob("*/*.csv"))
+        assert len(tables) == 1 + 1 + 1 + 1 + 2 + 1 + 1 + 1 + (1 + 3 + 1 + 2)
+        for path in tables:
+            assert b"\r" not in path.read_bytes(), path
+        rows = read_table(tmp_path / "2" / "node_differential_stats.csv")
+        assert [r["label"] for r in rows] == list(QUOTED_LABELS)

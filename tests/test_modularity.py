@@ -274,12 +274,19 @@ class TestRewireMatchesPerDrawReference:
 
     @pytest.mark.parametrize("n_v,n_e", [
         (10, 42),  # m > 0.9 * limit (45)
-        (10, 44),  # one absent slot: the slot draw has bound 1
+        (10, 44),  # one absent slot: most slot draws are rejected
     ])
-    def test_dense_branch(self, n_v, n_e):
+    def test_near_complete_graphs(self, n_v, n_e):
         base = sk.ring_lattice(n_v, n_e)
         for seed in range(100):
             for steps in (1, 7, 60):
+                self.assert_same_as_reference(base, steps, seed)
+
+    def test_one_absent_slot_at_paper_size(self):
+        # 112 nodes, m = limit - 1: each step rejects about 6,215 slot draws
+        base = sk.ring_lattice(112, sk.max_edge_count(112) - 1)
+        for seed in range(3):
+            for steps in (1, 4):
                 self.assert_same_as_reference(base, steps, seed)
 
     def test_rewired_random_graphs(self):
