@@ -67,15 +67,26 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _refuse_carriage_returns(labels: tuple[str, ...], what: str) -> None:
+    """Refuse a label holding a carriage return.  The CSV writer ends lines
+    in a bare line feed and so leaves a lone carriage return unquoted,
+    where a CSV reader would split the row."""
+    for label in labels:
+        if "\r" in label:
+            raise ValidationError(f"{what} {label!r} holds a carriage return")
+
+
 def _node_labels(node_labels, n: int, what: str) -> tuple[str, ...]:
     """The labels as a tuple of n distinct strings (``what`` names the
     n-node object in the error).  A string is refused, not split into
-    characters; a repeated label is named with both of its nodes."""
+    characters; a repeated label is named with both of its nodes, and a
+    label holding a carriage return is named."""
     if isinstance(node_labels, str):
         raise ValidationError(f"node labels must be a list of labels, not the string {node_labels!r}")
     labels = tuple(str(x) for x in node_labels)
     if len(labels) != n:
         raise ValidationError(f"{len(labels)} node labels for a {n}-node {what}")
+    _refuse_carriage_returns(labels, "node label")
     if len(set(labels)) != n:
         v = next(v for v, label in enumerate(labels) if label in labels[:v])
         u = labels.index(labels[v])

@@ -35,7 +35,8 @@ from .errors import (
 from .graphs import BinaryGraph, WeightedGraph, _node_coords, _node_labels, global_efficiency, \
     local_efficiency, spread_condition_holds, threshold, weighted_density, weighted_efficiency
 from .spn import NodeSignalDataset, SpnResult, StudyDataset, differential_spn, mean_spn
-from .spn import _check_signals, _checked_correlation_matrix, node_differential_spn
+from .spn import _check_signals, _checked_correlation_matrix, _design_labels
+from .spn import node_differential_spn
 from .stats import fisher_z, fisher_z_inverse
 
 MANIFEST_SCHEMA = 1
@@ -92,8 +93,12 @@ def parse_manifest(path) -> Manifest:
     for key in ("subjects", "conditions", "nodes", "files"):
         if key not in raw:
             raise SchemaError(f"{path}: missing manifest key {key!r}")
-    subjects = tuple(str(s) for s in typed(raw["subjects"], list, "subjects"))
-    conditions = tuple(str(c) for c in typed(raw["conditions"], list, "conditions"))
+    subjects = typed(raw["subjects"], list, "subjects")
+    conditions = typed(raw["conditions"], list, "conditions")
+    try:  # the datasets' rule, which refuses a carriage return
+        conditions, subjects = _design_labels(conditions, subjects, len(conditions), len(subjects))
+    except ValidationError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     if len(set(subjects)) != len(subjects) or len(set(conditions)) != len(conditions):
         raise SchemaError(f"{path}: duplicate subject or condition ids")
     nodes = typed(raw["nodes"], dict, "nodes")

@@ -94,44 +94,50 @@ def greedy_modularity(g: BinaryGraph) -> Partition:
     if m == 0:
         raise ValidationError("greedy modularity needs at least one edge")
     n = g.n_nodes
-    adjacency = g.adjacency.astype(float)
 
-    # e[i, j]: fraction of edge ends between communities i and j; a[i]: degree share.
-    e = adjacency / (2.0 * m)
-    a = adjacency.sum(axis=1) / (2.0 * m)
-    alive = np.ones(n, dtype=bool)
-    community = np.arange(n)
+    # e[i, j]: fraction of edge ends between communities i and j; a[i]: degree
+    # share, +inf once i is merged away.  e stays exactly symmetric.  Entries
+    # in the rows and columns of merged-away communities go stale; they flow
+    # only into other such entries, and a = inf keeps them out of every gain.
+    e = g.adjacency / (2.0 * m)
+    a = g.adjacency.sum(axis=1) / (2.0 * m)
+    members = [[v] for v in range(n)]
 
-    # gain[i, j] (i < j, both alive): Q change of merging j into i; every
-    # other entry is -inf.  A merge of j into i changes only e's and a's row
-    # and column i, so only row and column i are recomputed, each entry by
-    # the same expression a full rebuild would use.
+    # gain[i, j]: Q change of merging communities i and j; symmetric, -inf on
+    # the diagonal and on dead rows and columns.  a[i] * a[k] == a[k] * a[i],
+    # so each live gain is one float whichever triangle holds it, and the
+    # first flat argmax is the smallest (row, column) pair of the best gain.
     gain = 2.0 * (e - np.outer(a, a))
-    gain[np.tril_indices(n)] = -np.inf
+    np.fill_diagonal(gain, -np.inf)
 
     for _ in range(n - 1):  # each merge leaves one community fewer
-        flat = int(np.argmax(gain))
-        i, j = divmod(flat, n)
+        i, j = divmod(int(gain.argmax()), n)  # i < j
         if not gain[i, j] > 0.0:
             break
-        e[i, :] += e[j, :]
-        e[:, i] += e[:, j]
-        e[j, :] = 0.0
-        e[:, j] = 0.0
+        e_i = e[i]  # views: the in-place updates below write e and gain
+        e_i += e[j]
+        e_i[i] += e_i[j]  # e_ii becomes (e_ii + e_ji) + (e_ij + e_jj)
+        e[:, i] = e_i
         a[i] += a[j]
-        a[j] = 0.0
-        alive[j] = False
-        community[community == j] = i
-        gain[j, :] = -np.inf
+        a[j] = np.inf  # a merging i has edges, so a[i] * inf is inf, never inf * 0
+        members[i] += members[j]
+        members[j] = None
+        gain_i = gain[i]  # 2.0 * (e_i - a[i] * a), one vector for row and column i
+        np.multiply(a, a[i], out=gain_i)
+        np.subtract(e_i, gain_i, out=gain_i)
+        gain_i *= 2.0
+        gain_i[i] = -np.inf
+        gain[:, i] = gain_i
+        gain[j] = -np.inf
         gain[:, j] = -np.inf
-        gain[i, i + 1:] = np.where(alive[i + 1:], 2.0 * (e[i, i + 1:] - a[i] * a[i + 1:]), -np.inf)
-        gain[:i, i] = np.where(alive[:i], 2.0 * (e[:i, i] - a[:i] * a[i]), -np.inf)
 
-    q = float(np.sum(np.diag(e)[alive] - a[alive] ** 2))
-    representatives = np.unique(community)
-    remap = {int(rep): idx for idx, rep in enumerate(representatives)}
-    assignment = tuple(remap[int(c)] for c in community)
-    return Partition(assignment, len(representatives), q)
+    live = [c for c in range(n) if members[c] is not None]
+    q = float(np.sum(np.diag(e)[live] - a[live] ** 2))
+    assignment = [0] * n
+    for module, c in enumerate(live):
+        for v in members[c]:
+            assignment[v] = module
+    return Partition(tuple(assignment), len(live), q)
 
 
 def _check_generator_args(n_v: int, n_e: int) -> int:

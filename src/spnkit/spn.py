@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateStatisticsWarning, ValidationError
-from .graphs import BinaryGraph, _node_metadata, validate_symmetric_hollow
+from .graphs import (BinaryGraph, _node_metadata, _refuse_carriage_returns,
+                     validate_symmetric_hollow)
 from .stats import (
     FdrDecision,
     bh_fdr,
@@ -77,13 +78,16 @@ def _check_signals(vector: np.ndarray, source, node_labels) -> None:
 
 
 def _design_labels(condition_labels, subject_ids, j: int, n: int):
-    """Condition labels and subject ids as string tuples, checked to number J and n."""
+    """Condition labels and subject ids as string tuples, checked to number J
+    and n and to hold no carriage return."""
     conditions = tuple(str(x) for x in condition_labels)
     subjects = tuple(str(x) for x in subject_ids)
     if len(conditions) != j:
         raise ValidationError(f"{len(conditions)} condition labels for {j} conditions")
     if len(subjects) != n:
         raise ValidationError(f"{len(subjects)} subject ids for {n} subjects")
+    _refuse_carriage_returns(conditions, "condition label")
+    _refuse_carriage_returns(subjects, "subject id")
     return conditions, subjects
 
 

@@ -5,10 +5,11 @@ exhaustive simple-path search, modularity from explicit Python loops and
 full set-partition enumeration, tail probabilities from math.erfc and
 mpmath's incomplete beta.  Where spnkit keeps a fast path, the plain
 version it replaced lives here as its slow reference: greedy modularity
-with a full gain rebuild per merge, local efficiency through one
-validated ``BinaryGraph`` and one public ``global_efficiency`` call per
-neighbourhood, and ``rewire`` with one scalar ``rng.integers`` call per
-draw.  The last two are the only references here that call spnkit.
+with a full gain rebuild per merge and with the upper-triangle row and
+column update, local efficiency through one validated ``BinaryGraph``
+and one public ``global_efficiency`` call per neighbourhood, and
+``rewire`` with one scalar ``rng.integers`` call per draw.  The last
+two are the only references here that call spnkit.
 """
 
 import math
@@ -205,6 +206,48 @@ def greedy_modularity_full_rebuild(adjacency):
     remap = {int(rep): idx for idx, rep in enumerate(representatives)}
     return tuple(remap[int(c)] for c in community), len(representatives), q
 
+
+def greedy_modularity_upper_triangle(adjacency):
+    """Greedy modularity on the upper triangle of the gain matrix,
+    recomputing only the merged row and column after each merge.
+
+    This is the incremental loop spnkit ran before its gain matrix became
+    symmetric; it zeroes the merged-away row and column of ``e`` and finds
+    communities by scanning the label vector.  Returns (assignment,
+    module_count, q) like ``greedy_modularity_full_rebuild``.
+    """
+    adjacency = np.asarray(adjacency).astype(float)
+    n = adjacency.shape[0]
+    m = int(adjacency.sum()) // 2
+    e = adjacency / (2.0 * m)
+    a = adjacency.sum(axis=1) / (2.0 * m)
+    alive = np.ones(n, dtype=bool)
+    community = np.arange(n)
+    gain = 2.0 * (e - np.outer(a, a))
+    gain[np.tril_indices(n)] = -np.inf
+
+    for _ in range(n - 1):
+        flat = int(np.argmax(gain))
+        i, j = divmod(flat, n)
+        if not gain[i, j] > 0.0:
+            break
+        e[i, :] += e[j, :]
+        e[:, i] += e[:, j]
+        e[j, :] = 0.0
+        e[:, j] = 0.0
+        a[i] += a[j]
+        a[j] = 0.0
+        alive[j] = False
+        community[community == j] = i
+        gain[j, :] = -np.inf
+        gain[:, j] = -np.inf
+        gain[i, i + 1:] = np.where(alive[i + 1:], 2.0 * (e[i, i + 1:] - a[i] * a[i + 1:]), -np.inf)
+        gain[:i, i] = np.where(alive[:i], 2.0 * (e[:i, i] - a[:i] * a[i]), -np.inf)
+
+    q = float(np.sum(np.diag(e)[alive] - a[alive] ** 2))
+    representatives = np.unique(community)
+    remap = {int(rep): idx for idx, rep in enumerate(representatives)}
+    return tuple(remap[int(c)] for c in community), len(representatives), q
 
 
 def local_efficiency_per_neighbourhood(g):

@@ -400,9 +400,11 @@ class TestGraphValidation:
          "node label 'a' is repeated at nodes 0 and 1"),
         (lambda: sk.WeightedGraph.from_matrix(np.zeros((3, 3)), ["x", 1, "1"]),
          "node label '1' is repeated at nodes 1 and 2"),
+        (lambda: sk.BinaryGraph(("a", "b\rc"), np.zeros((2, 2))),
+         "node label 'b\\rc' holds a carriage return"),
     ], ids=["weighted-labels", "weighted-coords", "binary-coords", "binary-ragged-coords",
             "weighted-non-numeric-coords", "weighted-string-labels", "binary-repeated-label",
-            "weighted-repeated-after-str"])
+            "weighted-repeated-after-str", "binary-carriage-return"])
     def test_node_metadata_errors(self, build, message):
         with pytest.raises(ValidationError) as err:
             build()

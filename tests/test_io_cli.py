@@ -314,6 +314,12 @@ class TestManifestErrors:
          "nodes.labels: node label 'A' is repeated at nodes 0 and 2"),
         (lambda p: p["nodes"].update(labels=[1, "1", "C"]),
          "nodes.labels: node label '1' is repeated at nodes 0 and 1"),
+        # a lone carriage return is not quoted by the CSV writer
+        (lambda p: p["nodes"].update(labels=["A", "B\rx", "C"]),
+         "nodes.labels: node label 'B\\rx' holds a carriage return"),
+        (lambda p: p.update(conditions=["rest", "task\r"]),
+         "condition label 'task\\r' holds a carriage return"),
+        (lambda p: p.update(subjects=["s1", "s\r2"]), "subject id 's\\r2' holds a carriage return"),
     ])
     def test_refused_with_manifest_and_key(self, small_manifest, tmp_path, capsys, change,
                                            message):

@@ -12,6 +12,8 @@ from spnkit.errors import ValidationError
 
 import oracles
 
+FIG4_EDGE_GRID = (100, 600, 1100, 1600, 2100)
+
 
 def complete(n):
     return sk.BinaryGraph.from_adjacency(np.ones((n, n), dtype=int) - np.eye(n, dtype=int))
@@ -109,41 +111,50 @@ class TestGreedyModularity:
         assert sorted(set(part.assignment)) == list(range(part.module_count))
 
 
-def assert_matches_full_rebuild(g):
+def assert_matches_references(g):
     part = sk.greedy_modularity(g)
-    assignment, module_count, q = oracles.greedy_modularity_full_rebuild(g.adjacency)
-    assert part.assignment == assignment
-    assert part.module_count == module_count
-    assert repr(part.q) == repr(q)
+    for reference in (oracles.greedy_modularity_full_rebuild,
+                      oracles.greedy_modularity_upper_triangle):
+        assignment, module_count, q = reference(g.adjacency)
+        assert part.assignment == assignment, reference.__name__
+        assert part.module_count == module_count, reference.__name__
+        assert repr(part.q) == repr(q), reference.__name__
+
+
+def complete_bipartite(size):
+    a = np.zeros((2 * size, 2 * size), dtype=int)
+    a[:size, size:] = 1
+    return sk.BinaryGraph.from_adjacency(a + a.T)
 
 
 class TestIncrementalGainsMatchFullRebuild:
-    """The row-and-column gain update gives the full rebuild's partition and Q bit for bit."""
+    """The symmetric gain update gives the partition and Q of both references
+    bit for bit: the full rebuild and the upper-triangle row-and-column update."""
 
     @pytest.mark.parametrize("n_v,n_e", [(12, 12), (12, 30), (13, 39), (40, 80), (112, 112),
                                          (112, 600), (112, 1100), (112, 2100)])
     def test_ring_lattices(self, n_v, n_e):
         # regular lattices tie many gains, which exercises the tie-break
-        assert_matches_full_rebuild(sk.ring_lattice(n_v, n_e))
+        assert_matches_references(sk.ring_lattice(n_v, n_e))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rewired_lattices(self, seed):
         base = sk.ring_lattice(112, 600)
         for steps in (1, 20, 100, 500):
-            assert_matches_full_rebuild(sk.rewire(base, steps, seed))
+            assert_matches_references(sk.rewire(base, steps, seed))
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_random_graphs(self, seed):
         for n_e in (100, 600, 1600, 4000):
-            assert_matches_full_rebuild(sk.random_graph(112, n_e, seed))
+            assert_matches_references(sk.random_graph(112, n_e, seed))
 
     @pytest.mark.parametrize("count,size", [(2, 3), (3, 4), (5, 6), (8, 14)])
     def test_disjoint_cliques(self, count, size):
-        assert_matches_full_rebuild(disjoint_cliques(count, size))
+        assert_matches_references(disjoint_cliques(count, size))
 
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_complete_graph(self, n):
-        assert_matches_full_rebuild(complete(n))
+        assert_matches_references(complete(n))
 
     def test_isolated_nodes_are_never_merged(self):
         # two triangles beside four isolated nodes, and a sparse random graph
@@ -151,12 +162,49 @@ class TestIncrementalGainsMatchFullRebuild:
         a[:6, :6] = disjoint_cliques(2, 3).adjacency
         graphs = [sk.BinaryGraph.from_adjacency(a), sk.random_graph(112, 40, seed=6)]
         for g in graphs:
-            assert_matches_full_rebuild(g)
+            assert_matches_references(g)
             part = sk.greedy_modularity(g)
             sizes = collections.Counter(part.assignment)
             isolated = np.flatnonzero(g.degrees() == 0)
             assert isolated.size > 0
             assert all(sizes[part.assignment[v]] == 1 for v in isolated)
+
+    @pytest.mark.parametrize("topology", ["rewired", "random", "lattice"])
+    def test_fig4_sample(self, topology):
+        # replicate 0 of every Fig 4 grid value, seeded as the sweeps seed it
+        if topology == "rewired":
+            base = sk.ring_lattice(112, 600)
+            graphs = [sk.rewire(base, steps, modularity._child_seed(42, gi, 0))
+                      for gi, steps in enumerate(range(0, 501, 50))]
+        elif topology == "random":
+            graphs = [sk.random_graph(112, n_e, modularity._child_seed(42, gi, 0))
+                      for gi, n_e in enumerate(FIG4_EDGE_GRID)]
+        else:
+            graphs = [sk.ring_lattice(112, n_e) for n_e in FIG4_EDGE_GRID]
+        for g in graphs:
+            assert_matches_references(g)
+
+    @pytest.mark.parametrize("make", [lambda: complete(112), lambda: complete_bipartite(56),
+                                      lambda: sk.ring_lattice(112, 112)],
+                             ids=["K112", "K56,56", "C112"])
+    def test_tie_heavy_graphs(self, make):
+        # every first-merge gain ties, so the tie-break decides the whole run
+        assert_matches_references(make())
+
+
+class TestNoFloatingPointFaults:
+    """Dead communities carry an infinite degree share; no merge may form inf * 0 or inf - inf."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: sk.BinaryGraph.from_edges(10, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        lambda: sk.BinaryGraph.from_edges(5, [(1, 3)]),
+        lambda: complete(12),
+    ], ids=["isolated-nodes", "single-edge", "complete"])
+    def test_greedy_raises_nothing(self, make):
+        g = make()
+        with np.errstate(all="raise"):
+            part = sk.greedy_modularity(g)
+        assert repr(part.q) == repr(oracles.greedy_modularity_full_rebuild(g.adjacency)[2])
 
 
 class TestRingLattice:
@@ -334,6 +382,25 @@ class TestSweeps:
         for row in sweep.rows:
             assert row.replicates == 1
             assert row.sd_modules == 0.0
+
+    @pytest.mark.parametrize("run,calls", [
+        (lambda: sk.randomness_sweep(20, 40, [0, 10, 20], replicates=4, seed=1), 3 * 4),
+        (lambda: sk.edges_sweep(20, [30, 60], "random", replicates=5, seed=1), 2 * 5),
+        (lambda: sk.edges_sweep(20, [30, 60], "lattice", replicates=5, seed=1), 2 * 1),
+    ], ids=["rewire", "random", "lattice"])
+    def test_one_greedy_call_per_grid_value_and_replicate(self, monkeypatch, run, calls):
+        # the benchmark's tracer checks each partition at this call, so no
+        # sweep may batch graphs past it
+        seen = []
+        greedy = modularity.greedy_modularity
+
+        def counting(g):
+            seen.append(g)
+            return greedy(g)
+
+        monkeypatch.setattr(modularity, "greedy_modularity", counting)
+        sweep = run()
+        assert len(seen) == calls == sum(row.replicates for row in sweep.rows)
 
     def test_empty_grids_are_refused(self):
         with pytest.raises(ValidationError, match="rewiring grid is empty"):

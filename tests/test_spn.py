@@ -93,8 +93,15 @@ class TestStudyDatasetValidation:
          "1 subject ids for 2 subjects"),
         (lambda: sk.StudyDataset(np.zeros((1, 1, 3, 3)), ("a", "b", "a"), ("c0",), ("s0",)),
          "node label 'a' is repeated at nodes 0 and 2"),
+        (lambda: sk.StudyDataset(np.zeros((1, 1, 3, 3)), ("a", "b\r", "c"), ("c0",), ("s0",)),
+         "node label 'b\\r' holds a carriage return"),
+        (lambda: sk.StudyDataset(np.zeros((1, 2, 3, 3)), ("a", "b", "c"), ("c0", "c\r1"), ("s0",)),
+         "condition label 'c\\r1' holds a carriage return"),
+        (lambda: sk.NodeSignalDataset(np.ones((2, 1, 3)), ("a", "b", "c"), ("c0",), ("s0", "\rs1")),
+         "subject id '\\rs1' holds a carriage return"),
     ], ids=["study-labels", "study-coords", "signal-labels", "signal-conditions", "study-ndim",
-            "signal-ndim", "study-subjects", "study-repeated-label"])
+            "signal-ndim", "study-subjects", "study-repeated-label", "study-label-cr",
+            "study-condition-cr", "signal-subject-cr"])
     def test_label_and_coords_errors(self, build, message):
         with pytest.raises(ValidationError) as err:
             build()
