@@ -70,8 +70,14 @@ class DensityProfile:
 
 
 def ranked_edges(g: WeightedGraph) -> list[tuple[int, int, float]]:
-    """Positive edges sorted strongest first; ties by lexicographic (i, j)."""
-    return sorted(g.positive_edges(), key=lambda e: (-e[2], e[0], e[1]))
+    """Positive edges as (i, j, w), i < j, sorted strongest first; ties by
+    lexicographic (i, j)."""
+    i, j = np.triu_indices(g.n_nodes, k=1)
+    w = g.weights[i, j]
+    keep = w > 0
+    i, j, w = i[keep], j[keep], w[keep]
+    order = np.lexsort((j, i, -w))
+    return list(zip(i[order].tolist(), j[order].tolist(), w[order].tolist()))
 
 
 def _graph_from_prefix(g: WeightedGraph, order, k: int) -> BinaryGraph:
@@ -108,36 +114,60 @@ def _validated_grid(g: WeightedGraph, grid, n_positive: int) -> list[int]:
     return [int(k) for k in ks]
 
 
+def _efficiency_levels(order, n: int, levels: list[int]) -> dict[int, float]:
+    # Global efficiency of each prefix of ``order`` at the ascending
+    # ``levels``, from hop counts updated edge by edge.  Once a level has
+    # diameter at most two, every later one does too, and each off-diagonal
+    # inverse distance is 1 (the 2k ordered pairs joined by an edge) or 1/2.
+    # Every partial sum of those is a multiple of 1/2, exact in any order,
+    # so the closed form is the sum _efficiency_from_distances would take,
+    # bit for bit, and the hop counts are no longer needed.
+    pairs = n * (n - 1)
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    by_k: dict[int, float] = {}
+    filled = 0
+    diameter_two = False
+    for k in levels:
+        if not diameter_two:
+            for i, j, _ in order[filled:k]:
+                _insert_edge(dist, i, j)
+            filled = k
+            diameter_two = bool(dist.max() <= 2.0)
+        if diameter_two:
+            by_k[k] = (2 * k + (pairs - 2 * k) * 0.5) / pairs
+        else:
+            by_k[k] = _efficiency_from_distances(dist)
+    return by_k
+
+
 def _profile_values(
     g: WeightedGraph, order, ks: Sequence[int], metric: Callable[[BinaryGraph], float]
 ) -> np.ndarray:
-    # One incremental walk over the ranked edges, evaluating each distinct k
-    # once.  Global efficiency (the module name, looked up per call) reads
-    # hop counts updated edge by edge; any other metric gets a BinaryGraph
-    # per level, whose constructor checks and copies the adjacency, so the
-    # walk goes on filling the same array.  A 1-node graph takes the
-    # generic path, where global_efficiency itself refuses it.
+    # One walk over the ranked edges, evaluating each distinct k once.
+    # Global efficiency (the module name, looked up per call, so a wrapper
+    # put in its place and in METRICS keeps this path) has its own kernel;
+    # any other metric gets a BinaryGraph per level, whose constructor
+    # checks and copies the adjacency, so the walk goes on filling the same
+    # array.  A 1-node graph takes the generic path, where
+    # global_efficiency itself refuses it.
     n = g.n_nodes
-    incremental = metric is global_efficiency and n > 1
-    if incremental:
-        dist = np.full((n, n), np.inf)
-        np.fill_diagonal(dist, 0.0)
-        diameter_two = False
+    levels = sorted(set(ks))
+    if metric is global_efficiency and n > 1:
+        by_k = _efficiency_levels(order, n, levels)
     else:
         adjacency = np.zeros((n, n), dtype=np.uint8)
-    by_k: dict[int, float] = {}
-    filled = 0
-    for k in sorted(set(ks)):
-        for i, j, _ in order[filled:k]:
-            if incremental:
-                diameter_two = _insert_edge(dist, i, j, diameter_two)
-            else:
+        by_k = {}
+        filled = 0
+        for k in levels:
+            for i, j, _ in order[filled:k]:
                 adjacency[i, j] = adjacency[j, i] = 1
-        filled = k
-        if incremental:
-            by_k[k] = _efficiency_from_distances(dist)
-        else:
-            by_k[k] = float(metric(BinaryGraph(g.node_labels, adjacency)))
+            filled = k
+            graph = BinaryGraph(g.node_labels, adjacency)
+            try:
+                by_k[k] = float(metric(graph))
+            except ValidationError as exc:
+                raise ValidationError(f"density level k={k}: {exc}") from exc
     return np.array([by_k[k] for k in ks], dtype=float)
 
 

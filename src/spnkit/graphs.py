@@ -271,25 +271,27 @@ def _hop_distances(adjacency: np.ndarray) -> np.ndarray:
         reach = grown
 
 
-def _insert_edge(dist: np.ndarray, u: int, v: int, diameter_two: bool) -> bool:
+def _insert_edge(dist: np.ndarray, u: int, v: int) -> None:
     """Update all-pairs hop counts in place for a newly inserted edge (u, v).
 
     A new edge can only shorten a path by being on it, in one direction or
     the other (the edge-insertion update of Ausiello, Italiano,
-    Marchetti-Spaccamela and Nanni, J. Algorithms 1991), so
-    ``dist = min(dist, dist[:, u] + 1 + dist[v, :], its transpose)``: O(N^2)
-    per edge, exact because hop counts are integers held in floats.  Once
-    the graph is connected with diameter at most two, only ``dist[u, v]``
-    can still change.  Returns whether that now holds; the caller passes
-    the answer back as ``diameter_two`` on the next insertion.
+    Marchetti-Spaccamela and Nanni, J. Algorithms 1991).  The path
+    x .. u - v .. y beats ``dist[x, y]`` only if it beats the paths through
+    v and through u, that is only for rows X = {x : d(x,u) + 1 < d(x,v)}
+    against columns Y = {y : d(v,y) + 1 < d(u,y)}.  X and Y are disjoint,
+    so ``min(dist[X, Y], (d[X,u] + 1) + d[v,Y])`` and its mirror at [Y, X]
+    are all that changes; with X as a column and Y as a row of indices,
+    ``dist[y, x]`` is that mirror.  Exact because hop counts are integers
+    held in floats; comparisons, unlike a difference, stay quiet when both
+    sides are infinite.
     """
-    if diameter_two:
-        dist[u, v] = dist[v, u] = 1.0
-        return True
-    through = dist[:, u, None] + 1.0 + dist[None, v, :]
-    np.minimum(dist, through, out=dist)
-    np.minimum(dist, through.T, out=dist)
-    return bool(dist.max() <= 2.0)
+    du, dv = dist[u], dist[v]
+    x = (du + 1.0 < dv).nonzero()[0][:, None]
+    y = (dv + 1.0 < du).nonzero()[0]
+    shorter = np.minimum(dist[x, y], (du[x] + 1.0) + dv[y])
+    dist[x, y] = shorter
+    dist[y, x] = shorter
 
 
 def shortest_paths_unweighted(g: BinaryGraph) -> DistanceMatrix:
@@ -314,12 +316,18 @@ def shortest_paths_weighted(g: WeightedGraph) -> DistanceMatrix:
 
 
 def _efficiency_from_distances(dist: np.ndarray) -> float:
+    """Mean inverse distance over ordered pairs; unreachable pairs add 0.
+
+    Dropping the first entry of the flattened matrix leaves rows of n + 1
+    entries, each ending on a diagonal entry: cutting that column leaves
+    the off-diagonal entries in row-major order, so the pairwise sum adds
+    the same numbers in the same order as a boolean off-diagonal mask.
+    """
     n = dist.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    d = dist[off]
-    inv = np.zeros_like(d)
-    reachable = np.isfinite(d) & (d > 0)
-    inv[reachable] = 1.0 / d[reachable]
+    d = dist.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].ravel()
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / d
+    inv[d <= 0] = 0.0
     return float(inv.sum() / (n * (n - 1)))
 
 

@@ -613,7 +613,10 @@ def step_density_profiles(data: StudyDataset, out: Path, prefix: str, negatives:
         )
         if standardize:
             g = standardize_weights(g)
-        profile = density_mod.density_integrated_metric(g, metric_fn, grid=density_grid)
+        try:
+            profile = density_mod.density_integrated_metric(g, metric_fn, grid=density_grid)
+        except ValidationError as exc:
+            raise ValidationError(f"density profile of condition {condition!r}: {exc}") from exc
         profiles[condition] = profile
         for k, mass, value in zip(profile.densities, profile.weights, profile.values):
             profile_rows.append((condition, k, repr(float(mass)), repr(float(value))))

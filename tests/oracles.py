@@ -6,10 +6,12 @@ full set-partition enumeration, tail probabilities from math.erfc and
 mpmath's incomplete beta.  Where spnkit keeps a fast path, the plain
 version it replaced lives here as its slow reference: greedy modularity
 with a full gain rebuild per merge and with the upper-triangle row and
-column update, local efficiency through one validated ``BinaryGraph``
-and one public ``global_efficiency`` call per neighbourhood, and
-``rewire`` with one scalar ``rng.integers`` call per draw.  The last
-two are the only references here that call spnkit.
+column update, the hop-count update over the whole matrix per inserted
+edge, the efficiency sum over a boolean off-diagonal mask, local
+efficiency through one validated ``BinaryGraph`` and one public
+``global_efficiency`` call per neighbourhood, and ``rewire`` with one
+scalar ``rng.integers`` call per draw.  The last two are the only
+references here that call spnkit.
 """
 
 import math
@@ -78,6 +80,42 @@ def efficiency_from_oracle(dist: np.ndarray) -> float:
             if i != j and math.isfinite(dist[i, j]) and dist[i, j] > 0:
                 total += 1.0 / dist[i, j]
     return total / (n * (n - 1))
+
+
+def efficiency_masked(dist: np.ndarray) -> float:
+    """Mean inverse distance over ordered pairs, the off-diagonal entries
+    taken by a boolean mask; unreachable pairs add 0."""
+    n = dist.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    d = dist[off]
+    inv = np.zeros_like(d)
+    reachable = np.isfinite(d) & (d > 0)
+    inv[reachable] = 1.0 / d[reachable]
+    return float(inv.sum() / (n * (n - 1)))
+
+
+def insert_edge_full(dist: np.ndarray, u: int, v: int) -> None:
+    """The edge-insertion update of all-pairs hop counts over the whole
+    matrix: ``dist = min(dist, dist[:, u] + 1 + dist[v, :], its transpose)``."""
+    through = dist[:, u, None] + 1.0 + dist[None, v, :]
+    np.minimum(dist, through, out=dist)
+    np.minimum(dist, through.T, out=dist)
+
+
+def efficiency_profile_full_update(order, n: int, ks) -> list[float]:
+    """Global efficiency after each prefix ``order[:k]`` of (i, j, w)
+    edges, by the whole-matrix update per edge and the masked sum at
+    every level."""
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    by_k = {}
+    filled = 0
+    for k in sorted(set(ks)):
+        for i, j, _ in order[filled:k]:
+            insert_edge_full(dist, i, j)
+        filled = k
+        by_k[k] = efficiency_masked(dist)
+    return [by_k[k] for k in ks]
 
 
 def normal_two_sided_p(z: float) -> float:

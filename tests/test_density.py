@@ -1,12 +1,15 @@
 """Density thresholding, integrated metrics, and monotone invariance."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import spnkit as sk
+from spnkit import density as density_mod
 from spnkit.errors import ValidationError
+from spnkit.graphs import _hop_distances, _insert_edge
 
 import oracles
 
@@ -88,6 +91,23 @@ class TestDensityThreshold:
         first = sk.density_threshold(g, 3).edges()
         again = sk.density_threshold(g, 3).edges()
         assert first == again == [(0, 1), (0, 2), (0, 3)]  # lexicographic tie rule
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_ranked_edges_follow_the_sort_key(self, ties):
+        rng = np.random.default_rng(41 + ties)
+        for n in list(range(2, 41)) + [112]:
+            g = random_weighted(rng, n, density=0.7)
+            if ties:  # three distinct weights: the (i, j) rule orders most edges
+                g = sk.WeightedGraph.from_matrix(np.ceil(g.weights * 3) / 3)
+            expected = sorted(g.positive_edges(), key=lambda e: (-e[2], e[0], e[1]))
+            ranked = density_mod.ranked_edges(g)
+            assert ranked == expected
+            assert all(type(i) is int and type(j) is int and type(w) is float
+                       for i, j, w in ranked)
+            m = len(expected)
+            for k in sorted({0, min(1, m), m // 3, m // 2, m}):
+                assert sk.density_threshold(g, k).edges() == sorted(
+                    (i, j) for i, j, _ in expected[:k])
 
 
 class TestDensityIntegratedMetric:
@@ -176,11 +196,20 @@ class TestDensityIntegratedMetric:
         count = sk.density_integrated_metric(g, sk.metric_by_name("modularity_count"))
         assert count.values[-1] >= 1.0
 
+    @pytest.mark.parametrize("name", ["modularity_count", "modularity_q"])
+    def test_metric_refusal_names_the_level(self, name):
+        with pytest.raises(ValidationError) as err:
+            sk.density_integrated_metric(triangle(), sk.metric_by_name(name), grid=[0, 1])
+        assert str(err.value) == "density level k=0: greedy modularity needs at least one edge"
+
 
 def reference_global_efficiency(bg):
     # a fresh callable is not ``global_efficiency`` itself, so the profile
-    # takes the per-graph path: one all-pairs hop count per level
-    return sk.global_efficiency(bg)
+    # takes the per-graph path: one all-pairs hop count per level, summed
+    # over the masked off-diagonal entries
+    if bg.n_nodes < 2:
+        raise ValidationError("global_efficiency needs at least 2 nodes")
+    return oracles.efficiency_masked(_hop_distances(bg.adjacency))
 
 
 def assert_same_profile(g, grid=None):
@@ -190,11 +219,32 @@ def assert_same_profile(g, grid=None):
     assert np.array_equal(fast.values, slow.values)
     assert [repr(v) for v in fast.values] == [repr(v) for v in slow.values]
     assert repr(fast.integrated) == repr(slow.integrated)
+    ranked = sorted(g.positive_edges(), key=lambda e: (-e[2], e[0], e[1]))
+    walk = oracles.efficiency_profile_full_update(ranked, g.n_nodes, fast.densities)
+    assert [repr(v) for v in fast.values.tolist()] == [repr(v) for v in walk]
     return fast
 
 
+def hop_diameter(g, k):
+    return sk.shortest_paths_unweighted(sk.density_threshold(g, k)).dist.max()
+
+
 class TestIncrementalGlobalEfficiency:
-    """The edge-insertion kernel against the per-graph reference, bit for bit."""
+    """The edge-insertion kernel against the per-graph reference and the
+    whole-matrix walk, bit for bit."""
+
+    def test_restricted_insert_matches_whole_matrix_update(self):
+        rng = np.random.default_rng(20)
+        for n in list(range(2, 41)) + [112]:
+            pairs = np.transpose(np.triu_indices(n, k=1))
+            pairs = pairs[rng.permutation(len(pairs))][: 4 * n]
+            fast = np.full((n, n), np.inf)
+            np.fill_diagonal(fast, 0.0)
+            slow = fast.copy()
+            for u, v in pairs.tolist():
+                _insert_edge(fast, u, v)
+                oracles.insert_edge_full(slow, u, v)
+                assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_random_graphs(self, ties):
@@ -240,6 +290,48 @@ class TestIncrementalGlobalEfficiency:
         assert any(d == 2 for d in diameters)
         profile = assert_same_profile(g)
         assert profile.values[-1] == 1.0
+
+    def test_sparse_grid_crosses_diameter_two_between_levels(self):
+        rng = np.random.default_rng(26)
+        g = random_weighted(rng, 30, density=0.6)
+        assert hop_diameter(g, 28) > 2 and hop_diameter(g, 200) <= 2
+        assert_same_profile(g, grid=[3, 28, 200])
+        assert_same_profile(g, grid=[200, 28, 3, 200])
+        m = len(g.positive_edges())
+        assert_same_profile(g, grid=[28, m])
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_sampled_levels_at_paper_size(self, ties):
+        rng = np.random.default_rng(27 + ties)
+        n = 112
+        g = random_weighted(rng, n, density=1.0)
+        if ties:
+            g = sk.WeightedGraph.from_matrix(np.ceil(g.weights * 3) / 3)
+        m = len(g.positive_edges())
+        grid = sorted(set(range(0, m + 1, 97)) | {1, n - 1, m - 1, m})
+        assert any(hop_diameter(g, k) > 2 for k in grid)
+        assert any(hop_diameter(g, k) == 2 for k in grid)
+        assert_same_profile(g, grid=grid)
+
+    def test_counting_wrapper_keeps_the_incremental_path(self, monkeypatch):
+        # as the benchmark tracer does: one wrapper in place of the module
+        # name and the metric table entry
+        rng = np.random.default_rng(28)
+        g = random_weighted(rng, 30, density=0.6)
+        untraced = sk.density_integrated_metric(g, sk.metric_by_name("global_efficiency"))
+        calls = []
+
+        @functools.wraps(density_mod.global_efficiency)
+        def counting(bg, _original=density_mod.global_efficiency):
+            calls.append(bg)
+            return _original(bg)
+
+        monkeypatch.setattr(density_mod, "global_efficiency", counting)
+        monkeypatch.setitem(density_mod.METRICS, "global_efficiency", counting)
+        traced = sk.density_integrated_metric(g, sk.metric_by_name("global_efficiency"))
+        assert calls == []
+        assert [repr(v) for v in traced.values] == [repr(v) for v in untraced.values]
+        assert repr(traced.integrated) == repr(untraced.integrated)
 
     def test_one_node_graph_refused_on_both_paths(self):
         g = sk.WeightedGraph.from_matrix(np.zeros((1, 1)))

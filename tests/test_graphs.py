@@ -7,6 +7,7 @@ import pytest
 
 import spnkit as sk
 from spnkit.errors import ValidationError
+from spnkit.graphs import _efficiency_from_distances
 
 import oracles
 
@@ -183,6 +184,45 @@ class TestGlobalEfficiency:
     def test_needs_two_nodes(self):
         with pytest.raises(ValidationError):
             sk.global_efficiency(sk.BinaryGraph.from_adjacency(np.zeros((1, 1))))
+
+
+class TestEfficiencySum:
+    """The one-pass sum shared by global, local and weighted efficiency
+    against the boolean-mask sum, bit for bit."""
+
+    SIZES = list(range(2, 41)) + [112]
+
+    @staticmethod
+    def assert_same_sum(dist):
+        assert repr(_efficiency_from_distances(dist)) == repr(oracles.efficiency_masked(dist))
+
+    @pytest.mark.parametrize("density", [0.1, 0.4, 0.9])
+    def test_hop_matrices(self, density):
+        rng = np.random.default_rng(int(density * 10))
+        for n in self.SIZES:
+            self.assert_same_sum(sk.shortest_paths_unweighted(random_binary(rng, n, density)).dist)
+
+    @pytest.mark.parametrize("density", [0.2, 0.6, 1.0])
+    def test_weighted_matrices(self, density):
+        rng = np.random.default_rng(int(density * 10) + 50)
+        for n in self.SIZES:
+            g = random_weighted(rng, n, density=density, low=0.05)
+            self.assert_same_sum(sk.shortest_paths_weighted(g).dist)
+
+    def test_disconnected_matrices(self):
+        rng = np.random.default_rng(60)
+        for n in self.SIZES:
+            # no edge joins the nodes before ``cut`` to those after it
+            cut = int(rng.integers(1, n))
+            w = random_weighted(rng, n, density=0.5).weights.copy()
+            w[:cut, cut:] = w[cut:, :cut] = 0.0
+            weighted = sk.shortest_paths_weighted(sk.WeightedGraph.from_matrix(w)).dist
+            hops = sk.shortest_paths_unweighted(sk.threshold(w, 0.0)).dist
+            for dist in (weighted, hops):
+                assert np.isinf(dist[0, n - 1])
+                self.assert_same_sum(dist)
+            self.assert_same_sum(sk.shortest_paths_unweighted(
+                sk.BinaryGraph.from_adjacency(np.zeros((n, n)))).dist)
 
 
 class TestLocalEfficiency:

@@ -251,6 +251,21 @@ def edit_manifest(path, change) -> None:
     path.write_text(json.dumps(payload))
 
 
+class TestProfileLevelRefusal:
+    @pytest.mark.parametrize("metric", ["modularity_q", "modularity_count"])
+    @pytest.mark.parametrize("via", ["flag", "manifest"])
+    def test_modularity_at_k_zero_names_condition_and_level(self, small_manifest, tmp_path,
+                                                            capsys, metric, via):
+        args = ["density-profile", "--manifest", str(small_manifest), "--abs", "--metric", metric]
+        if via == "flag":
+            args += ["--grid", "0,2"]
+        else:
+            edit_manifest(small_manifest, lambda p: p.update(options={"density_grid": [0, 2]}))
+        err = refused(capsys, args, tmp_path / "out")
+        assert err == ("error: density profile of condition 'rest': density level k=0: "
+                       "greedy modularity needs at least one edge\n")
+
+
 class TestSignedInputRefusal:
     @pytest.fixture
     def signed_manifest(self, tmp_path):
