@@ -49,7 +49,6 @@ from .io import (
     load_node_signals,
     parse_manifest,
     report_pipeline,
-    standardize_weights,
 )
 from .modularity import (
     Partition,

@@ -57,10 +57,8 @@ def _resolve_options(args, options: spnio.ManifestOptions) -> None:
     commands and the run log see the values the run uses."""
     if hasattr(args, "base_rate") and args.base_rate is None:
         args.base_rate = options.base_rate
-    if hasattr(args, "standardize"):
-        args.standardize = args.standardize or options.standardize
-        if not args.grid and options.density_grid is not None:
-            args.grid = list(options.density_grid)
+    if hasattr(args, "grid") and not args.grid and options.density_grid is not None:
+        args.grid = list(options.density_grid)
 
 
 def _condition_index(conditions: tuple[str, ...], value: str) -> int:
@@ -108,8 +106,8 @@ def cmd_metrics(args, data, out: Path) -> str:
 
 
 def cmd_density_profile(args, data, out: Path) -> str:
-    spnio.step_density_profiles(data, out, "", "abs" if args.abs else "error",
-                                args.standardize, args.metric, _profile_grid(args))
+    spnio.step_density_profiles(data, out, "", "abs" if args.abs else "error", args.metric,
+                                _profile_grid(args))
     return f"density profiles ({args.metric}) for {data.n_conditions} conditions"
 
 
@@ -134,7 +132,6 @@ def cmd_report(args, data, out: Path) -> str:
         base_rate=args.base_rate,
         correction=args.correction,
         negatives="abs" if args.abs else "error",
-        standardize=args.standardize,
         metric=args.metric,
         density_grid=_profile_grid(args),
         fmt=args.format,
@@ -170,7 +167,7 @@ def run(args) -> int:
             summary = args.func(args, data, staging)
         degenerate = [str(w.message) for w in caught
                       if issubclass(w.category, DegenerateStatisticsWarning)]
-        if args.strict and degenerate:
+        if getattr(args, "strict", False) and degenerate:
             raise DegenerateStatisticsError("; ".join(degenerate))
         config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
         spnio.write_run_log(staging, args.name, config, [str(w.message) for w in caught],
@@ -194,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=".", help="output directory (default: .)")
-    common.add_argument("--strict", action="store_true",
-                        help="treat degenerate statistics as an error (exit 4)")
     # one parent per flag group; each subcommand takes the groups it reads
     with_manifest = argparse.ArgumentParser(add_help=False)
     with_manifest.add_argument("--manifest", required=True, help="dataset manifest (JSON)")
@@ -203,6 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     with_tests.add_argument("--base-rate", type=float, default=None,
                             help="FDR base rate (default 0.05 or manifest option)")
     with_tests.add_argument("--correction", choices=CORRECTIONS, default="fdr")
+    with_tests.add_argument("--strict", action="store_true",
+                            help="treat degenerate statistics as an error (exit 4)")
     with_abs = argparse.ArgumentParser(add_help=False)
     with_abs.add_argument("--abs", action="store_true",
                           help="take absolute values of signed associations")
@@ -212,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     with_profile.add_argument("--metric", choices=sorted(density_mod.METRICS),
                               default="global_efficiency")
     with_profile.add_argument("--grid", default=None, help="density grid: '1,2,3' or 'start:stop[:step]'")
-    with_profile.add_argument("--standardize", action="store_true")
     with_sweep = argparse.ArgumentParser(add_help=False)
     with_sweep.add_argument("--n-v", type=int, default=112)
     with_sweep.add_argument("--replicates", type=int, default=100)

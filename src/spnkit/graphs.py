@@ -144,7 +144,7 @@ class WeightedGraph:
             i, j = np.unravel_index(np.argmin(w), w.shape)
             raise ValidationError(
                 f"weights: negative entry {float(w[i, j])!r} at ({i},{j}); "
-                "standardize signed association matrices first"
+                "build signed association matrices with negatives='abs' (--abs)"
             )
         labels, coords = _node_metadata(
             self.node_labels, self.node_coords, w.shape[0], "weight matrix")
@@ -244,6 +244,8 @@ def threshold(matrix, tau: float) -> BinaryGraph:
     An edge (i, j) is kept iff matrix[i, j] > tau (strict), so tau = 0
     drops zero entries of a nonnegative matrix.
     """
+    if np.isnan(tau):  # every comparison with NaN is false, so no edge would be kept
+        raise ValidationError(f"threshold tau must be a number, got {tau!r}")
     if isinstance(matrix, WeightedGraph):
         m, labels, coords = matrix.weights, matrix.node_labels, matrix.node_coords
     else:

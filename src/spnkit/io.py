@@ -1,4 +1,4 @@
-"""Dataset ingestion, weight standardization, exporters, and the report pipeline.
+"""Dataset ingestion, exporters, and the report pipeline.
 
 Matrix files are headerless comma-separated full square matrices.  A
 manifest (JSON, ``"schema": 1``) names subjects, gradient-ordered
@@ -45,7 +45,6 @@ EXPORT_FORMATS = ("dot", "json", "csv")
 
 @dataclass(frozen=True)
 class ManifestOptions:
-    standardize: bool = False
     base_rate: float = 0.05
     density_grid: tuple[int, ...] | None = None
 
@@ -156,7 +155,6 @@ def parse_manifest(path) -> Manifest:
     if not 0.0 < base_rate < 1.0:
         raise SchemaError(f"{path}: options.base_rate must lie in (0, 1), got {base_rate!r}")
     options = ManifestOptions(
-        standardize=typed(opts.get("standardize", False), bool, "options.standardize"),
         base_rate=base_rate,
         density_grid=tuple(grid) if grid is not None else None,
     )
@@ -292,26 +290,6 @@ def _cell_graphs(data: StudyDataset, negatives: str):
                 matrix, data.node_labels, None, negatives,
                 f"association matrix of subject {subject!r}, condition {condition!r}",
             )
-
-
-def standardize_weights(g: WeightedGraph) -> WeightedGraph:
-    """Min-max rescale positive weights onto (0, 1]; zero entries stay zero.
-
-    Strictly increasing on positives, so per-density edge selections are
-    unchanged.
-    """
-    w = g.weights
-    pos = w > 0
-    values = w[pos]
-    if np.unique(values).size < 2:
-        raise ValidationError(
-            "standardization needs at least two distinct positive weights"
-        )
-    w_min, w_max = float(values.min()), float(values.max())
-    delta = (w_max - w_min) * 1e-6
-    out = np.zeros_like(w)
-    out[pos] = (w[pos] - w_min + delta) / (w_max - w_min + delta)
-    return WeightedGraph(g.node_labels, out, g.node_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +580,7 @@ def step_differential_spn(data: StudyDataset, out: Path, prefix: str,
 
 
 def step_density_profiles(data: StudyDataset, out: Path, prefix: str, negatives: str,
-                          standardize: bool, metric: str, density_grid):
+                          metric: str, density_grid):
     """Step 4: density-integrated metric profiles of each condition-mean matrix."""
     metric_fn = density_mod.metric_by_name(metric)
     profiles, profile_rows, summary_rows = {}, [], []
@@ -611,8 +589,6 @@ def step_density_profiles(data: StudyDataset, out: Path, prefix: str, negatives:
             condition_mean_matrix(data, ci), data.node_labels, None, negatives,
             f"condition-mean association matrix of condition {condition!r}",
         )
-        if standardize:
-            g = standardize_weights(g)
         try:
             profile = density_mod.density_integrated_metric(g, metric_fn, grid=density_grid)
         except ValidationError as exc:
@@ -635,7 +611,6 @@ def report_pipeline(
     base_rate: float = 0.05,
     correction: str = "fdr",
     negatives: str = "error",
-    standardize: bool = False,
     metric: str = "global_efficiency",
     density_grid=None,
     fmt: str = "json",
@@ -662,7 +637,7 @@ def report_pipeline(
         differential, written = step_differential_spn(data, out, "03_", base_rate, correction, fmt)
         paths += written
         profiles, written = step_density_profiles(
-            data, out, "04_", negatives, standardize, metric, density_grid)
+            data, out, "04_", negatives, metric, density_grid)
         paths += written
     return ReportBundle(
         density_table=tuple(table),

@@ -73,6 +73,9 @@ def modularity_q(g: BinaryGraph, assignment) -> float:
     if m == 0:
         raise ValidationError("modularity is undefined for an edgeless graph")
     labels = np.asarray(assignment)
+    if labels.shape != (g.n_nodes,):
+        raise ValidationError(
+            f"assignment has {labels.size} entries for a graph of {g.n_nodes} nodes")
     a = g.adjacency.astype(float)
     degrees = a.sum(axis=1)
     q = 0.0
@@ -252,6 +255,11 @@ def _child_seed(master: int, grid_index: int, replicate: int) -> int:
     return int(np.random.SeedSequence((master, grid_index, replicate)).generate_state(1)[0])
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+
+
 def _row(parameter: int, counts) -> SweepRow:
     values = np.asarray(counts, dtype=float)
     sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
@@ -281,6 +289,7 @@ def randomness_sweep(
     For each rewiring count in the grid, ``replicates`` independently
     seeded rewirings of the same base lattice are clustered.
     """
+    _check_seed(seed)
     base = ring_lattice(n_v, n_e)
     rows = _sweep(rewiring_grid, replicates, "rewiring",
                   lambda gi, steps, r: rewire(base, steps, _child_seed(seed, gi, r)))
@@ -295,6 +304,7 @@ def edges_sweep(
     Lattice generation is deterministic, so its rows collapse to a
     single evaluation (recorded replicates = 1, sd = 0).
     """
+    _check_seed(seed)
     if topology not in TOPOLOGIES:
         raise ValidationError(f"topology must be 'lattice' or 'random', got {topology!r}")
     if topology == "lattice":

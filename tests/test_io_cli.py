@@ -1,4 +1,4 @@
-"""Manifest loading, standardization, exporters, report bundle, and the CLI."""
+"""Manifest loading, exporters, report bundle, and the CLI."""
 
 import collections
 import csv
@@ -82,6 +82,13 @@ def run_cli(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sk.DegenerateStatisticsWarning)
         return cli_main(args)
+
+
+# small simulate runs carrying every required flag
+SIMULATE_REWIRE = ["simulate", "rewire", "--n-v", "10", "--n-e", "15", "--grid", "0,5",
+                   "--replicates", "2"]
+SIMULATE_EDGES = ["simulate", "edges", "--n-v", "10", "--topology", "random",
+                  "--edge-grid", "5,15", "--replicates", "2"]
 
 
 class TestLoadDataset:
@@ -321,8 +328,6 @@ class TestManifestErrors:
         (lambda p: p.update(signal_files={"s1": ["a.csv"]}),
          "signal_files['s1'] must be an object, got a list"),
         (lambda p: p.update(options=[]), "options must be an object, got a list"),
-        (lambda p: p.update(options={"standardize": "false"}),
-         "options.standardize must be a boolean, got a string"),
         (lambda p: p.update(options={"base_rate": "0.01"}),
          "options.base_rate must be a number, got a string"),
         (lambda p: p["nodes"].update(labels=["A", "B", "A"]),
@@ -441,47 +446,11 @@ class TestInputErrorBranches:
         err = refused(capsys, ["spn", "diff", "--manifest", str(small_manifest)], tmp_path / "out")
         assert f"{tmp_path / 's2_rest.csv'}: expected a square matrix, got shape (2, 3)" in err
 
-
-class TestStandardizeWeights:
-    def test_order_preserved_and_max_maps_to_one(self):
-        m = np.zeros((3, 3))
-        m[0, 1] = m[1, 0] = 0.2
-        m[0, 2] = m[2, 0] = 0.6
-        m[1, 2] = m[2, 1] = 1.0
-        g = sk.standardize_weights(sk.WeightedGraph.from_matrix(m))
-        w = g.weights
-        assert w[1, 2] == 1.0
-        assert 0.0 < w[0, 1] < w[0, 2] < w[1, 2]
-        # monotonicity oracle: sort orders agree
-        before = np.argsort(m[np.triu_indices(3, 1)])
-        after = np.argsort(w[np.triu_indices(3, 1)])
-        assert np.array_equal(before, after)
-
-    def test_proportional_matrices_standardize_identically(self):
-        rng = np.random.default_rng(1)
-        w = np.zeros((5, 5))
-        iu = np.triu_indices(5, 1)
-        w[iu] = rng.uniform(0.1, 1.0, len(iu[0]))
-        w = w + w.T
-        a = sk.standardize_weights(sk.WeightedGraph.from_matrix(w)).weights
-        b = sk.standardize_weights(sk.WeightedGraph.from_matrix(2.5 * w)).weights
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_per_density_selections_unchanged(self):
-        rng = np.random.default_rng(2)
-        w = np.zeros((6, 6))
-        iu = np.triu_indices(6, 1)
-        vals = rng.uniform(0.1, 1.0, len(iu[0]))
-        vals[rng.random(len(vals)) < 0.3] = 0.0
-        w[iu] = vals
-        g = sk.WeightedGraph.from_matrix(w + w.T)
-        s = sk.standardize_weights(g)
-        for k in range(len(g.positive_edges()) + 1):
-            assert sk.density_threshold(g, k).edges() == sk.density_threshold(s, k).edges()
-
-    def test_all_equal_positive_weights_rejected(self):
-        with pytest.raises(ValidationError):
-            sk.standardize_weights(sk.WeightedGraph.from_matrix(hollow(4, 0.5)))
+    def test_nan_tau_is_refused(self, small_manifest, tmp_path, capsys):
+        # every comparison with NaN is false, so it would write edgeless metrics
+        err = refused(capsys, ["metrics", "--manifest", str(small_manifest), "--tau", "nan"],
+                      tmp_path / "out")
+        assert "threshold tau must be a number, got nan" in err
 
 
 class TestExporters:
@@ -768,6 +737,15 @@ class TestCli:
         assert "grid is empty" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        SIMULATE_REWIRE,
+        SIMULATE_EDGES,
+        [*SIMULATE_EDGES, "--topology", "lattice"],
+    ], ids=["rewire", "edges-random", "edges-lattice"])
+    def test_negative_seed_is_refused(self, tmp_path, capsys, args):
+        err = refused(capsys, [*args, "--seed", "-1"], tmp_path / "out")
+        assert "seed must be nonnegative, got -1" in err
+
     def test_empty_density_grid_means_the_default(self, small_manifest, tmp_path):
         m = ["density-profile", "--manifest", str(small_manifest)]
         assert run_cli([*m, "--grid", "", "--out-dir", str(tmp_path / "a")]) == 0
@@ -798,15 +776,19 @@ class TestCli:
         assert code == 3
 
     def test_exit_code_4_on_degenerate_statistics_under_strict(self, tmp_path):
-        corr = [[hollow(3, 0.3)], [hollow(3, 0.3)]]
-        manifest = build_manifest(tmp_path, corr, ["A", "B", "C"], ["only"], ["s1", "s2"])
-        code = run_cli(["spn", "mean", "--manifest", str(manifest), "--condition", "only",
-                        "--out-dir", str(tmp_path / "o"), "--strict"])
-        assert code == 4
-        # without --strict the same run degrades to a warning and succeeds
-        code = run_cli(["spn", "mean", "--manifest", str(manifest), "--condition", "only",
-                        "--out-dir", str(tmp_path / "o2")])
-        assert code == 0
+        # a constant dataset: zero grand SD, and every fit has zero residual
+        corr = [[hollow(3, 0.3)] * 2] * 2
+        signals = [[[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]]] * 2
+        manifest = build_manifest(tmp_path, corr, ["A", "B", "C"], ["rest", "task"],
+                                  ["s1", "s2"], signals=signals)
+        for i, command in enumerate((["spn", "mean", "--condition", "rest"],
+                                     ["spn", "node-diff"], ["report"])):
+            args = [*command, "--manifest", str(manifest)]
+            strict = tmp_path / f"strict-{i}"
+            assert run_cli([*args, "--strict", "--out-dir", str(strict)]) == 4, command
+            assert not strict.exists()
+            # without --strict the same run degrades to a warning and succeeds
+            assert run_cli([*args, "--out-dir", str(tmp_path / f"lax-{i}")]) == 0, command
 
     def test_import_leaves_the_heavy_scipy_modules_unloaded(self):
         # scipy.special and scipy.sparse.csgraph are imported by the functions
@@ -950,7 +932,7 @@ class TestOnePipeline:
             a, b = tmp_path / f"{command[0]}-a", tmp_path / f"{command[0]}-b"
             assert run_cli([*command, "--manifest", str(with_options), "--abs",
                             "--out-dir", str(a)]) == 0
-            assert run_cli([*command, "--manifest", str(plain), "--abs", "--standardize",
+            assert run_cli([*command, "--manifest", str(plain), "--abs",
                             "--grid", "1,3,5", "--out-dir", str(b)]) == 0
             names = sorted(p.name for p in a.iterdir())
             assert names == sorted(p.name for p in b.iterdir())
@@ -960,13 +942,12 @@ class TestOnePipeline:
             lines = (a / "run_log.txt").read_text().splitlines()
             assert lines[0] == command[0]
             config = json.loads(lines[1][len("config: "):])
-            assert config["standardize"] is True
             assert config["grid"] == [1, 3, 5]
             if command == ["report"]:
                 assert config["base_rate"] == 0.05
             else:  # density-profile tests no hypotheses, so it takes no --base-rate
                 assert "base_rate" not in config
-            assert "seed" not in config
+            assert "seed" not in config and "standardize" not in config
             assert lines.count("wrote: run_log.txt") == 0
 
     def test_zero_residual_fit_is_degenerate(self, tmp_path):
@@ -995,13 +976,22 @@ class TestOnePipeline:
         (["metrics"], ["--correction", "none"]),
         (["density-profile"], ["--base-rate", "0.01"]),
         (["density-profile"], ["--correction", "none"]),
+        (["density-profile"], ["--standardize"]),
+        (["report"], ["--standardize"]),
+        (["metrics"], ["--strict"]),
+        (["density-profile"], ["--strict"]),
+        (SIMULATE_REWIRE, ["--strict"]),
+        (SIMULATE_EDGES, ["--strict"]),
     ], ids=["spn-mean-abs", "spn-diff-abs", "spn-node-diff-abs", "metrics-base-rate",
-            "metrics-correction", "density-profile-base-rate", "density-profile-correction"])
+            "metrics-correction", "density-profile-base-rate", "density-profile-correction",
+            "density-profile-standardize", "report-standardize", "metrics-strict",
+            "density-profile-strict", "simulate-rewire-strict", "simulate-edges-strict"])
     def test_flags_belong_to_the_subcommands_that_read_them(self, small_manifest, tmp_path,
                                                             capsys, command, flag):
         out = tmp_path / "out"
+        manifest = [] if command[0] == "simulate" else ["--manifest", str(small_manifest)]
         with pytest.raises(SystemExit) as exit_:
-            run_cli([*command, "--manifest", str(small_manifest), *flag, "--out-dir", str(out)])
+            run_cli([*command, *manifest, *flag, "--out-dir", str(out)])
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()

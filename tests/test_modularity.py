@@ -105,6 +105,12 @@ class TestGreedyModularity:
             sk.modularity_q(sk.BinaryGraph.from_adjacency(np.zeros((3, 3))), [0, 1, 2])
         assert str(err.value) == "modularity is undefined for an edgeless graph"
 
+    @pytest.mark.parametrize("assignment", [[0, 0, 1], [0, 0, 1, 1, 2]], ids=["short", "long"])
+    def test_modularity_q_refuses_an_assignment_of_the_wrong_length(self, assignment):
+        with pytest.raises(ValidationError) as err:
+            sk.modularity_q(disjoint_cliques(2, 2), assignment)
+        assert str(err.value) == f"assignment has {len(assignment)} entries for a graph of 4 nodes"
+
     def test_partition_ids_contiguous(self):
         g = disjoint_cliques(3, 3)
         part = sk.greedy_modularity(g)
