@@ -25,7 +25,6 @@ from .errors import (
 )
 from .graphs import (
     BinaryGraph,
-    DistanceMatrix,
     UNREACHABLE,
     WeightedGraph,
     global_efficiency,

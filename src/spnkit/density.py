@@ -36,18 +36,18 @@ _PROFILE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class DensityProfile:
-    """A metric evaluated along a grid of density levels plus its expectation.
+    """A metric evaluated along a grid of density levels, and its expectation.
 
-    ``densities`` are edge counts k, ``values`` the metric at each k,
-    ``weights`` the probability mass p(k) (sums to 1), and ``integrated``
-    the dot product of values and weights.  The arrays are frozen copies
-    of those given.
+    ``densities`` are edge counts k, ``values`` the metric at each k and
+    ``weights`` the probability mass p(k): nonnegative, summing to 1.  The
+    arrays are frozen copies of those given.  ``integrated``, the
+    expectation dot(values, weights), is derived from them, so it cannot
+    disagree with them.
     """
 
     densities: tuple[int, ...]
     values: np.ndarray
     weights: np.ndarray
-    integrated: float
 
     def __post_init__(self):
         densities = tuple(int(k) for k in self.densities)
@@ -55,43 +55,46 @@ class DensityProfile:
         weights = np.array(self.weights, dtype=float)
         if not (len(densities) == values.size == weights.size):
             raise ValidationError("densities, values, and weights must have equal length")
-        if np.any(weights < 0):
-            raise ValidationError("probability masses must be nonnegative")
-        if abs(weights.sum() - 1.0) > _PROFILE_TOL:
+        # written so that a NaN mass fails: every comparison with NaN is false
+        if not abs(weights.sum() - 1.0) <= _PROFILE_TOL:
             raise ValidationError(f"probability masses sum to {float(weights.sum())!r}, not 1")
-        if abs(float(values @ weights) - self.integrated) > _PROFILE_TOL:
-            raise ValidationError("integrated value does not match dot(values, weights)")
+        if not np.all(weights >= 0):
+            raise ValidationError("probability masses must be nonnegative")
         values.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "densities", densities)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "integrated", float(self.integrated))
+
+    @property
+    def integrated(self) -> float:
+        return float(self.values @ self.weights)
 
 
-def ranked_edges(g: WeightedGraph) -> list[tuple[int, int, float]]:
-    """Positive edges as (i, j, w), i < j, sorted strongest first; ties by
-    lexicographic (i, j)."""
+def ranked_edges(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The positive edges (i, j), i < j, as two int arrays ``(rows, cols)``,
+    strongest first; ties by lexicographic (i, j)."""
     i, j = np.triu_indices(g.n_nodes, k=1)
     w = g.weights[i, j]
     keep = w > 0
     i, j, w = i[keep], j[keep], w[keep]
     order = np.lexsort((j, i, -w))
-    return list(zip(i[order].tolist(), j[order].tolist(), w[order].tolist()))
+    return i[order], j[order]
 
 
-def _graph_from_prefix(g: WeightedGraph, order, k: int) -> BinaryGraph:
+def _prefix_graph(g: WeightedGraph, rows: np.ndarray, cols: np.ndarray, k: int) -> BinaryGraph:
+    """The graph of the first k ranked edges."""
     adjacency = np.zeros((g.n_nodes, g.n_nodes), dtype=np.uint8)
-    for i, j, _ in order[:k]:
-        adjacency[i, j] = adjacency[j, i] = 1
+    adjacency[rows[:k], cols[:k]] = 1
+    adjacency[cols[:k], rows[:k]] = 1
     return BinaryGraph(g.node_labels, adjacency, g.node_coords)
 
 
 def density_threshold(g: WeightedGraph, k: int) -> BinaryGraph:
     """Unweighted graph of exactly the k largest-weight edges."""
-    order = ranked_edges(g)
-    (k,) = _validated_grid(g, [k], len(order))
-    return _graph_from_prefix(g, order, k)
+    rows, cols = ranked_edges(g)
+    (k,) = _validated_grid(g, [k], rows.size)
+    return _prefix_graph(g, rows, cols, k)
 
 
 def _validated_grid(g: WeightedGraph, grid, n_positive: int) -> list[int]:
@@ -102,7 +105,7 @@ def _validated_grid(g: WeightedGraph, grid, n_positive: int) -> list[int]:
         raise ValidationError("density grid is empty")
     limit = max_edge_count(g.n_nodes)
     for k in ks:
-        if not isinstance(k, (int, np.integer)):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
             raise ValidationError(f"density level k must be an integer, got {k!r}")
         if k < 0 or k > limit:
             raise ValidationError(f"density level k={k} outside 0..{limit}")
@@ -114,8 +117,9 @@ def _validated_grid(g: WeightedGraph, grid, n_positive: int) -> list[int]:
     return [int(k) for k in ks]
 
 
-def _efficiency_levels(order, n: int, levels: list[int]) -> dict[int, float]:
-    # Global efficiency of each prefix of ``order`` at the ascending
+def _efficiency_levels(rows: np.ndarray, cols: np.ndarray, n: int,
+                       levels: list[int]) -> dict[int, float]:
+    # Global efficiency of each ranked-edge prefix at the ascending
     # ``levels``, from hop counts updated edge by edge.  Once a level has
     # diameter at most two, every later one does too, and each off-diagonal
     # inverse distance is 1 (the 2k ordered pairs joined by an edge) or 1/2.
@@ -130,7 +134,7 @@ def _efficiency_levels(order, n: int, levels: list[int]) -> dict[int, float]:
     diameter_two = False
     for k in levels:
         if not diameter_two:
-            for i, j, _ in order[filled:k]:
+            for i, j in zip(rows[filled:k].tolist(), cols[filled:k].tolist()):
                 _insert_edge(dist, i, j)
             filled = k
             diameter_two = bool(dist.max() <= 2.0)
@@ -142,28 +146,21 @@ def _efficiency_levels(order, n: int, levels: list[int]) -> dict[int, float]:
 
 
 def _profile_values(
-    g: WeightedGraph, order, ks: Sequence[int], metric: Callable[[BinaryGraph], float]
+    g: WeightedGraph, rows: np.ndarray, cols: np.ndarray, ks: Sequence[int],
+    metric: Callable[[BinaryGraph], float],
 ) -> np.ndarray:
-    # One walk over the ranked edges, evaluating each distinct k once.
-    # Global efficiency (the module name, looked up per call, so a wrapper
-    # put in its place and in METRICS keeps this path) has its own kernel;
-    # any other metric gets a BinaryGraph per level, whose constructor
-    # checks and copies the adjacency, so the walk goes on filling the same
-    # array.  A 1-node graph takes the generic path, where
-    # global_efficiency itself refuses it.
-    n = g.n_nodes
+    # Each distinct k is evaluated once.  Global efficiency (the module
+    # name, looked up per call, so a wrapper put in its place and in
+    # METRICS keeps this path) has its own kernel; any other metric gets
+    # the level's graph from _prefix_graph.  A 1-node graph takes the
+    # generic path, where global_efficiency itself refuses it.
     levels = sorted(set(ks))
-    if metric is global_efficiency and n > 1:
-        by_k = _efficiency_levels(order, n, levels)
+    if metric is global_efficiency and g.n_nodes > 1:
+        by_k = _efficiency_levels(rows, cols, g.n_nodes, levels)
     else:
-        adjacency = np.zeros((n, n), dtype=np.uint8)
         by_k = {}
-        filled = 0
         for k in levels:
-            for i, j, _ in order[filled:k]:
-                adjacency[i, j] = adjacency[j, i] = 1
-            filled = k
-            graph = BinaryGraph(g.node_labels, adjacency)
+            graph = _prefix_graph(g, rows, cols, k)
             try:
                 by_k[k] = float(metric(graph))
             except ValidationError as exc:
@@ -181,21 +178,18 @@ def density_integrated_metric(
 
     The default grid is every realizable density k = 1 .. (number of
     positive edges) with uniform mass; a custom grid may include k = 0
-    and a custom mass must sum to 1.
+    and a custom mass must be nonnegative and sum to 1 (DensityProfile
+    checks it).
     """
-    order = ranked_edges(g)
-    ks = _validated_grid(g, grid, len(order))
+    rows, cols = ranked_edges(g)
+    ks = _validated_grid(g, grid, rows.size)
     if mass is None:
         weights = np.full(len(ks), 1.0 / len(ks))
     else:
         weights = np.asarray(mass, dtype=float)
         if weights.size != len(ks):
             raise ValidationError("mass must have one entry per grid density")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > _PROFILE_TOL:
-            raise ValidationError("mass must be nonnegative and sum to 1")
-    values = _profile_values(g, order, ks, metric)
-    integrated = float(values @ weights)
-    return DensityProfile(tuple(ks), values, weights, integrated)
+    return DensityProfile(tuple(ks), _profile_values(g, rows, cols, ks, metric), weights)
 
 
 def verify_monotone_invariance(g: WeightedGraph, h: Callable[[float], float]) -> bool:

@@ -224,20 +224,6 @@ class BinaryGraph:
         return self.adjacency.sum(axis=1).astype(int)
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """All-pairs shortest path lengths; unreachable pairs hold ``UNREACHABLE``."""
-
-    dist: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dist", _freeze(np.asarray(self.dist, dtype=float)))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.dist.shape[0]
-
-
 def threshold(matrix, tau: float) -> BinaryGraph:
     """Binarize a symmetric hollow association matrix at cut-off ``tau``.
 
@@ -296,13 +282,16 @@ def _insert_edge(dist: np.ndarray, u: int, v: int) -> None:
     dist[y, x] = shorter
 
 
-def shortest_paths_unweighted(g: BinaryGraph) -> DistanceMatrix:
-    """Hop-count shortest paths; disconnected graphs allowed."""
-    return DistanceMatrix(_hop_distances(g.adjacency))
+def shortest_paths_unweighted(g: BinaryGraph) -> np.ndarray:
+    """All-pairs hop counts as a read-only (n, n) float array; unreachable
+    pairs hold ``UNREACHABLE``.  Disconnected graphs are allowed."""
+    return _freeze(_hop_distances(g.adjacency))
 
 
-def shortest_paths_weighted(g: WeightedGraph) -> DistanceMatrix:
-    """Weighted shortest paths where traversing an edge costs 1/w.
+def shortest_paths_weighted(g: WeightedGraph) -> np.ndarray:
+    """All-pairs weighted shortest path lengths, where traversing an edge
+    costs 1/w, as a read-only (n, n) float array; unreachable pairs hold
+    ``UNREACHABLE``.
 
     Stronger connections are shorter; zero-weight pairs carry no edge.
     """
@@ -313,8 +302,7 @@ def shortest_paths_weighted(g: WeightedGraph) -> DistanceMatrix:
     lengths = np.zeros_like(w)
     pos = w > 0
     lengths[pos] = 1.0 / w[pos]
-    d = shortest_path(lengths, method="D", directed=False, unweighted=False)
-    return DistanceMatrix(d)
+    return _freeze(shortest_path(lengths, method="D", directed=False, unweighted=False))
 
 
 def _efficiency_from_distances(dist: np.ndarray) -> float:
@@ -363,7 +351,7 @@ def weighted_efficiency(g: WeightedGraph) -> float:
     """Mean inverse weighted shortest-path length over ordered node pairs."""
     if g.n_nodes < 2:
         raise ValidationError("weighted_efficiency needs at least 2 nodes")
-    return _efficiency_from_distances(shortest_paths_weighted(g).dist)
+    return _efficiency_from_distances(shortest_paths_weighted(g))
 
 
 def weighted_density(g: WeightedGraph) -> float:

@@ -175,6 +175,7 @@ def ring_lattice(n_v: int, n_e: int) -> BinaryGraph:
 
 def random_graph(n_v: int, n_e: int, seed: int) -> BinaryGraph:
     """Uniform simple graph: ``n_e`` distinct node pairs sampled without replacement."""
+    _check_seed(seed)
     limit = _check_generator_args(n_v, n_e)
     rng = np.random.default_rng(seed)
     chosen = rng.choice(limit, size=n_e, replace=False)
@@ -219,6 +220,7 @@ def rewire(g: BinaryGraph, steps: int, seed: int) -> BinaryGraph:
     scalar ``rng.integers`` call each, taken from batched uint32 draws of
     ``default_rng(seed)``.
     """
+    _check_seed(seed)
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
     if steps == 0:

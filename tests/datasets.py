@@ -1,4 +1,6 @@
-"""Synthetic dataset builders shared by the SPN and acceptance tests."""
+"""Synthetic dataset builders shared by the SPN, acceptance, CLI and README tests."""
+
+import json
 
 import numpy as np
 
@@ -58,3 +60,42 @@ def signal_dataset(values: np.ndarray) -> NodeSignalDataset:
         condition_labels=tuple(f"c{c}" for c in range(j)),
         subject_ids=tuple(f"s{i}" for i in range(n)),
     )
+
+
+def write_matrix(path, m):
+    path.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in m) + "\n")
+
+
+def build_manifest(tmp_path, corr, labels, conditions, subjects,
+                   coords=None, signals=None, options=None):
+    """Write matrix CSVs plus a schema-1 manifest; returns the manifest path."""
+    files = {}
+    for si, s in enumerate(subjects):
+        files[s] = {}
+        for ci, c in enumerate(conditions):
+            name = f"{s}_{c}.csv"
+            write_matrix(tmp_path / name, corr[si][ci])
+            files[s][c] = name
+    payload = {
+        "schema": 1,
+        "subjects": list(subjects),
+        "conditions": list(conditions),
+        "nodes": {"labels": list(labels), "coords": coords},
+        "files": files,
+    }
+    if signals is not None:
+        signal_files = {}
+        for si, s in enumerate(subjects):
+            signal_files[s] = {}
+            for ci, c in enumerate(conditions):
+                name = f"{s}_{c}_signal.csv"
+                (tmp_path / name).write_text(
+                    ",".join(repr(float(x)) for x in signals[si][ci]) + "\n"
+                )
+                signal_files[s][c] = name
+        payload["signal_files"] = signal_files
+    if options is not None:
+        payload["options"] = options
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(payload, indent=2))
+    return path

@@ -68,6 +68,15 @@ class TestDensityThreshold:
             with pytest.raises(ValidationError, match="must be an integer"):
                 sk.density_integrated_metric(g, sk.global_efficiency, grid=grid)
 
+    def test_boolean_levels_refused_on_both_paths(self):
+        g = triangle()
+        with pytest.raises(ValidationError) as err:
+            sk.density_threshold(g, True)
+        assert str(err.value) == "density level k must be an integer, got True"
+        with pytest.raises(ValidationError) as err:
+            sk.density_integrated_metric(g, sk.global_efficiency, grid=[True, 2])
+        assert str(err.value) == "density level k must be an integer, got True"
+
     def test_numpy_integer_levels_accepted(self):
         g = triangle()
         assert sk.density_threshold(g, np.int64(2)).edges() == [(0, 2), (1, 2)]
@@ -100,10 +109,9 @@ class TestDensityThreshold:
             if ties:  # three distinct weights: the (i, j) rule orders most edges
                 g = sk.WeightedGraph.from_matrix(np.ceil(g.weights * 3) / 3)
             expected = sorted(g.positive_edges(), key=lambda e: (-e[2], e[0], e[1]))
-            ranked = density_mod.ranked_edges(g)
-            assert ranked == expected
-            assert all(type(i) is int and type(j) is int and type(w) is float
-                       for i, j, w in ranked)
+            rows, cols = density_mod.ranked_edges(g)
+            assert list(zip(rows.tolist(), cols.tolist())) == [(i, j) for i, j, _ in expected]
+            assert rows.dtype.kind == cols.dtype.kind == "i"
             m = len(expected)
             for k in sorted({0, min(1, m), m // 3, m // 2, m}):
                 assert sk.density_threshold(g, k).edges() == sorted(
@@ -171,6 +179,12 @@ class TestDensityIntegratedMetric:
         with pytest.raises(ValidationError):
             sk.density_integrated_metric(g, sk.global_efficiency, grid=[])
 
+    def test_nan_mass_is_refused(self):
+        with pytest.raises(ValidationError) as err:
+            sk.density_integrated_metric(triangle(), sk.global_efficiency, grid=[1, 2],
+                                         mass=[math.nan, math.nan])
+        assert str(err.value) == "probability masses sum to nan, not 1"
+
     def test_mass_of_the_wrong_length_is_refused(self):
         with pytest.raises(ValidationError) as err:
             sk.density_integrated_metric(triangle(), sk.global_efficiency, grid=[1, 3], mass=[1.0])
@@ -195,6 +209,26 @@ class TestDensityIntegratedMetric:
         g = triangle()
         count = sk.density_integrated_metric(g, sk.metric_by_name("modularity_count"))
         assert count.values[-1] >= 1.0
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_generic_path_sees_the_density_threshold_graphs(self, ties):
+        # any metric but global efficiency is handed each level's graph;
+        # it must be the graph density_threshold gives for that k
+        rng = np.random.default_rng(30 + ties)
+        for n in (2, 5, 12, 30):
+            g = random_weighted(rng, n, density=0.7)
+            if ties:
+                g = sk.WeightedGraph.from_matrix(np.ceil(g.weights * 3) / 3)
+            m = len(g.positive_edges())
+            seen = []
+
+            def recording(bg):
+                seen.append(bg.edges())
+                return 0.0
+
+            grid = list(range(m + 1))
+            sk.density_integrated_metric(g, recording, grid=grid)
+            assert seen == [sk.density_threshold(g, k).edges() for k in grid]
 
     @pytest.mark.parametrize("name", ["modularity_count", "modularity_q"])
     def test_metric_refusal_names_the_level(self, name):
@@ -226,7 +260,7 @@ def assert_same_profile(g, grid=None):
 
 
 def hop_diameter(g, k):
-    return sk.shortest_paths_unweighted(sk.density_threshold(g, k)).dist.max()
+    return sk.shortest_paths_unweighted(sk.density_threshold(g, k)).max()
 
 
 class TestIncrementalGlobalEfficiency:
@@ -261,7 +295,7 @@ class TestIncrementalGlobalEfficiency:
         g = random_weighted(rng, 30, density=0.5)
         # a prefix of fewer than n - 1 edges cannot connect n nodes
         prefix = sk.density_threshold(g, 28)
-        assert sk.shortest_paths_unweighted(prefix).dist.max() == np.inf
+        assert sk.shortest_paths_unweighted(prefix).max() == np.inf
         assert_same_profile(g, grid=range(1, 29))
         assert_same_profile(g, grid=[3, 28, 200])
 
@@ -282,7 +316,7 @@ class TestIncrementalGlobalEfficiency:
         m = len(g.positive_edges())
         assert m == sk.max_edge_count(n)
         diameters = [
-            sk.shortest_paths_unweighted(sk.density_threshold(g, k)).dist.max()
+            sk.shortest_paths_unweighted(sk.density_threshold(g, k)).max()
             for k in range(1, m + 1)
         ]
         # the walk sees diameter > 2 (or disconnection) first, then <= 2
@@ -396,19 +430,16 @@ class TestMonotoneInvariance:
 class TestDensityProfileType:
     def test_validates_mass_sum(self):
         with pytest.raises(ValidationError):
-            sk.DensityProfile((1, 2), np.array([0.1, 0.2]), np.array([0.5, 0.4]), 0.13)
-
-    def test_validates_integrated(self):
-        with pytest.raises(ValidationError):
-            sk.DensityProfile((1, 2), np.array([0.1, 0.2]), np.array([0.5, 0.5]), 0.5)
+            sk.DensityProfile((1, 2), np.array([0.1, 0.2]), np.array([0.5, 0.4]))
 
     @pytest.mark.parametrize("values,weights,message", [
         ([0.1], [0.5, 0.5], "densities, values, and weights must have equal length"),
         ([0.1, 0.2], [-0.5, 1.5], "probability masses must be nonnegative"),
-    ], ids=["lengths", "negative-mass"])
+        ([0.1, 0.2], [math.nan, math.nan], "probability masses sum to nan, not 1"),
+    ], ids=["lengths", "negative-mass", "nan-mass"])
     def test_refusals_name_the_rule(self, values, weights, message):
         with pytest.raises(ValidationError) as err:
-            sk.DensityProfile((1, 2), np.array(values), np.array(weights), 0.0)
+            sk.DensityProfile((1, 2), np.array(values), np.array(weights))
         assert str(err.value) == message
 
     def test_callers_arrays_stay_writable_and_unshared(self):
@@ -416,7 +447,7 @@ class TestDensityProfileType:
         profile = sk.density_integrated_metric(triangle(), sk.global_efficiency, grid=[1, 3],
                                                mass=mass)
         values, weights = np.array([0.1, 0.2]), np.array([0.5, 0.5])
-        direct = sk.DensityProfile((1, 2), values, weights, 0.15)
+        direct = sk.DensityProfile((1, 2), values, weights)
         for given, kept in ((mass, profile.weights), (values, direct.values),
                             (weights, direct.weights)):
             assert given.flags.writeable

@@ -100,17 +100,17 @@ class TestShortestPathsUnweighted:
     def test_one_node_graphs_have_zero_distance(self):
         unweighted = sk.shortest_paths_unweighted(sk.BinaryGraph.from_adjacency(np.zeros((1, 1))))
         weighted = sk.shortest_paths_weighted(sk.WeightedGraph.from_matrix(np.zeros((1, 1))))
-        for d in (unweighted.dist, weighted.dist):
+        for d in (unweighted, weighted):
             np.testing.assert_array_equal(d, [[0.0]])
 
     def test_path_graph(self):
         g = sk.BinaryGraph.from_edges(3, [(0, 1), (1, 2)])
         d = sk.shortest_paths_unweighted(g)
-        assert d.dist[0, 2] == 2
+        assert d[0, 2] == 2
 
     def test_empty_graph_all_unreachable(self):
         g = sk.BinaryGraph.from_adjacency(np.zeros((3, 3)))
-        d = sk.shortest_paths_unweighted(g).dist
+        d = sk.shortest_paths_unweighted(g)
         off = ~np.eye(3, dtype=bool)
         assert np.all(np.isinf(d[off]))
 
@@ -119,18 +119,22 @@ class TestShortestPathsUnweighted:
         for _ in range(15):
             n = int(rng.integers(4, 13))
             g = random_binary(rng, n, density=0.35)
-            mine = sk.shortest_paths_unweighted(g).dist
+            mine = sk.shortest_paths_unweighted(g)
             ref = oracles.brute_force_distances(oracles.hop_lengths(g.adjacency))
             np.testing.assert_array_equal(mine, ref)
 
     def test_distance_matrix_invariants(self):
         rng = np.random.default_rng(7)
         g = random_binary(rng, 10, density=0.3)
-        d = sk.shortest_paths_unweighted(g).dist
+        d = sk.shortest_paths_unweighted(g)
         np.testing.assert_array_equal(d, d.T)
         assert np.all(np.diag(d) == 0)
         for j in range(10):  # triangle inequality, unreachable-safe
             assert np.all(d <= d[:, j, None] + d[None, j, :] + 1e-12)
+        weighted = sk.shortest_paths_weighted(random_weighted(rng, 10, density=0.3))
+        for dist in (d, weighted):
+            assert dist.dtype == float
+            assert not dist.flags.writeable
 
 
 class TestShortestPathsWeighted:
@@ -138,20 +142,20 @@ class TestShortestPathsWeighted:
         w = 0.8
         m = np.full((3, 3), w)
         np.fill_diagonal(m, 0.0)
-        d = sk.shortest_paths_weighted(sk.WeightedGraph.from_matrix(m)).dist
+        d = sk.shortest_paths_weighted(sk.WeightedGraph.from_matrix(m))
         off = ~np.eye(3, dtype=bool)
         np.testing.assert_allclose(d[off], 1.0 / w)
 
     def test_single_edge_reciprocal(self):
         g = sk.WeightedGraph.from_matrix(np.array([[0.0, 0.5], [0.5, 0.0]]))
-        assert sk.shortest_paths_weighted(g).dist[0, 1] == 2.0
+        assert sk.shortest_paths_weighted(g)[0, 1] == 2.0
 
     def test_matches_simple_path_enumeration(self):
         rng = np.random.default_rng(3)
         for _ in range(15):
             n = int(rng.integers(4, 11))
             g = random_weighted(rng, n, density=0.5)
-            mine = sk.shortest_paths_weighted(g).dist
+            mine = sk.shortest_paths_weighted(g)
             ref = oracles.brute_force_distances(oracles.reciprocal_lengths(g.weights))
             np.testing.assert_allclose(mine, ref, atol=1e-12)
 
@@ -200,14 +204,14 @@ class TestEfficiencySum:
     def test_hop_matrices(self, density):
         rng = np.random.default_rng(int(density * 10))
         for n in self.SIZES:
-            self.assert_same_sum(sk.shortest_paths_unweighted(random_binary(rng, n, density)).dist)
+            self.assert_same_sum(sk.shortest_paths_unweighted(random_binary(rng, n, density)))
 
     @pytest.mark.parametrize("density", [0.2, 0.6, 1.0])
     def test_weighted_matrices(self, density):
         rng = np.random.default_rng(int(density * 10) + 50)
         for n in self.SIZES:
             g = random_weighted(rng, n, density=density, low=0.05)
-            self.assert_same_sum(sk.shortest_paths_weighted(g).dist)
+            self.assert_same_sum(sk.shortest_paths_weighted(g))
 
     def test_disconnected_matrices(self):
         rng = np.random.default_rng(60)
@@ -216,13 +220,13 @@ class TestEfficiencySum:
             cut = int(rng.integers(1, n))
             w = random_weighted(rng, n, density=0.5).weights.copy()
             w[:cut, cut:] = w[cut:, :cut] = 0.0
-            weighted = sk.shortest_paths_weighted(sk.WeightedGraph.from_matrix(w)).dist
-            hops = sk.shortest_paths_unweighted(sk.threshold(w, 0.0)).dist
+            weighted = sk.shortest_paths_weighted(sk.WeightedGraph.from_matrix(w))
+            hops = sk.shortest_paths_unweighted(sk.threshold(w, 0.0))
             for dist in (weighted, hops):
                 assert np.isinf(dist[0, n - 1])
                 self.assert_same_sum(dist)
             self.assert_same_sum(sk.shortest_paths_unweighted(
-                sk.BinaryGraph.from_adjacency(np.zeros((n, n)))).dist)
+                sk.BinaryGraph.from_adjacency(np.zeros((n, n)))))
 
 
 class TestLocalEfficiency:

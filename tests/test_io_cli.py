@@ -20,52 +20,13 @@ from spnkit import spn as spn_mod
 from spnkit.cli import main as cli_main
 from spnkit.errors import DataError, IncompleteDesignError, SchemaError, ValidationError
 
-from datasets import planted_trend_dataset
-
-
-def write_matrix(path, m):
-    path.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in m) + "\n")
+from datasets import build_manifest, planted_trend_dataset, write_matrix
 
 
 def hollow(n, value):
     m = np.full((n, n), float(value))
     np.fill_diagonal(m, 0.0)
     return m
-
-
-def build_manifest(tmp_path, corr, labels, conditions, subjects,
-                   coords=None, signals=None, options=None):
-    """Write matrix CSVs plus a schema-1 manifest; returns the manifest path."""
-    files = {}
-    for si, s in enumerate(subjects):
-        files[s] = {}
-        for ci, c in enumerate(conditions):
-            name = f"{s}_{c}.csv"
-            write_matrix(tmp_path / name, corr[si][ci])
-            files[s][c] = name
-    payload = {
-        "schema": 1,
-        "subjects": list(subjects),
-        "conditions": list(conditions),
-        "nodes": {"labels": list(labels), "coords": coords},
-        "files": files,
-    }
-    if signals is not None:
-        signal_files = {}
-        for si, s in enumerate(subjects):
-            signal_files[s] = {}
-            for ci, c in enumerate(conditions):
-                name = f"{s}_{c}_signal.csv"
-                (tmp_path / name).write_text(
-                    ",".join(repr(float(x)) for x in signals[si][ci]) + "\n"
-                )
-                signal_files[s][c] = name
-        payload["signal_files"] = signal_files
-    if options is not None:
-        payload["options"] = options
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(payload, indent=2))
-    return path
 
 
 @pytest.fixture

@@ -305,6 +305,17 @@ class TestRewire:
         assert np.array_equal(a.adjacency, b.adjacency)
 
 
+@pytest.mark.parametrize("generate", [
+    lambda: sk.random_graph(10, 12, -1),
+    lambda: sk.rewire(sk.ring_lattice(10, 12), 3, -1),
+    lambda: sk.rewire(sk.ring_lattice(10, 12), 0, -1),
+], ids=["random_graph", "rewire", "rewire-zero-steps"])
+def test_negative_seed_is_refused(generate):
+    with pytest.raises(ValidationError) as err:
+        generate()
+    assert str(err.value) == "seed must be nonnegative, got -1"
+
+
 class TestRewireMatchesPerDrawReference:
     """rewire draws from batched uint32 values with numpy's bounded-integer rule
     copied in; these tests fail if a numpy release changes that rule."""
