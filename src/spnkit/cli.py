@@ -53,12 +53,16 @@ def _profile_grid(args) -> list[int] | None:
 
 
 def _resolve_options(args, options: spnio.ManifestOptions) -> None:
-    """Fill the flags left unset from the manifest's options, so that the
-    commands and the run log see the values the run uses."""
+    """Fill unset flags from the manifest's options, so that the commands and
+    the run log see the values the run uses, and refuse k = 0 for modularity."""
     if hasattr(args, "base_rate") and args.base_rate is None:
         args.base_rate = options.base_rate
     if hasattr(args, "grid") and not args.grid and options.density_grid is not None:
         args.grid = list(options.density_grid)
+    if getattr(args, "metric", "").startswith("modularity") and 0 in (_profile_grid(args) or ()):
+        source = "--grid" if isinstance(args.grid, str) else f"{args.manifest}: options.density_grid"
+        raise ValidationError(f"{source} holds density level k=0, where {args.metric} is "
+                              "undefined: greedy modularity needs at least one edge")
 
 
 def _condition_index(conditions: tuple[str, ...], value: str) -> int:

@@ -23,8 +23,10 @@ from .errors import ValidationError
 from .graphs import (
     BinaryGraph,
     WeightedGraph,
+    _edge_graph,
     _efficiency_from_distances,
     _insert_edge,
+    _is_integer,
     global_efficiency,
     local_efficiency,
     max_edge_count,
@@ -82,19 +84,11 @@ def ranked_edges(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     return i[order], j[order]
 
 
-def _prefix_graph(g: WeightedGraph, rows: np.ndarray, cols: np.ndarray, k: int) -> BinaryGraph:
-    """The graph of the first k ranked edges."""
-    adjacency = np.zeros((g.n_nodes, g.n_nodes), dtype=np.uint8)
-    adjacency[rows[:k], cols[:k]] = 1
-    adjacency[cols[:k], rows[:k]] = 1
-    return BinaryGraph(g.node_labels, adjacency, g.node_coords)
-
-
 def density_threshold(g: WeightedGraph, k: int) -> BinaryGraph:
     """Unweighted graph of exactly the k largest-weight edges."""
     rows, cols = ranked_edges(g)
     (k,) = _validated_grid(g, [k], rows.size)
-    return _prefix_graph(g, rows, cols, k)
+    return _edge_graph(g.node_labels, rows[:k], cols[:k], g.node_coords)
 
 
 def _validated_grid(g: WeightedGraph, grid, n_positive: int) -> list[int]:
@@ -105,7 +99,7 @@ def _validated_grid(g: WeightedGraph, grid, n_positive: int) -> list[int]:
         raise ValidationError("density grid is empty")
     limit = max_edge_count(g.n_nodes)
     for k in ks:
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        if not _is_integer(k):
             raise ValidationError(f"density level k must be an integer, got {k!r}")
         if k < 0 or k > limit:
             raise ValidationError(f"density level k={k} outside 0..{limit}")
@@ -152,7 +146,7 @@ def _profile_values(
     # Each distinct k is evaluated once.  Global efficiency (the module
     # name, looked up per call, so a wrapper put in its place and in
     # METRICS keeps this path) has its own kernel; any other metric gets
-    # the level's graph from _prefix_graph.  A 1-node graph takes the
+    # the graph of the first k ranked edges.  A 1-node graph takes the
     # generic path, where global_efficiency itself refuses it.
     levels = sorted(set(ks))
     if metric is global_efficiency and g.n_nodes > 1:
@@ -160,7 +154,7 @@ def _profile_values(
     else:
         by_k = {}
         for k in levels:
-            graph = _prefix_graph(g, rows, cols, k)
+            graph = _edge_graph(g.node_labels, rows[:k], cols[:k], g.node_coords)
             try:
                 by_k[k] = float(metric(graph))
             except ValidationError as exc:

@@ -24,6 +24,11 @@ def max_edge_count(n_nodes: int) -> int:
     return n_nodes * (n_nodes - 1) // 2
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"n{i}" for i in range(n))
 
@@ -204,12 +209,17 @@ class BinaryGraph:
 
     @classmethod
     def from_edges(cls, n_nodes: int, edges, node_labels=None) -> "BinaryGraph":
-        a = np.zeros((n_nodes, n_nodes), dtype=np.uint8)
-        for i, j in edges:
-            if i == j:
-                raise ValidationError(f"self-loop ({i},{i}) is not allowed")
-            a[i, j] = a[j, i] = 1
-        return cls.from_adjacency(a, node_labels)
+        """The graph of the node index pairs (i, j) in ``edges``, read once."""
+        pairs = list(edges)
+        for pair in pairs:
+            if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
+                    and all(_is_integer(v) and 0 <= v < n_nodes for v in pair)):
+                raise ValidationError(f"edge {pair!r} is not a pair of node indices in 0..{n_nodes - 1}")
+            if pair[0] == pair[1]:
+                raise ValidationError(f"self-loop ({pair[0]},{pair[0]}) is not allowed")
+        labels = _default_labels(n_nodes) if node_labels is None else node_labels
+        rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        return _edge_graph(_node_labels(labels, n_nodes, "adjacency matrix"), rows, cols)
 
     @property
     def n_nodes(self) -> int:
@@ -222,6 +232,14 @@ class BinaryGraph:
 
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1).astype(int)
+
+
+def _edge_graph(node_labels, rows, cols, node_coords=None) -> BinaryGraph:
+    """The graph on ``node_labels`` whose edges are the pairs (rows[e], cols[e])."""
+    adjacency = np.zeros((len(node_labels),) * 2, dtype=np.uint8)
+    adjacency[rows, cols] = 1
+    adjacency[cols, rows] = 1
+    return BinaryGraph(node_labels, adjacency, node_coords)
 
 
 def threshold(matrix, tau: float) -> BinaryGraph:

@@ -314,14 +314,11 @@ def _to_dot(g, kind: str) -> str:
             lines.append(f"  {_quote(label)} [pos=\"{x},{y},{z}!\"];")
         else:
             lines.append(f"  {_quote(label)};")
-    if kind == "binary":
-        for i, j in g.edges():
-            lines.append(f"  {_quote(g.node_labels[i])} -- {_quote(g.node_labels[j])};")
-    else:
-        for i, j, w in g.positive_edges():
-            lines.append(
-                f"  {_quote(g.node_labels[i])} -- {_quote(g.node_labels[j])} [weight={w!r}];"
-            )
+    matrix = getattr(g, _GRAPH_KINDS[kind][1])
+    rows, cols = np.nonzero(np.triu(matrix, k=1))
+    for i, j, w in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()):
+        weight = f" [weight={w!r}]" if kind == "weighted" else ""
+        lines.append(f"  {_quote(g.node_labels[i])} -- {_quote(g.node_labels[j])}{weight};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

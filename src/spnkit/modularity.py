@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import BinaryGraph, max_edge_count
+from .graphs import BinaryGraph, _default_labels, _edge_graph, _is_integer, max_edge_count
 
 _Q_TOL = 1e-9
 TOPOLOGIES = ("lattice", "random")
@@ -144,6 +144,9 @@ def greedy_modularity(g: BinaryGraph) -> Partition:
 
 
 def _check_generator_args(n_v: int, n_e: int) -> int:
+    for name, value in (("n_v", n_v), ("n_e", n_e)):
+        if not _is_integer(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if n_v < 3:
         raise ValidationError(f"need at least 3 nodes, got {n_v}")
     limit = max_edge_count(n_v)
@@ -157,20 +160,14 @@ def ring_lattice(n_v: int, n_e: int) -> BinaryGraph:
 
     Edges are added in rounds of increasing neighbor offset (all
     offset-1 edges, then offset-2, ...); a final partial round is added
-    in node-index order, breaking regularity by at most one round.
+    in node-index order, breaking regularity by at most one round.  Slot
+    s joins node s mod n_v to the node s // n_v + 1 places on; an even
+    ring's offset-n_v/2 round repeats itself only after the last edge slot.
     """
     _check_generator_args(n_v, n_e)
-    edges: list[tuple[int, int]] = []
-    offset = 1
-    while len(edges) < n_e:
-        if 2 * offset == n_v:
-            ring = [(i, i + offset) for i in range(n_v // 2)]
-        else:
-            ring = [tuple(sorted((i, (i + offset) % n_v))) for i in range(n_v)]
-        take = min(n_e - len(edges), len(ring))
-        edges.extend(ring[:take])
-        offset += 1
-    return BinaryGraph.from_edges(n_v, edges)
+    slots = np.arange(n_e)
+    nodes = slots % n_v
+    return _edge_graph(_default_labels(n_v), nodes, (nodes + slots // n_v + 1) % n_v)
 
 
 def random_graph(n_v: int, n_e: int, seed: int) -> BinaryGraph:
@@ -180,10 +177,7 @@ def random_graph(n_v: int, n_e: int, seed: int) -> BinaryGraph:
     rng = np.random.default_rng(seed)
     chosen = rng.choice(limit, size=n_e, replace=False)
     rows, cols = np.triu_indices(n_v, k=1)
-    adjacency = np.zeros((n_v, n_v), dtype=np.uint8)
-    adjacency[rows[chosen], cols[chosen]] = 1
-    adjacency |= adjacency.T
-    return BinaryGraph.from_adjacency(adjacency)
+    return _edge_graph(_default_labels(n_v), rows[chosen], cols[chosen])
 
 
 def _uint32_stream(rng: np.random.Generator, chunk: int):
@@ -233,8 +227,7 @@ def rewire(g: BinaryGraph, steps: int, seed: int) -> BinaryGraph:
     if limit > 1 << 32:
         raise ValidationError(f"rewire draws at most 2**32 node pairs, got {limit}")
     rows, cols = np.triu_indices(n, k=1)
-    slot_of = g.adjacency[rows, cols].astype(bool)
-    edges = list(np.flatnonzero(slot_of))
+    edges = np.flatnonzero(g.adjacency[rows, cols]).tolist()
     edge_set = set(edges)
     draw = _uint32_stream(np.random.default_rng(seed), 2 * steps + 64).__next__
     for _ in range(steps):
@@ -246,11 +239,8 @@ def rewire(g: BinaryGraph, steps: int, seed: int) -> BinaryGraph:
         edge_set.remove(edges[pos])
         edge_set.add(new)
         edges[pos] = new
-    adjacency = np.zeros((n, n), dtype=np.uint8)
     idx = np.fromiter(edge_set, dtype=int)
-    adjacency[rows[idx], cols[idx]] = 1
-    adjacency |= adjacency.T
-    return BinaryGraph(g.node_labels, adjacency)
+    return _edge_graph(g.node_labels, rows[idx], cols[idx])
 
 
 def _child_seed(master: int, grid_index: int, replicate: int) -> int:

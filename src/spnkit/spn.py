@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateStatisticsWarning, ValidationError
-from .graphs import (BinaryGraph, _node_metadata, _refuse_carriage_returns,
+from .graphs import (BinaryGraph, _edge_graph, _node_metadata, _refuse_carriage_returns,
                      validate_symmetric_hollow)
 from .stats import (
     FdrDecision,
@@ -208,10 +208,7 @@ def _correct(p_values, base_rate: float, correction: str) -> FdrDecision:
 def _edge_network(data: StudyDataset, mask: np.ndarray) -> BinaryGraph:
     """The graph whose edges are the masked hypotheses (edge_pairs order)."""
     rows, cols = np.triu_indices(data.n_nodes, k=1)
-    adjacency = np.zeros((data.n_nodes, data.n_nodes), dtype=np.uint8)
-    adjacency[rows[mask], cols[mask]] = 1
-    adjacency[cols[mask], rows[mask]] = 1
-    return BinaryGraph(data.node_labels, adjacency, data.node_coords)
+    return _edge_graph(data.node_labels, rows[mask], cols[mask], data.node_coords)
 
 
 def _warn_zero_residual(degenerate: np.ndarray, name) -> None:
@@ -323,13 +320,13 @@ def node_differential_spn(
     vertices are in ``flagged_nodes``.  Fits with a zero residual raise a
     DegenerateStatisticsWarning.
     """
-    n, j, n_v = data.signals.shape
+    n, j = data.signals.shape[:2]
     if n < 2 or j < 2:
         raise ValidationError("node differential SPN needs n >= 2 and J >= 2")
     shared, up, down, _ = _trend_family(
         data.signals, lambda v: f"node {v} ({data.node_labels[v]})", base_rate, correction
     )
-    empty = BinaryGraph(data.node_labels, np.zeros((n_v, n_v), dtype=np.uint8))
+    empty = _edge_graph(data.node_labels, [], [])
     return (
         SpnResult(network=empty, kind="node_differential_plus",
                   flagged_nodes=tuple(np.flatnonzero(up).tolist()), **shared),

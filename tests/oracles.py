@@ -11,7 +11,9 @@ edge, the efficiency sum over a boolean off-diagonal mask, local
 efficiency through one validated ``BinaryGraph`` and one public
 ``global_efficiency`` call per neighbourhood, and ``rewire`` with one
 scalar ``rng.integers`` call per draw.  The last two are the only
-references here that call spnkit.
+references here that call spnkit.  ``ring_lattice_by_rounds`` is the
+round-by-round loop that the slot arithmetic of ``ring_lattice``
+replaced.
 """
 
 import math
@@ -338,3 +340,21 @@ def rewire_per_draw(g, steps: int, seed: int):
     adjacency[rows[idx], cols[idx]] = 1
     adjacency |= adjacency.T
     return sk.BinaryGraph(g.node_labels, adjacency)
+
+
+def ring_lattice_by_rounds(n_v: int, n_e: int) -> list[tuple[int, int]]:
+    """The first ``n_e`` edges (i, j), i < j, of a ring lattice laid down
+    round by round: every offset-1 pair in node-index order, then every
+    offset-2 pair, ...; the offset-n_v/2 round of an even ring has n_v/2
+    pairs."""
+    edges: list[tuple[int, int]] = []
+    offset = 1
+    while len(edges) < n_e:
+        if 2 * offset == n_v:
+            ring = [(i, i + offset) for i in range(n_v // 2)]
+        else:
+            ring = [tuple(sorted((i, (i + offset) % n_v))) for i in range(n_v)]
+        take = min(n_e - len(edges), len(ring))
+        edges.extend(ring[:take])
+        offset += 1
+    return edges

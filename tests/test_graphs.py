@@ -465,6 +465,16 @@ class TestGraphValidation:
         (lambda: sk.BinaryGraph.from_adjacency([[1, 0], [0, 0]]),
          "adjacency: diagonal must be zero"),
         (lambda: sk.BinaryGraph.from_edges(3, [(0, 1), (2, 2)]), "self-loop (2,2) is not allowed"),
+        (lambda: sk.BinaryGraph.from_edges(3, [(0, 1), (1, -1)]),
+         "edge (1, -1) is not a pair of node indices in 0..2"),
+        (lambda: sk.BinaryGraph.from_edges(3, [(0, 3)]),
+         "edge (0, 3) is not a pair of node indices in 0..2"),
+        (lambda: sk.BinaryGraph.from_edges(3, [(0, 1, 2)]),
+         "edge (0, 1, 2) is not a pair of node indices in 0..2"),
+        (lambda: sk.BinaryGraph.from_edges(3, [(True, 2)]),
+         "edge (True, 2) is not a pair of node indices in 0..2"),
+        (lambda: sk.BinaryGraph.from_edges(3, [(0, 1)], ["a", "b"]),
+         "2 node labels for a 3-node adjacency matrix"),
         (lambda: sk.local_efficiency(sk.BinaryGraph.from_adjacency(np.zeros((1, 1)))),
          "local_efficiency needs at least 2 nodes"),
         (lambda: sk.weighted_efficiency(sk.WeightedGraph.from_matrix(np.zeros((1, 1)))),
@@ -472,12 +482,17 @@ class TestGraphValidation:
         (lambda: sk.weighted_density(sk.WeightedGraph.from_matrix(np.zeros((1, 1)))),
          "weighted_density needs at least 2 nodes"),
     ], ids=["non-square", "empty", "non-finite", "asymmetric-adjacency", "adjacency-diagonal",
-            "self-loop", "one-node-local-efficiency", "one-node-weighted-efficiency",
-            "one-node-weighted-density"])
+            "self-loop", "negative-node-index", "node-index-past-the-end", "three-node-edge",
+            "boolean-node-index", "edge-list-label-count", "one-node-local-efficiency",
+            "one-node-weighted-efficiency", "one-node-weighted-density"])
     def test_matrix_and_metric_refusals(self, build, message):
         with pytest.raises(ValidationError) as err:
             build()
         assert str(err.value) == message
+
+    def test_from_edges_reads_a_generator_of_pairs_once(self):
+        g = sk.BinaryGraph.from_edges(4, ((i, i + 1) for i in range(3)))
+        assert g.edges() == [(0, 1), (1, 2), (2, 3)]
 
     @pytest.mark.parametrize("value", [None, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("cls", [sk.WeightedGraph, sk.BinaryGraph])

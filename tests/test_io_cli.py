@@ -222,16 +222,37 @@ def edit_manifest(path, change) -> None:
 class TestProfileLevelRefusal:
     @pytest.mark.parametrize("metric", ["modularity_q", "modularity_count"])
     @pytest.mark.parametrize("via", ["flag", "manifest"])
-    def test_modularity_at_k_zero_names_condition_and_level(self, small_manifest, tmp_path,
-                                                            capsys, metric, via):
-        args = ["density-profile", "--manifest", str(small_manifest), "--abs", "--metric", metric]
+    @pytest.mark.parametrize("command", ["density-profile", "report"])
+    def test_modularity_at_k_zero_names_the_grid_source(self, small_manifest, tmp_path, capsys,
+                                                         monkeypatch, command, via, metric):
+        # refused as the grid is resolved: before the data are loaded, so before any step
+        monkeypatch.setattr(spnio, "load_dataset", lambda manifest: pytest.fail("data loaded"))
+        args = [command, "--manifest", str(small_manifest), "--abs", "--metric", metric]
         if via == "flag":
             args += ["--grid", "0,2"]
+            source = "--grid"
         else:
             edit_manifest(small_manifest, lambda p: p.update(options={"density_grid": [0, 2]}))
+            source = f"{small_manifest}: options.density_grid"
         err = refused(capsys, args, tmp_path / "out")
-        assert err == ("error: density profile of condition 'rest': density level k=0: "
+        assert err == (f"error: {source} holds density level k=0, where {metric} is undefined: "
                        "greedy modularity needs at least one edge\n")
+
+    @pytest.mark.parametrize("metric", ["global_efficiency", "local_efficiency"])
+    def test_efficiency_metrics_accept_k_zero(self, small_manifest, tmp_path, metric):
+        out = tmp_path / "out"
+        assert run_cli(["density-profile", "--manifest", str(small_manifest), "--abs",
+                        "--metric", metric, "--grid", "0,2", "--out-dir", str(out)]) == 0
+        with open(out / "density_profiles.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["k"], r["value"]) for r in rows if r["k"] == "0"] == [("0", "0.0")] * 2
+
+    def test_library_step_names_condition_and_level(self, small_manifest, tmp_path):
+        data = sk.load_dataset(small_manifest)
+        with pytest.raises(ValidationError) as err:
+            spnio.step_density_profiles(data, tmp_path, "", "abs", "modularity_q", [0, 2])
+        assert str(err.value) == ("density profile of condition 'rest': density level k=0: "
+                                  "greedy modularity needs at least one edge")
 
 
 class TestSignedInputRefusal:
@@ -428,6 +449,27 @@ class TestExporters:
         text = sk.export_graph(g, "dot", tmp_path / "g.dot").read_text()
         assert 'pos="1.0,2.0,3.0!"' in text
         assert "[weight=0.8]" in text
+
+    def test_dot_text_of_a_weighted_graph(self, tmp_path):
+        w = np.array([[0.0, 0.1, 0.0], [0.1, 0.0, 2 / 3], [0.0, 2 / 3, 0.0]])
+        coords = [[1.0, -2.5, 0.0], [1e-3, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        g = sk.WeightedGraph(("A", 'say "hi"', "c d"), w, coords)
+        assert sk.export_graph(g, "dot", tmp_path / "g.dot").read_text() == (
+            'graph spn {\n'
+            '  "A" [pos="1.0,-2.5,0.0!"];\n'
+            '  "say \\"hi\\"" [pos="0.001,2.0,3.0!"];\n'
+            '  "c d" [pos="4.0,5.0,6.0!"];\n'
+            '  "A" -- "say \\"hi\\"" [weight=0.1];\n'
+            '  "say \\"hi\\"" -- "c d" [weight=0.6666666666666666];\n'
+            '}\n'
+        )
+
+    def test_dot_text_of_a_binary_graph(self, tmp_path):
+        g = sk.BinaryGraph.from_edges(4, [(0, 1), (3, 0), (2, 3)])
+        assert sk.export_graph(g, "dot", tmp_path / "g.dot").read_text() == (
+            'graph spn {\n  "n0";\n  "n1";\n  "n2";\n  "n3";\n'
+            '  "n0" -- "n1";\n  "n0" -- "n3";\n  "n2" -- "n3";\n}\n'
+        )
 
     def test_json_round_trip_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -239,6 +239,17 @@ class TestRingLattice:
         with pytest.raises(ValidationError):
             sk.ring_lattice(2, 1)
 
+    @pytest.mark.parametrize("n_v", range(3, 41))
+    def test_every_edge_count_matches_the_round_by_round_loop(self, n_v):
+        for n_e in range(sk.max_edge_count(n_v) + 1):
+            expected = sorted(oracles.ring_lattice_by_rounds(n_v, n_e))
+            assert sk.ring_lattice(n_v, n_e).edges() == expected, n_e
+
+    @pytest.mark.parametrize("n_e", [*FIG4_EDGE_GRID, 6215, 6216])
+    def test_fig4_sizes_match_the_round_by_round_loop(self, n_e):
+        expected = sorted(oracles.ring_lattice_by_rounds(112, n_e))
+        assert sk.ring_lattice(112, n_e).edges() == expected
+
 
 class TestRandomGraph:
     def test_saturated_is_complete_for_any_seed(self):
@@ -314,6 +325,23 @@ def test_negative_seed_is_refused(generate):
     with pytest.raises(ValidationError) as err:
         generate()
     assert str(err.value) == "seed must be nonnegative, got -1"
+
+
+@pytest.mark.parametrize("generate,message", [
+    (lambda: sk.ring_lattice(10, True), "n_e must be an integer, got True"),
+    (lambda: sk.ring_lattice(10, 5.0), "n_e must be an integer, got 5.0"),
+    (lambda: sk.ring_lattice(10.0, 5), "n_v must be an integer, got 10.0"),
+    (lambda: sk.ring_lattice(True, 0), "n_v must be an integer, got True"),
+    (lambda: sk.random_graph(10, 5.0, 1), "n_e must be an integer, got 5.0"),
+    (lambda: sk.random_graph(10.0, 5, 1), "n_v must be an integer, got 10.0"),
+    (lambda: sk.ring_lattice(5, 11), "n_e=11 infeasible for 5 nodes (max 10)"),
+    (lambda: sk.random_graph(2, 1, 0), "need at least 3 nodes, got 2"),
+], ids=["lattice-bool-edges", "lattice-float-edges", "lattice-float-nodes", "lattice-bool-nodes",
+        "random-float-edges", "random-float-nodes", "too-many-edges", "too-few-nodes"])
+def test_generator_sizes_are_refused(generate, message):
+    with pytest.raises(ValidationError) as err:
+        generate()
+    assert str(err.value) == message
 
 
 class TestRewireMatchesPerDrawReference:
