@@ -23,10 +23,10 @@ from .errors import ValidationError
 from .graphs import (
     BinaryGraph,
     WeightedGraph,
+    _check_integer,
     _edge_graph,
     _efficiency_from_distances,
     _insert_edge,
-    _is_integer,
     global_efficiency,
     local_efficiency,
     max_edge_count,
@@ -99,8 +99,7 @@ def _validated_grid(g: WeightedGraph, grid, n_positive: int) -> list[int]:
         raise ValidationError("density grid is empty")
     limit = max_edge_count(g.n_nodes)
     for k in ks:
-        if not _is_integer(k):
-            raise ValidationError(f"density level k must be an integer, got {k!r}")
+        _check_integer(k, "density level k")
         if k < 0 or k > limit:
             raise ValidationError(f"density level k={k} outside 0..{limit}")
         if k > n_positive:

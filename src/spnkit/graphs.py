@@ -29,6 +29,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_integer(value, name: str) -> None:
+    """Refuse anything but a Python or numpy integer, naming it ``name``."""
+    if not _is_integer(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"n{i}" for i in range(n))
 
@@ -210,6 +216,8 @@ class BinaryGraph:
     @classmethod
     def from_edges(cls, n_nodes: int, edges, node_labels=None) -> "BinaryGraph":
         """The graph of the node index pairs (i, j) in ``edges``, read once."""
+        if not (_is_integer(n_nodes) and n_nodes >= 1):
+            raise ValidationError(f"n_nodes must be a positive integer, got {n_nodes!r}")
         pairs = list(edges)
         for pair in pairs:
             if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2

@@ -202,34 +202,40 @@ def load_matrix_csv(path, n_nodes: int | None = None) -> np.ndarray:
     return matrix
 
 
-def _cell_files(manifest: Manifest, files: dict):
-    """(subject index, condition index, file) of every cell, subject-major."""
-    return [(si, ci, files[(subject, condition)])
-            for si, subject in enumerate(manifest.subjects)
-            for ci, condition in enumerate(manifest.conditions)]
+def _load_cells(manifest: Manifest, files: dict, shape: tuple, read, build, rule):
+    """Read every cell file of ``files`` into one subject-major stack, then
+    ``build`` the dataset from it.
+
+    ``read(path)`` parses one file and checks it holds ``shape``, so every
+    file is read and sized before any cell rule runs; the dataset then runs
+    its rule once per cell.  If a cell breaks it, ``rule(cell, path)`` is run
+    again over the stack to name the first bad file instead.
+    """
+    cells = [(si, ci, files[(subject, condition)])
+             for si, subject in enumerate(manifest.subjects)
+             for ci, condition in enumerate(manifest.conditions)]
+    stack = np.empty((len(manifest.subjects), len(manifest.conditions), *shape), dtype=float)
+    for si, ci, path in cells:
+        stack[si, ci] = read(path)
+    try:
+        return build(stack)
+    except DataError:
+        for si, ci, path in cells:
+            rule(stack[si, ci], path)
+        raise
 
 
 def load_dataset(manifest: Manifest | str | Path) -> StudyDataset:
-    """Assemble the balanced subjects x conditions array from manifest files.
-
-    Each file is parsed and sized here; ``StudyDataset`` then runs the
-    correlation-matrix rule once per cell.  If a cell breaks it, the rule
-    is run again over the stack to name the first bad file instead.
-    """
+    """Assemble the balanced subjects x conditions array from manifest files."""
     if not isinstance(manifest, Manifest):
         manifest = parse_manifest(manifest)
     n_v = len(manifest.node_labels)
-    cells = _cell_files(manifest, manifest.files)
-    data = np.empty((len(manifest.subjects), len(manifest.conditions), n_v, n_v), dtype=float)
-    for si, ci, path in cells:
-        data[si, ci] = load_matrix_csv(path, n_v)
-    try:
-        return StudyDataset(data, manifest.node_labels, manifest.conditions, manifest.subjects,
-                            manifest.node_coords)
-    except DataError:
-        for si, ci, path in cells:
-            _checked_correlation_matrix(data[si, ci], path)
-        raise
+    return _load_cells(
+        manifest, manifest.files, (n_v, n_v), lambda path: load_matrix_csv(path, n_v),
+        lambda stack: StudyDataset(stack, manifest.node_labels, manifest.conditions,
+                                   manifest.subjects, manifest.node_coords),
+        _checked_correlation_matrix,
+    )
 
 
 def load_node_signals(manifest: Manifest | str | Path) -> NodeSignalDataset:
@@ -238,21 +244,19 @@ def load_node_signals(manifest: Manifest | str | Path) -> NodeSignalDataset:
         manifest = parse_manifest(manifest)
     if manifest.signal_files is None:
         raise SchemaError(f"{manifest.path}: manifest has no 'signal_files' map")
-    n_v = len(manifest.node_labels)
-    cells = _cell_files(manifest, manifest.signal_files)
-    signals = np.empty((len(manifest.subjects), len(manifest.conditions), n_v), dtype=float)
-    for si, ci, path in cells:
-        vec = _read_csv(path, "signal vector").ravel()
-        if vec.size != n_v:
-            raise SchemaError(f"{path}: expected {n_v} signal values, got {vec.size}")
-        signals[si, ci] = vec
-    try:
-        return NodeSignalDataset(signals, manifest.node_labels, manifest.conditions,
-                                 manifest.subjects)
-    except DataError:  # as in load_dataset: name the first bad file
-        for si, ci, path in cells:
-            _check_signals(signals[si, ci], path, manifest.node_labels)
-        raise
+    labels = manifest.node_labels
+
+    def read(path):
+        vector = _read_csv(path, "signal vector").ravel()
+        if vector.size != len(labels):
+            raise SchemaError(f"{path}: expected {len(labels)} signal values, got {vector.size}")
+        return vector
+
+    return _load_cells(
+        manifest, manifest.signal_files, (len(labels),), read,
+        lambda stack: NodeSignalDataset(stack, labels, manifest.conditions, manifest.subjects),
+        lambda cell, path: _check_signals(cell, path, labels),
+    )
 
 
 def association_graph(matrix, node_labels=None, node_coords=None, negatives: str = "error") -> WeightedGraph:
@@ -455,61 +459,45 @@ def _float_column(values: np.ndarray) -> list[str]:
     return [repr(x) for x in values.tolist()]
 
 
-def _edge_columns(node_labels, result: SpnResult) -> list:
-    """i, j, labels, statistic, p-value, sign and rejection, one entry per edge."""
+def _edge_keys(node_labels) -> dict:
+    """The key columns of an edge statistics table: i, j and their labels."""
     rows, cols = np.triu_indices(len(node_labels), k=1)
-    return [
-        rows.tolist(),
-        cols.tolist(),
-        [node_labels[i] for i in rows],
-        [node_labels[j] for j in cols],
-        _float_column(result.statistic),
-        _float_column(result.p_value),
-        result.sign.tolist(),
-        result.correction.rejected.astype(int).tolist(),
-    ]
+    return {"i": rows.tolist(), "j": cols.tolist(), "label_i": [node_labels[i] for i in rows],
+            "label_j": [node_labels[j] for j in cols]}
+
+
+def _write_stats(path, keys: dict, result: SpnResult, names: tuple, marks: tuple) -> Path:
+    """Write one row per hypothesis: the ``keys`` columns, then the statistic,
+    p_value, sign and rejected columns, under the statistic and sign names in
+    ``names``, then the last column named in ``names``.  That column holds
+    ``marks[0]`` where ``rejected & (sign > 0)``, ``marks[1]`` where
+    ``rejected & (sign < 0)`` and ``marks[2]`` elsewhere, the rule that builds
+    the networks and ``flagged_nodes``."""
+    statistic, sign, last = names
+    rejected = result.correction.rejected
+    marked = np.select([rejected & (result.sign > 0), rejected & (result.sign < 0)],
+                       marks[:2], marks[2])
+    return write_csv(
+        Path(path),
+        [*keys, statistic, "p_value", sign, "rejected", last],
+        zip(*keys.values(), _float_column(result.statistic), _float_column(result.p_value),
+            result.sign.tolist(), rejected.astype(int).tolist(), marked.tolist()),
+    )
 
 
 def write_mean_spn_stats(path, node_labels, result: SpnResult) -> Path:
-    rows, cols = np.triu_indices(len(node_labels), k=1)
-    included = (result.network.adjacency[rows, cols] != 0).astype(int).tolist()
-    return write_csv(
-        Path(path),
-        ["i", "j", "label_i", "label_j", "statistic", "p_value",
-         "effect_sign", "rejected", "included"],
-        zip(*_edge_columns(node_labels, result), included),
-    )
+    return _write_stats(path, _edge_keys(node_labels), result,
+                        ("statistic", "effect_sign", "included"), (1, 0, 0))
 
 
-def write_differential_stats(path, node_labels, plus: SpnResult, minus: SpnResult) -> Path:
-    rows, cols = np.triu_indices(len(node_labels), k=1)
-    routed = np.where(plus.network.adjacency[rows, cols] != 0, "plus",
-                      np.where(minus.network.adjacency[rows, cols] != 0, "minus", "none"))
-    return write_csv(
-        Path(path),
-        ["i", "j", "label_i", "label_j", "f_statistic", "p_value",
-         "trend_sign", "rejected", "routed"],
-        zip(*_edge_columns(node_labels, plus), routed.tolist()),
-    )
+def write_differential_stats(path, node_labels, result: SpnResult) -> Path:
+    return _write_stats(path, _edge_keys(node_labels), result,
+                        ("f_statistic", "trend_sign", "routed"), ("plus", "minus", "none"))
 
 
-def write_node_differential_stats(path, node_labels, plus: SpnResult, minus: SpnResult) -> Path:
-    routed = np.full(len(node_labels), "none", dtype=object)
-    routed[list(minus.flagged_nodes)] = "down"
-    routed[list(plus.flagged_nodes)] = "up"
-    return write_csv(
-        Path(path),
-        ["node", "label", "f_statistic", "p_value", "trend_sign", "rejected", "routed"],
-        zip(
-            range(len(node_labels)),
-            node_labels,
-            _float_column(plus.statistic),
-            _float_column(plus.p_value),
-            plus.sign.tolist(),
-            plus.correction.rejected.astype(int).tolist(),
-            routed.tolist(),
-        ),
-    )
+def write_node_differential_stats(path, node_labels, result: SpnResult) -> Path:
+    return _write_stats(path, {"node": range(len(node_labels)), "label": node_labels}, result,
+                        ("f_statistic", "trend_sign", "routed"), ("up", "down", "none"))
 
 
 def step_weighted_density(data: StudyDataset, out: Path, prefix: str, negatives: str):
@@ -544,7 +532,7 @@ def step_node_differential_spn(data: NodeSignalDataset, out: Path, prefix: str,
     """The node differential SPN pair: a per-node stats CSV and the flagged labels as JSON."""
     plus, minus = node_differential_spn(data, base_rate, correction)
     stats = write_node_differential_stats(out / f"{prefix}node_differential_stats.csv",
-                                          data.node_labels, plus, minus)
+                                          data.node_labels, plus)
     payload = {tag: [data.node_labels[v] for v in result.flagged_nodes]
                for tag, result in (("upweighted", plus), ("downweighted", minus))}
     flagged = out / f"{prefix}node_differential.json"
@@ -572,7 +560,7 @@ def step_differential_spn(data: StudyDataset, out: Path, prefix: str,
         for tag, result in (("plus", plus), ("minus", minus))
     ]
     paths.append(write_differential_stats(
-        out / f"{prefix}differential_stats.csv", data.node_labels, plus, minus))
+        out / f"{prefix}differential_stats.csv", data.node_labels, plus))
     return (plus, minus), paths
 
 

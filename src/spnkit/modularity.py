@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import BinaryGraph, _default_labels, _edge_graph, _is_integer, max_edge_count
+from .graphs import BinaryGraph, _check_integer, _default_labels, _edge_graph, max_edge_count
 
 _Q_TOL = 1e-9
 TOPOLOGIES = ("lattice", "random")
@@ -144,9 +144,8 @@ def greedy_modularity(g: BinaryGraph) -> Partition:
 
 
 def _check_generator_args(n_v: int, n_e: int) -> int:
-    for name, value in (("n_v", n_v), ("n_e", n_e)):
-        if not _is_integer(value):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    _check_integer(n_v, "n_v")
+    _check_integer(n_e, "n_e")
     if n_v < 3:
         raise ValidationError(f"need at least 3 nodes, got {n_v}")
     limit = max_edge_count(n_v)
@@ -215,6 +214,7 @@ def rewire(g: BinaryGraph, steps: int, seed: int) -> BinaryGraph:
     ``default_rng(seed)``.
     """
     _check_seed(seed)
+    _check_integer(steps, "steps")
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
     if steps == 0:
@@ -240,7 +240,7 @@ def rewire(g: BinaryGraph, steps: int, seed: int) -> BinaryGraph:
         edge_set.add(new)
         edges[pos] = new
     idx = np.fromiter(edge_set, dtype=int)
-    return _edge_graph(g.node_labels, rows[idx], cols[idx])
+    return _edge_graph(g.node_labels, rows[idx], cols[idx], g.node_coords)
 
 
 def _child_seed(master: int, grid_index: int, replicate: int) -> int:
@@ -248,6 +248,7 @@ def _child_seed(master: int, grid_index: int, replicate: int) -> int:
 
 
 def _check_seed(seed: int) -> None:
+    _check_integer(seed, "seed")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
 
@@ -258,16 +259,23 @@ def _row(parameter: int, counts) -> SweepRow:
     return SweepRow(int(parameter), int(values.size), float(values.mean()), sd)
 
 
+def _check_sweep(replicates: int, seed: int) -> None:
+    _check_seed(seed)
+    _check_integer(replicates, "replicates")
+    if replicates < 1:
+        raise ValidationError("replicates must be >= 1")
+
+
 def _sweep(grid, replicates: int, what: str, graph) -> tuple[SweepRow, ...]:
     """One row per grid value: module counts of ``graph(grid_index, value, replicate)``
     for each of ``replicates`` replicates, clustered by greedy modularity."""
-    if replicates < 1:
-        raise ValidationError("replicates must be >= 1")
     grid = list(grid)
     if not grid:
         raise ValidationError(f"{what} grid is empty")
+    for value in grid:
+        _check_integer(value, f"{what} grid value")
     return tuple(
-        _row(value, [greedy_modularity(graph(gi, int(value), r)).module_count
+        _row(value, [greedy_modularity(graph(gi, value, r)).module_count
                      for r in range(replicates)])
         for gi, value in enumerate(grid)
     )
@@ -281,7 +289,7 @@ def randomness_sweep(
     For each rewiring count in the grid, ``replicates`` independently
     seeded rewirings of the same base lattice are clustered.
     """
-    _check_seed(seed)
+    _check_sweep(replicates, seed)
     base = ring_lattice(n_v, n_e)
     rows = _sweep(rewiring_grid, replicates, "rewiring",
                   lambda gi, steps, r: rewire(base, steps, _child_seed(seed, gi, r)))
@@ -296,12 +304,11 @@ def edges_sweep(
     Lattice generation is deterministic, so its rows collapse to a
     single evaluation (recorded replicates = 1, sd = 0).
     """
-    _check_seed(seed)
+    _check_sweep(replicates, seed)
     if topology not in TOPOLOGIES:
         raise ValidationError(f"topology must be 'lattice' or 'random', got {topology!r}")
     if topology == "lattice":
-        rows = _sweep(edge_grid, min(replicates, 1), "edge",
-                      lambda gi, n_e, r: ring_lattice(n_v, n_e))
+        rows = _sweep(edge_grid, 1, "edge", lambda gi, n_e, r: ring_lattice(n_v, n_e))
     else:
         rows = _sweep(edge_grid, replicates, "edge",
                       lambda gi, n_e, r: random_graph(n_v, n_e, _child_seed(seed, gi, r)))

@@ -65,9 +65,9 @@ def _checked_correlation_matrix(matrix: np.ndarray, source) -> np.ndarray:
         raise DataError(str(exc)) from exc
 
 
-def _check_signals(vector: np.ndarray, source, node_labels) -> None:
-    """The input rule for one signal vector: a DataError names ``source``
-    and the first node whose value is not finite."""
+def _check_signals(vector: np.ndarray, source, node_labels) -> np.ndarray:
+    """The input rule for one signal vector; returns it.  A DataError names
+    ``source`` and the first node whose value is not finite."""
     bad = np.flatnonzero(~np.isfinite(vector))
     if bad.size:
         v = int(bad[0])
@@ -75,6 +75,16 @@ def _check_signals(vector: np.ndarray, source, node_labels) -> None:
             f"{source}: node {v} ({node_labels[v]}) has non-finite signal value "
             f"{float(vector[v])!r}"
         )
+    return vector
+
+
+def _check_cells(stack: np.ndarray, subjects, conditions, rule, what: str) -> None:
+    """Run ``rule(cell, source)`` on each subject x condition cell of ``stack``,
+    subject-major, and write what it returns back into the cell."""
+    for si, subject in enumerate(subjects):
+        for ci, condition in enumerate(conditions):
+            source = f"{what}[subject {subject!r}, condition {condition!r}]"
+            stack[si, ci] = rule(stack[si, ci], source)
 
 
 def _design_labels(condition_labels, subject_ids, j: int, n: int):
@@ -109,7 +119,7 @@ class StudyDataset:
     node_coords: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.correlations, dtype=float)
+        arr = np.array(self.correlations, dtype=float)
         if arr.ndim != 4 or arr.shape[2] != arr.shape[3]:
             raise ValidationError(
                 f"correlations must have shape (n, J, N_V, N_V), got {arr.shape}"
@@ -117,14 +127,9 @@ class StudyDataset:
         n, j, n_v, _ = arr.shape
         labels, coords = _node_metadata(self.node_labels, self.node_coords, n_v, "dataset")
         conditions, subjects = _design_labels(self.condition_labels, self.subject_ids, j, n)
-        cleaned = np.empty_like(arr)
-        for si, subject in enumerate(subjects):
-            for ci, condition in enumerate(conditions):
-                cleaned[si, ci] = _checked_correlation_matrix(
-                    arr[si, ci], f"correlations[subject {subject!r}, condition {condition!r}]"
-                )
-        cleaned.setflags(write=False)
-        object.__setattr__(self, "correlations", cleaned)
+        _check_cells(arr, subjects, conditions, _checked_correlation_matrix, "correlations")
+        arr.setflags(write=False)
+        object.__setattr__(self, "correlations", arr)
         object.__setattr__(self, "node_labels", labels)
         object.__setattr__(self, "condition_labels", conditions)
         object.__setattr__(self, "subject_ids", subjects)
@@ -161,15 +166,12 @@ class NodeSignalDataset:
         arr = np.array(self.signals, dtype=float)
         if arr.ndim != 3:
             raise ValidationError(f"signals must have shape (n, J, N_V), got {arr.shape}")
-        arr.setflags(write=False)
         n, j, n_v = arr.shape
         labels, _ = _node_metadata(self.node_labels, None, n_v, "dataset")
         conditions, subjects = _design_labels(self.condition_labels, self.subject_ids, j, n)
-        for si, subject in enumerate(subjects):
-            for ci, condition in enumerate(conditions):
-                _check_signals(
-                    arr[si, ci], f"signals[subject {subject!r}, condition {condition!r}]", labels
-                )
+        _check_cells(arr, subjects, conditions,
+                     lambda cell, source: _check_signals(cell, source, labels), "signals")
+        arr.setflags(write=False)
         object.__setattr__(self, "signals", arr)
         object.__setattr__(self, "node_labels", labels)
         object.__setattr__(self, "condition_labels", conditions)

@@ -475,6 +475,11 @@ class TestGraphValidation:
          "edge (True, 2) is not a pair of node indices in 0..2"),
         (lambda: sk.BinaryGraph.from_edges(3, [(0, 1)], ["a", "b"]),
          "2 node labels for a 3-node adjacency matrix"),
+        (lambda: sk.BinaryGraph.from_edges(2.5, []), "n_nodes must be a positive integer, got 2.5"),
+        (lambda: sk.BinaryGraph.from_edges(True, []),
+         "n_nodes must be a positive integer, got True"),
+        (lambda: sk.BinaryGraph.from_edges(-1, []), "n_nodes must be a positive integer, got -1"),
+        (lambda: sk.BinaryGraph.from_edges(0, []), "n_nodes must be a positive integer, got 0"),
         (lambda: sk.local_efficiency(sk.BinaryGraph.from_adjacency(np.zeros((1, 1)))),
          "local_efficiency needs at least 2 nodes"),
         (lambda: sk.weighted_efficiency(sk.WeightedGraph.from_matrix(np.zeros((1, 1)))),
@@ -483,7 +488,8 @@ class TestGraphValidation:
          "weighted_density needs at least 2 nodes"),
     ], ids=["non-square", "empty", "non-finite", "asymmetric-adjacency", "adjacency-diagonal",
             "self-loop", "negative-node-index", "node-index-past-the-end", "three-node-edge",
-            "boolean-node-index", "edge-list-label-count", "one-node-local-efficiency",
+            "boolean-node-index", "edge-list-label-count", "float-node-count", "bool-node-count",
+            "negative-node-count", "no-nodes", "one-node-local-efficiency",
             "one-node-weighted-efficiency", "one-node-weighted-density"])
     def test_matrix_and_metric_refusals(self, build, message):
         with pytest.raises(ValidationError) as err:

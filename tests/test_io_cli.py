@@ -143,6 +143,12 @@ class TestLoadDataset:
         write_matrix(tmp_path / "s1_task.csv", hollow(2, 0.3))
         with pytest.raises(SchemaError, match=r"s1_task\.csv: expected a 3x3 matrix"):
             sk.load_dataset(manifest)
+        # the signal loader likewise: a short vector after a non-finite one
+        manifest = build_manifest(tmp_path, [[hollow(3, 0.2), hollow(3, 0.3)]], ["A", "B", "C"],
+                                  ["rest", "task"], ["s1"],
+                                  signals=[[[1.0, np.nan, 3.0], [1.5, 2.5]]])
+        with pytest.raises(SchemaError, match=r"s1_task_signal\.csv: expected 3 signal values, got 2"):
+            sk.load_node_signals(manifest)
 
     def test_node_signals(self, tmp_path):
         corr = [[hollow(3, 0.2), hollow(3, 0.3)], [hollow(3, 0.25), hollow(3, 0.35)]]
@@ -469,6 +475,45 @@ class TestExporters:
         assert sk.export_graph(g, "dot", tmp_path / "g.dot").read_text() == (
             'graph spn {\n  "n0";\n  "n1";\n  "n2";\n  "n3";\n'
             '  "n0" -- "n1";\n  "n0" -- "n3";\n  "n2" -- "n3";\n}\n'
+        )
+
+    def test_statistics_tables_text(self, tmp_path):
+        # last column: rejected with a positive sign, rejected with a negative one, or neither
+        rng = np.random.default_rng(5)
+        planted = planted_trend_dataset(rng, edge_up=0, edge_down=5, effect=1.5, n=6, j=3, n_v=4,
+                                        sigma=0.1)
+        labels, conditions = ("A", "b,c", "C", "D"), ("lo", "mid", "hi")
+        data = sk.StudyDataset(planted.correlations, labels, conditions, planted.subject_ids)
+        values = rng.normal(5.0, 0.1, size=(5, 3, 3))
+        values[:, :, 0] += [0.0, 1.0, 2.0]
+        values[:, :, 2] -= [0.0, 1.0, 2.0]
+        signals = sk.NodeSignalDataset(values, labels[:3], conditions, tuple("vwxyz"))
+        spnio.step_mean_spn(data, tmp_path, "", 2, 0.05, "fdr", "json")
+        spnio.step_differential_spn(data, tmp_path, "", 0.05, "fdr", "json")
+        spnio.step_node_differential_spn(signals, tmp_path, "", 0.05, "fdr")
+        assert (tmp_path / "mean_spn_hi_stats.csv").read_text() == (
+            'i,j,label_i,label_j,statistic,p_value,effect_sign,rejected,included\n'
+            '0,1,A,"b,c",5.934347841884998,2.9501578114656028e-09,1,1,1\n'
+            '0,2,A,C,-0.9892250930522548,0.32255302386684337,-1,0,0\n'
+            '0,3,A,D,-1.0655623265707062,0.28662153697657,-1,0,0\n'
+            '1,2,"b,c",C,-1.2808814896032128,0.20023529541632445,-1,0,0\n'
+            '1,3,"b,c",D,-1.1236697254271788,0.2611531643578545,-1,0,0\n'
+            '2,3,C,D,-1.4790442562374901,0.13912848702300146,-1,0,0\n'
+        )
+        assert (tmp_path / "differential_stats.csv").read_text() == (
+            'i,j,label_i,label_j,f_statistic,p_value,trend_sign,rejected,routed\n'
+            '0,1,A,"b,c",574.4293541340373,4.784621162674601e-11,1,1,plus\n'
+            '0,2,A,C,1.5498186475856333,0.25924097428573045,1,0,none\n'
+            '0,3,A,D,2.131837315051078,0.16937249388499234,-1,0,none\n'
+            '1,2,"b,c",C,0.1347234718960758,0.875517280709589,1,0,none\n'
+            '1,3,"b,c",D,0.1413629114159479,0.8698787466273673,-1,0,none\n'
+            '2,3,C,D,754.6652002372741,1.2352044883952915e-11,-1,1,minus\n'
+        )
+        assert (tmp_path / "node_differential_stats.csv").read_text() == (
+            'node,label,f_statistic,p_value,trend_sign,rejected,routed\n'
+            '0,A,692.7521688438469,1.0862421433962537e-09,1,1,up\n'
+            '1,"b,c",1.004408104412183,0.4081587303793788,-1,0,none\n'
+            '2,C,550.9790803386388,2.698568916628631e-09,-1,1,down\n'
         )
 
     def test_json_round_trip_is_byte_identical(self, tmp_path):

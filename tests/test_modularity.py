@@ -298,6 +298,14 @@ class TestRewire:
         before, after = set(g.edges()), set(rewired.edges())
         assert len(before ^ after) == 2  # one slot vacated, one filled
 
+    def test_labels_and_coordinates_are_kept(self):
+        lattice = sk.ring_lattice(4, 3)
+        coords = np.arange(12.0).reshape(4, 3)
+        g = sk.BinaryGraph(("a", "b", "c", "d"), lattice.adjacency, coords)
+        rewired = sk.rewire(g, 1, seed=0)
+        assert rewired.node_labels == g.node_labels
+        np.testing.assert_array_equal(rewired.node_coords, coords)
+
     def test_no_legal_move_is_an_error(self):
         with pytest.raises(ValidationError):
             sk.rewire(complete(4), 1, seed=0)
@@ -336,8 +344,15 @@ def test_negative_seed_is_refused(generate):
     (lambda: sk.random_graph(10.0, 5, 1), "n_v must be an integer, got 10.0"),
     (lambda: sk.ring_lattice(5, 11), "n_e=11 infeasible for 5 nodes (max 10)"),
     (lambda: sk.random_graph(2, 1, 0), "need at least 3 nodes, got 2"),
+    (lambda: sk.rewire(sk.ring_lattice(10, 12), True, 0), "steps must be an integer, got True"),
+    (lambda: sk.rewire(sk.ring_lattice(10, 12), 2.5, 0), "steps must be an integer, got 2.5"),
+    (lambda: sk.random_graph(10, 12, 2.5), "seed must be an integer, got 2.5"),
+    (lambda: sk.random_graph(10, 12, True), "seed must be an integer, got True"),
+    (lambda: sk.rewire(sk.ring_lattice(10, 12), 3, 1.0), "seed must be an integer, got 1.0"),
 ], ids=["lattice-bool-edges", "lattice-float-edges", "lattice-float-nodes", "lattice-bool-nodes",
-        "random-float-edges", "random-float-nodes", "too-many-edges", "too-few-nodes"])
+        "random-float-edges", "random-float-nodes", "too-many-edges", "too-few-nodes",
+        "rewire-bool-steps", "rewire-float-steps", "random-float-seed", "random-bool-seed",
+        "rewire-float-seed"])
 def test_generator_sizes_are_refused(generate, message):
     with pytest.raises(ValidationError) as err:
         generate()
@@ -458,7 +473,21 @@ class TestSweeps:
         (lambda: sk.randomness_sweep(12, 18, [0], replicates=0, seed=0), "replicates must be >= 1"),
         (lambda: sk.edges_sweep(12, [10], "ring", replicates=2, seed=0),
          "topology must be 'lattice' or 'random', got 'ring'"),
-    ], ids=["no-replicates", "unknown-topology"])
+        (lambda: sk.randomness_sweep(12, 18, [0.5], 2, 0),
+         "rewiring grid value must be an integer, got 0.5"),
+        (lambda: sk.edges_sweep(12, [20.7], "random", 2, 0),
+         "edge grid value must be an integer, got 20.7"),
+        (lambda: sk.edges_sweep(12, [10, True], "lattice", 2, 0),
+         "edge grid value must be an integer, got True"),
+        (lambda: sk.randomness_sweep(12, 18, [0], True, 0), "replicates must be an integer, got True"),
+        (lambda: sk.randomness_sweep(12, 18, [0], 2.5, 0), "replicates must be an integer, got 2.5"),
+        (lambda: sk.edges_sweep(12, [10], "lattice", 2.5, 0),
+         "replicates must be an integer, got 2.5"),
+        (lambda: sk.randomness_sweep(12, 18, [0], 2, 2.5), "seed must be an integer, got 2.5"),
+        (lambda: sk.edges_sweep(12, [10], "random", 2, True), "seed must be an integer, got True"),
+    ], ids=["no-replicates", "unknown-topology", "float-rewiring", "float-edges", "bool-edges",
+            "bool-replicates", "float-replicates", "lattice-float-replicates", "float-sweep-seed",
+            "bool-sweep-seed"])
     def test_bad_arguments_are_refused(self, run, message):
         with pytest.raises(ValidationError) as err:
             run()

@@ -58,6 +58,17 @@ class TestStudyDatasetValidation:
         with pytest.raises(ValidationError):
             sk.StudyDataset(corr, ("a", "b"), ("c0",), ("s0",))
 
+    def test_cells_are_stored_symmetrized_in_a_frozen_copy(self):
+        corr = np.zeros((1, 1, 3, 3))
+        corr[0, 0, 0, 1], corr[0, 0, 1, 0] = 0.3, 0.3 + 1e-12
+        corr[0, 0, 2, 2] = 1e-12
+        data = sk.StudyDataset(corr, ("a", "b", "c"), ("c0",), ("s0",))
+        stored = data.correlations[0, 0]
+        np.testing.assert_array_equal(stored, stored.T)
+        assert stored[2, 2] == 0.0
+        assert corr[0, 0, 1, 0] == 0.3 + 1e-12 and corr[0, 0, 2, 2] == 1e-12
+        assert not data.correlations.flags.writeable
+
 
     @pytest.mark.parametrize("cell,values,message", [
         ((0, 2), (np.nan, np.nan), "entry (0,2) = nan outside the open correlation range (-1, 1)"),
