@@ -268,15 +268,23 @@ def threshold(matrix, tau: float) -> BinaryGraph:
 
 
 def _hop_distances(adjacency: np.ndarray) -> np.ndarray:
-    """All-pairs hop counts by simultaneous frontier expansion."""
+    """All-pairs hop counts by simultaneous frontier expansion.
+
+    Each step counts, for every pair (i, j), the neighbours of j that i
+    already reaches.  That count is at most n, so ``np.min_scalar_type(n)``
+    holds it exactly for every n, where a fixed uint8 would wrap to 0 at
+    256 such neighbours.  ``np.einsum`` runs the product in numpy's own
+    loops, with no BLAS and so no extra threads.
+    """
     n = adjacency.shape[0]
-    adj = adjacency.astype(np.uint8)
+    count = np.min_scalar_type(n)
+    adj = adjacency.astype(count)
     dist = np.where(adj > 0, 1.0, np.inf)
     np.fill_diagonal(dist, 0.0)
     reach = (adj > 0) | np.eye(n, dtype=bool)
     hops = 1
     while True:
-        grown = ((reach.astype(np.uint8) @ adj) > 0) | reach
+        grown = (np.einsum("ik,kj->ij", reach.astype(count), adj) > 0) | reach
         fresh = grown & ~reach
         if not fresh.any():
             return dist

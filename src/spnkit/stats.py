@@ -5,10 +5,15 @@ grand statistics, the balanced repeated-measures decomposition (fixed
 condition effects plus a per-subject random intercept, estimable in
 closed form), and Benjamini-Hochberg step-up FDR control.
 
-Tail probabilities come from scipy.special (erf / regularized
-incomplete-beta routines, accurate well past 1e-10).  It is imported
-inside the two family functions that call it, so a process that never
-tests a hypothesis does not load it.
+Tail probabilities are computed here, without scipy.special, whose
+import (about 0.25 s) would cost each statistics process more than its
+tests do.  The normal tail is ``math.erfc`` applied elementwise.  The F
+tail is the regularized incomplete beta by its continued fraction
+(modified Lentz; Press et al., Numerical Recipes, 3rd ed., section 6.4),
+vectorized over the family.  Against mpmath it agrees to about 1e-13
+relative at the paper's (3, 57) degrees of freedom, and to within 4e-12
+from (1, 1) to (9, 891), for every p down to 1e-300.  Most of that error
+is the rounding of ``math.lgamma`` at large degrees of freedom.
 """
 
 from __future__ import annotations
@@ -24,6 +29,14 @@ from .errors import ValidationError
 # Relative tolerance against the total sum of squares, below which a
 # variance stratum is treated as exactly zero (degenerate).
 _SS_REL_TOL = 1e-12
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+# The continued fraction stops once a step changes the value by at most
+# one unit in the last place; _CF_TINY stands in for a zero denominator.
+_CF_EPS = np.finfo(float).eps
+_CF_TINY = 1e-300
+_CF_MAX_TERMS = 10_000
 
 
 def fisher_z(r):
@@ -118,12 +131,10 @@ def grand_mean_z_family(values, grand_mean: float, grand_sd: float):
     column's mean is a pairwise sum over a contiguous row, as for a
     single sample, so the results match one-column calls bit for bit.
     """
-    from scipy import special as sp
-
     x = np.ascontiguousarray(np.asarray(values, dtype=float).T)
     delta = x.mean(axis=1) - grand_mean
     statistic = delta / (grand_sd / math.sqrt(x.shape[1]))
-    p_value = np.minimum(sp.erfc(np.abs(statistic) / math.sqrt(2.0)), 1.0)
+    p_value = np.minimum(_erfc(np.abs(statistic) / math.sqrt(2.0)).astype(float), 1.0)
     return statistic, p_value, np.sign(delta).astype(int)
 
 
@@ -156,8 +167,6 @@ def repeated_measures_family(values) -> FitFamily:
     values, and condition and subject means accumulate sequentially.  A
     one-table call therefore gives the same bits as the batched one.
     """
-    from scipy import special as sp
-
     x = np.moveaxis(np.asarray(values, dtype=float), -1, 0).copy()
     h, n, j = x.shape
     grand = x.reshape(h, n * j).mean(axis=1)
@@ -187,7 +196,7 @@ def repeated_measures_family(values) -> FitFamily:
     degenerate = ~flat & (ss_resid <= tol)
     with np.errstate(divide="ignore", invalid="ignore"):
         f_stat = (ss_cond / df_cond) / ms_resid
-        p_value = sp.fdtrc(df_cond, df_resid, f_stat)
+        p_value = _f_tail(df_cond, df_resid, f_stat)
     trend[flat] = 0
     return FitFamily(
         fixed_effects=cond_means,
@@ -198,6 +207,67 @@ def repeated_measures_family(values) -> FitFamily:
         trend_sign=trend,
         degenerate=degenerate,
     )
+
+
+def _beta_continued_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """The continued fraction of I_x(a, b), by modified Lentz, for every x
+    at once.  It converges fast for x < (a + 1) / (a + b + 2).  Each value
+    leaves the loop as soon as it has converged, so it does not depend on
+    the other entries of ``x``."""
+    def nonzero(v):
+        return np.where(np.abs(v) < _CF_TINY, _CF_TINY, v)
+
+    out = np.empty_like(x)
+    todo = np.arange(x.size)
+    c = np.ones_like(x)
+    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    h = d.copy()
+    for m in range(1, _CF_MAX_TERMS + 1):
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        d = 1.0 / nonzero(1.0 + even * d)
+        c = nonzero(1.0 + even / c)
+        h *= d * c
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        d = 1.0 / nonzero(1.0 + odd * d)
+        c = nonzero(1.0 + odd / c)
+        step = d * c
+        h *= step
+        done = np.abs(step - 1.0) <= _CF_EPS
+        out[todo[done]] = h[done]
+        keep = ~done
+        todo, x, c, d, h = todo[keep], x[keep], c[keep], d[keep], h[keep]
+        if todo.size == 0:
+            break
+    out[todo] = h
+    return out
+
+
+def _f_tail(d1: int, d2: int, f_stat) -> np.ndarray:
+    """P(F > f) for an F(d1, d2) variable, elementwise over ``f_stat``.
+
+    The tail is the regularized incomplete beta I_x(d2/2, d1/2) at
+    x = d2 / (d2 + d1 f), with y = 1 - x formed as d1 f / (d2 + d1 f) so
+    that it keeps full precision when x is near 1.  Past the fraction's
+    fast region it uses the symmetry I_x(a, b) = 1 - I_y(b, a).  F = 0
+    gives 1 and F = inf gives 0; a negative or NaN F gives NaN.
+    """
+    f = np.asarray(f_stat, dtype=float)
+    p = np.where(f == 0.0, 1.0, np.where(f == np.inf, 0.0, np.nan))
+    inside = np.isfinite(f) & (f > 0.0)
+    fi = f[inside]
+    a, b = d2 / 2.0, d1 / 2.0
+    x = d2 / (d2 + d1 * fi)
+    y = d1 * fi / (d2 + d1 * fi)
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    with np.errstate(divide="ignore"):
+        front = np.exp(a * np.log(x) + b * np.log(y) - log_beta)
+    lower = x < (a + 1.0) / (a + b + 2.0)
+    tail = np.empty_like(fi)
+    tail[lower] = front[lower] * _beta_continued_fraction(a, b, x[lower]) / a
+    upper = ~lower
+    tail[upper] = 1.0 - front[upper] * _beta_continued_fraction(b, a, y[upper]) / b
+    p[inside] = tail
+    return p
 
 
 def repeated_measures_fit(values) -> EdgeModelFit:

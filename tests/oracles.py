@@ -1,25 +1,27 @@
 """Independent brute-force oracles that pin expected values for the suite.
 
 The oracles call nothing of spnkit's own algorithms: distances come from
-exhaustive simple-path search, modularity from explicit Python loops and
-full set-partition enumeration, tail probabilities from math.erfc and
-mpmath's incomplete beta.  Where spnkit keeps a fast path, the plain
-version it replaced lives here as its slow reference: greedy modularity
-with a full gain rebuild per merge and with the upper-triangle row and
-column update, the hop-count update over the whole matrix per inserted
-edge, the efficiency sum over a boolean off-diagonal mask, local
-efficiency through one validated ``BinaryGraph`` and one public
-``global_efficiency`` call per neighbourhood, and ``rewire`` with one
-scalar ``rng.integers`` call per draw.  The last two are the only
-references here that call spnkit.  ``ring_lattice_by_rounds`` is the
-round-by-round loop that the slot arithmetic of ``ring_lattice``
-replaced.
+exhaustive simple-path search and breadth-first search, modularity from
+explicit Python loops and full set-partition enumeration, tail
+probabilities from math.erfc and mpmath's incomplete beta.  Where spnkit
+keeps a fast path, the plain version it replaced lives here as its slow
+reference: greedy modularity with a full gain rebuild per merge and with
+the upper-triangle row and column update, hop counts by frontier
+products in uint8 (exact only below 256 nodes), the hop-count update
+over the whole matrix per inserted edge, the efficiency sum over a
+boolean off-diagonal mask, local efficiency through one validated
+``BinaryGraph`` and one public ``global_efficiency`` call per
+neighbourhood, and ``rewire`` with one scalar ``rng.integers`` call per
+draw.  The last two are the only references here that call spnkit.
+``ring_lattice_by_rounds`` is the round-by-round loop that the slot
+arithmetic of ``ring_lattice`` replaced.
 """
 
 import math
+from collections import deque
 
 import numpy as np
-from mpmath import betainc, mp
+from mpmath import betainc, mp, mpf
 
 import spnkit as sk
 
@@ -57,6 +59,48 @@ def brute_force_distances(lengths: np.ndarray) -> np.ndarray:
 
         walk(source, 0.0)
     return dist
+
+
+def bfs_hop_distances(adjacency) -> np.ndarray:
+    """All-pairs hop counts by one breadth-first search per source;
+    unreachable pairs hold inf."""
+    a = np.asarray(adjacency)
+    n = a.shape[0]
+    neighbours = [np.flatnonzero(a[v]).tolist() for v in range(n)]
+    dist = np.full((n, n), np.inf)
+    for source in range(n):
+        hops = [-1] * n
+        hops[source] = 0
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            for w in neighbours[v]:
+                if hops[w] < 0:
+                    hops[w] = hops[v] + 1
+                    queue.append(w)
+        reached = [v for v in range(n) if hops[v] >= 0]
+        dist[source, reached] = [hops[v] for v in reached]
+    return dist
+
+
+def hop_distances_uint8(adjacency: np.ndarray) -> np.ndarray:
+    """All-pairs hop counts by frontier expansion with a ``uint8 @ uint8``
+    product.  A count of 256 common neighbours wraps to 0, so this is exact
+    only for graphs of at most 255 nodes."""
+    n = adjacency.shape[0]
+    adj = adjacency.astype(np.uint8)
+    dist = np.where(adj > 0, 1.0, np.inf)
+    np.fill_diagonal(dist, 0.0)
+    reach = (adj > 0) | np.eye(n, dtype=bool)
+    hops = 1
+    while True:
+        grown = ((reach.astype(np.uint8) @ adj) > 0) | reach
+        fresh = grown & ~reach
+        if not fresh.any():
+            return dist
+        hops += 1
+        dist[fresh] = hops
+        reach = grown
 
 
 def hop_lengths(adjacency: np.ndarray) -> np.ndarray:
@@ -125,8 +169,10 @@ def normal_two_sided_p(z: float) -> float:
 
 
 def f_tail_p(f_stat: float, d1: int, d2: int) -> float:
-    """P(F > f) via the regularized incomplete beta at 30 digits."""
-    x = d2 / (d2 + d1 * f_stat)
+    """P(F > f) via the regularized incomplete beta at 30 digits.  x is
+    formed at that precision too: rounded to a float, an x near 1 would
+    lose most of the digits of 1 - x, on which p then depends."""
+    x = d2 / (d2 + d1 * mpf(float(f_stat)))
     return float(betainc(d2 / 2, d1 / 2, 0, x, regularized=True))
 
 

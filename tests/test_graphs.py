@@ -7,7 +7,7 @@ import pytest
 
 import spnkit as sk
 from spnkit.errors import ValidationError
-from spnkit.graphs import _efficiency_from_distances
+from spnkit.graphs import _efficiency_from_distances, _hop_distances
 
 import oracles
 
@@ -135,6 +135,83 @@ class TestShortestPathsUnweighted:
         for dist in (d, weighted):
             assert dist.dtype == float
             assert not dist.flags.writeable
+
+
+def common_neighbour_graph(hub: bool) -> sk.BinaryGraph:
+    """Nodes 0 and 257 share the 256 common neighbours 1..256.  With ``hub``,
+    node 258 is joined to every other node, so the 258-node graph is its
+    neighbourhood."""
+    edges = [(end, v) for end in (0, 257) for v in range(1, 257)]
+    if hub:
+        edges += [(v, 258) for v in range(258)]
+    return sk.BinaryGraph.from_edges(259 if hub else 258, edges)
+
+
+class TestHopCountsPast255Nodes:
+    """A count of 256 common neighbours held in uint8 wraps to 0, which left
+    such pairs unreachable."""
+
+    @pytest.mark.parametrize("hub", [False, True])
+    def test_all_three_hop_functions_match_breadth_first_search(self, hub):
+        g = common_neighbour_graph(hub)
+        dist = oracles.bfs_hop_distances(g.adjacency)
+        assert dist[0, 257] == 2
+        np.testing.assert_array_equal(sk.shortest_paths_unweighted(g), dist)
+        assert sk.global_efficiency(g) == oracles.efficiency_masked(dist)
+        local = 0.0
+        for v in range(g.n_nodes):
+            nbrs = np.flatnonzero(g.adjacency[v])
+            if nbrs.size >= 2:
+                sub = oracles.bfs_hop_distances(g.adjacency[np.ix_(nbrs, nbrs)])
+                local += oracles.efficiency_masked(sub)
+        assert sk.local_efficiency(g) == local / g.n_nodes
+        assert (sk.local_efficiency(g) > 0) == hub
+
+
+class TestHopKernelMatchesUint8Product:
+    """``_hop_distances`` against the uint8 frontier product it replaced, bit
+    for bit, on graphs of up to 255 nodes, where that product is exact."""
+
+    SIZES = list(range(2, 41)) + list(range(47, 255, 16)) + [255]
+
+    @staticmethod
+    def assert_same(adjacency):
+        np.testing.assert_array_equal(_hop_distances(adjacency),
+                                      oracles.hop_distances_uint8(adjacency))
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(70)
+        for n in self.SIZES:
+            self.assert_same(random_binary(rng, n, rng.uniform(0.01, 0.95)).adjacency)
+        self.assert_same(complete_binary(255).adjacency)  # 254 common neighbours per pair
+
+    def test_tie_heavy_density_levels(self):
+        rng = np.random.default_rng(71)
+        for n in self.SIZES:
+            # three distinct weights: the (i, j) tie rule picks most of each level
+            g = sk.WeightedGraph.from_matrix(np.ceil(random_weighted(rng, n, 0.8).weights * 3) / 3)
+            m = len(g.positive_edges())
+            for k in {1, m // 4, m // 2, m}:
+                self.assert_same(sk.density_threshold(g, k).adjacency)
+
+    def test_disconnected_and_empty_graphs(self):
+        rng = np.random.default_rng(72)
+        for n in self.SIZES:
+            a = random_binary(rng, n, rng.uniform(0.05, 0.6)).adjacency.copy()
+            cut = int(rng.integers(1, n))
+            a[:cut, cut:] = a[cut:, :cut] = 0
+            self.assert_same(a)
+            self.assert_same(np.zeros((n, n), dtype=np.uint8))
+
+    def test_sampled_tau_graphs_at_paper_size(self):
+        rng = np.random.default_rng(73)
+        modules = np.arange(112) * 8 // 112
+        for _ in range(4):
+            x = rng.normal(size=(120, 8))[:, modules] * 0.5 + rng.normal(size=(120, 112))
+            r = np.corrcoef(x, rowvar=False)
+            r = np.triu(r, 1) + np.triu(r, 1).T
+            for tau in (0.1, 0.2, 0.3, 0.4):
+                self.assert_same(sk.threshold(np.abs(r), tau).adjacency)
 
 
 class TestShortestPathsWeighted:

@@ -493,27 +493,27 @@ class TestExporters:
         spnio.step_node_differential_spn(signals, tmp_path, "", 0.05, "fdr")
         assert (tmp_path / "mean_spn_hi_stats.csv").read_text() == (
             'i,j,label_i,label_j,statistic,p_value,effect_sign,rejected,included\n'
-            '0,1,A,"b,c",5.934347841884998,2.9501578114656028e-09,1,1,1\n'
-            '0,2,A,C,-0.9892250930522548,0.32255302386684337,-1,0,0\n'
+            '0,1,A,"b,c",5.934347841884998,2.9501578114656053e-09,1,1,1\n'
+            '0,2,A,C,-0.9892250930522548,0.32255302386684315,-1,0,0\n'
             '0,3,A,D,-1.0655623265707062,0.28662153697657,-1,0,0\n'
             '1,2,"b,c",C,-1.2808814896032128,0.20023529541632445,-1,0,0\n'
-            '1,3,"b,c",D,-1.1236697254271788,0.2611531643578545,-1,0,0\n'
-            '2,3,C,D,-1.4790442562374901,0.13912848702300146,-1,0,0\n'
+            '1,3,"b,c",D,-1.1236697254271788,0.26115316435785446,-1,0,0\n'
+            '2,3,C,D,-1.4790442562374901,0.13912848702300143,-1,0,0\n'
         )
         assert (tmp_path / "differential_stats.csv").read_text() == (
             'i,j,label_i,label_j,f_statistic,p_value,trend_sign,rejected,routed\n'
-            '0,1,A,"b,c",574.4293541340373,4.784621162674601e-11,1,1,plus\n'
-            '0,2,A,C,1.5498186475856333,0.25924097428573045,1,0,none\n'
-            '0,3,A,D,2.131837315051078,0.16937249388499234,-1,0,none\n'
-            '1,2,"b,c",C,0.1347234718960758,0.875517280709589,1,0,none\n'
-            '1,3,"b,c",D,0.1413629114159479,0.8698787466273673,-1,0,none\n'
-            '2,3,C,D,754.6652002372741,1.2352044883952915e-11,-1,1,minus\n'
+            '0,1,A,"b,c",574.4293541340373,4.784621162674615e-11,1,1,plus\n'
+            '0,2,A,C,1.5498186475856333,0.2592409742857299,1,0,none\n'
+            '0,3,A,D,2.131837315051078,0.16937249388499273,-1,0,none\n'
+            '1,2,"b,c",C,0.1347234718960758,0.8755172807095888,1,0,none\n'
+            '1,3,"b,c",D,0.1413629114159479,0.8698787466273672,-1,0,none\n'
+            '2,3,C,D,754.6652002372741,1.2352044883952996e-11,-1,1,minus\n'
         )
         assert (tmp_path / "node_differential_stats.csv").read_text() == (
             'node,label,f_statistic,p_value,trend_sign,rejected,routed\n'
-            '0,A,692.7521688438469,1.0862421433962537e-09,1,1,up\n'
-            '1,"b,c",1.004408104412183,0.4081587303793788,-1,0,none\n'
-            '2,C,550.9790803386388,2.698568916628631e-09,-1,1,down\n'
+            '0,A,692.7521688438469,1.0862421433962545e-09,1,1,up\n'
+            '1,"b,c",1.004408104412183,0.4081587303793799,-1,0,none\n'
+            '2,C,550.9790803386388,2.6985689166286247e-09,-1,1,down\n'
         )
 
     def test_json_round_trip_is_byte_identical(self, tmp_path):
@@ -838,15 +838,26 @@ class TestCli:
             # without --strict the same run degrades to a warning and succeeds
             assert run_cli([*args, "--out-dir", str(tmp_path / f"lax-{i}")]) == 0, command
 
-    def test_import_leaves_the_heavy_scipy_modules_unloaded(self):
-        # scipy.special and scipy.sparse.csgraph are imported by the functions
-        # that call them, so simulate, density-profile and --help never load them
+    def test_import_leaves_the_heavy_scipy_modules_unloaded(self, quoted_manifest, tmp_path):
+        # scipy.sparse.csgraph is imported by the function that calls it, so
+        # simulate, density-profile and --help never load it; scipy.special is
+        # never imported, so neither are the statistics runs
         probe = ("import sys, spnkit, spnkit.cli; "
                  "print(sorted({'scipy.special', 'scipy.sparse.csgraph'} & set(sys.modules)))")
         env = {**os.environ, "PYTHONPATH": str(Path(sk.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
         assert done.stdout.strip() == "[]"
+        m = ["--manifest", str(quoted_manifest)]
+        runs = [[*command, *m, "--out-dir", str(tmp_path / str(i))] for i, command in enumerate(
+            (["spn", "mean", "--condition", "c2"], ["spn", "diff"], ["spn", "node-diff"],
+             ["report", "--abs", "--grid", "1:15:2"]))]
+        probe = ("import sys\nfrom spnkit.cli import main\n"
+                 f"for args in {runs!r}:\n    assert main(args) == 0, args\n"
+                 "print('scipy.special' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip().splitlines()[-1] == "False"
 
 
 @pytest.fixture

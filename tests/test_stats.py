@@ -1,14 +1,21 @@
 """Fisher transform, grand-mean z-tests, repeated-measures F, and BH-FDR."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special  # the reference only: spnkit computes its p-values without it
 
 import spnkit as sk
 from spnkit.errors import ValidationError
+from spnkit.stats import _f_tail, grand_mean_z_family, repeated_measures_family
 
 import oracles
+
+GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
 
 class TestFisherZ:
@@ -229,3 +236,95 @@ class TestUncorrected:
         with pytest.raises(ValidationError) as err:
             sk.uncorrected([0.5], 1.0)
         assert str(err.value) == "alpha must lie in (0, 1), got 1.0"
+
+
+PAPER_DOF = (3, 57)
+F_DOFS = [(1, 1), (1, 2), (2, 1), (1, 9), (9, 1), (4, 4), (3, 57), (5, 100), (1, 891),
+          (9, 891), (19, 380), (2, 1000)]
+
+
+def f_tail_rtol(d1, d2):
+    return 1e-12 if (d1, d2) == PAPER_DOF else 1e-11
+
+
+@pytest.fixture(scope="module")
+def seed_one_study(tmp_path_factory):
+    """The benchmark's seed-1 paper-scale study (20 x 4 x 112), loaded."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen
+    try:
+        spec.loader.exec_module(gen)
+        study = gen.generate(tmp_path_factory.mktemp("seed1"), 1, "paper")
+    finally:
+        del sys.modules[spec.name]
+    return sk.load_dataset(study.manifest), sk.load_node_signals(study.manifest)
+
+
+class TestTailProbabilities:
+    """p-values computed without scipy.special, held to scipy.special and to
+    mpmath at a relative tolerance of 1e-12 for the normal tail and at the
+    paper's (3, 57) degrees of freedom, and 1e-11 at every other (d1, d2),
+    wherever p >= 1e-300."""
+
+    def test_normal_tail_is_math_erfc_and_matches_scipy(self):
+        z = np.geomspace(1e-8, 36.5, 300)
+        values = np.tile(np.concatenate([-z[::-1], [0.0], z]), (4, 1)) / 2.0
+        statistic, p, _ = grand_mean_z_family(values, 0.0, 1.0)
+        assert p.tolist() == [oracles.normal_two_sided_p(s) for s in statistic]
+        np.testing.assert_allclose(p, special.erfc(np.abs(statistic) / math.sqrt(2.0)),
+                                   rtol=1e-12, atol=0)
+        assert p.max() == 1.0 and 1e-300 < p.min() < 1e-285
+
+    @pytest.mark.parametrize("d1,d2", F_DOFS)
+    def test_f_tail_matches_mpmath_and_scipy(self, d1, d2):
+        f = np.geomspace(1e-8, 1e12, 400)
+        p = _f_tail(d1, d2, f)
+        reference = np.array([oracles.f_tail_p(v, d1, d2) for v in f])
+        keep = reference >= 1e-300
+        rtol = f_tail_rtol(d1, d2)
+        np.testing.assert_allclose(p[keep], reference[keep], rtol=rtol, atol=0)
+        np.testing.assert_allclose(p[keep], special.fdtrc(d1, d2, f[keep]), rtol=rtol, atol=0)
+        assert p[0] > 0.999
+        if d2 >= 57:
+            assert reference[keep].min() < 1e-280
+
+    def test_f_tail_at_zero_infinite_and_invalid_f(self):
+        f = np.array([0.0, np.inf, np.nan, -1.0, 5e-324])
+        p = _f_tail(3, 57, f)
+        np.testing.assert_array_equal(p, [1.0, 0.0, np.nan, np.nan, 1.0])
+        np.testing.assert_array_equal(p, special.fdtrc(3, 57, f))
+
+    def test_one_table_gives_the_bits_of_its_family(self):
+        rng = np.random.default_rng(81)
+        tables = rng.normal(size=(20, 4, 50)) * rng.uniform(0.1, 3.0, 50)
+        tables[:, 1:] += rng.uniform(0.0, 2.0, 50)
+        family = repeated_measures_family(tables).p_value
+        alone = [repeated_measures_family(tables[:, :, [h]]).p_value[0] for h in range(50)]
+        assert family.tolist() == alone
+
+    def test_flat_and_degenerate_tables_in_one_family(self):
+        rng = np.random.default_rng(80)
+        tables = rng.normal(size=(6, 4, 5))
+        tables[:, :, 1] = rng.normal(size=(6, 1))  # identical columns: flat
+        tables[:, :, 3] = np.arange(4.0)  # noise-free effect: zero residual
+        fits = repeated_measures_family(tables)
+        assert fits.p_value[1] == 1.0 and fits.p_value[3] == 0.0
+        assert fits.degenerate.tolist() == [False, False, False, True, False]
+        live = [0, 2, 4]
+        np.testing.assert_allclose(fits.p_value[live],
+                                   special.fdtrc(3, 15, fits.f_statistic[live]),
+                                   rtol=f_tail_rtol(3, 15), atol=0)
+
+    def test_seed_one_families_match_scipy(self, seed_one_study):
+        data, signals = seed_one_study
+        for condition in range(data.n_conditions):
+            result = sk.mean_spn(data, condition)
+            expected = special.erfc(np.abs(result.statistic) / math.sqrt(2.0))
+            np.testing.assert_allclose(result.p_value, expected, rtol=1e-12, atol=0)
+            assert np.array_equal(result.correction.rejected, sk.bh_fdr(expected, 0.05).rejected)
+        for result in (sk.differential_spn(data)[0], sk.node_differential_spn(signals)[0]):
+            expected = special.fdtrc(*PAPER_DOF, result.statistic)
+            np.testing.assert_allclose(result.p_value, expected, rtol=f_tail_rtol(*PAPER_DOF),
+                                       atol=0)
+            assert np.array_equal(result.correction.rejected, sk.bh_fdr(expected, 0.05).rejected)
