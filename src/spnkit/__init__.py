@@ -71,9 +71,7 @@ from .spn import (
     node_differential_spn,
 )
 from .stats import (
-    EdgeModelFit,
     FdrDecision,
-    TestResult,
     bh_fdr,
     fisher_z,
     fisher_z_inverse,

@@ -31,8 +31,8 @@ from .stats import (
     FdrDecision,
     bh_fdr,
     fisher_z,
-    grand_mean_z_family,
-    repeated_measures_family,
+    grand_mean_z_test,
+    repeated_measures_fit,
     uncorrected,
 )
 
@@ -191,7 +191,6 @@ class SpnResult:
 
     network: BinaryGraph
     correction: FdrDecision
-    kind: str
     statistic: np.ndarray
     p_value: np.ndarray
     sign: np.ndarray
@@ -229,7 +228,7 @@ def _trend_family(values, name, base_rate: float, correction: str):
     """Fit every table of ``values``, warn of zero residuals, correct once, and
     return the SpnResult fields an SPN+/SPN- pair shares with the masks of the
     significant hypotheses whose linear trend is up, down and zero."""
-    fits = repeated_measures_family(values)
+    fits = repeated_measures_fit(values)
     _warn_zero_residual(fits.degenerate, name)
     decision = _correct(fits.p_value, base_rate, correction)
     rejected, trend = decision.rejected, fits.trend_sign
@@ -255,6 +254,8 @@ def mean_spn(
     """
     if data.n_subjects < 2:
         raise ValidationError("mean SPN needs at least 2 subjects")
+    if data.n_nodes < 2:
+        raise ValidationError(f"mean SPN needs at least 2 nodes, got {data.n_nodes}")
     if not 0 <= condition < data.n_conditions:
         raise ValidationError(
             f"condition index {condition} out of range 0..{data.n_conditions - 1}"
@@ -273,13 +274,12 @@ def mean_spn(
         n_e = z.shape[2]
         statistic, p_value, sign = np.zeros(n_e), np.ones(n_e), np.zeros(n_e, dtype=int)
     else:
-        statistic, p_value, sign = grand_mean_z_family(z[:, condition], grand_mean, grand_sd)
+        statistic, p_value, sign = grand_mean_z_test(z[:, condition], grand_mean, grand_sd)
 
     decision = _correct(p_value, base_rate, correction)
     return SpnResult(
         network=_edge_network(data, decision.rejected & (sign > 0)),
         correction=decision,
-        kind="mean",
         statistic=statistic,
         p_value=p_value,
         sign=sign,
@@ -307,8 +307,8 @@ def differential_spn(
     )
     shared["diagnostics"] = tuple(zip(rows[zero].tolist(), cols[zero].tolist()))
     return (
-        SpnResult(network=_edge_network(data, up), kind="differential_plus", **shared),
-        SpnResult(network=_edge_network(data, down), kind="differential_minus", **shared),
+        SpnResult(network=_edge_network(data, up), **shared),
+        SpnResult(network=_edge_network(data, down), **shared),
     )
 
 
@@ -330,8 +330,6 @@ def node_differential_spn(
     )
     empty = _edge_graph(data.node_labels, [], [])
     return (
-        SpnResult(network=empty, kind="node_differential_plus",
-                  flagged_nodes=tuple(np.flatnonzero(up).tolist()), **shared),
-        SpnResult(network=empty, kind="node_differential_minus",
-                  flagged_nodes=tuple(np.flatnonzero(down).tolist()), **shared),
+        SpnResult(network=empty, flagged_nodes=tuple(np.flatnonzero(up).tolist()), **shared),
+        SpnResult(network=empty, flagged_nodes=tuple(np.flatnonzero(down).tolist()), **shared),
     )

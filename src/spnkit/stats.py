@@ -60,37 +60,6 @@ def fisher_z_inverse(z):
 
 
 @dataclass(frozen=True)
-class TestResult:
-    """Outcome of a single univariate test."""
-
-    statistic: float
-    p_value: float
-    effect_sign: int
-    dof: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class EdgeModelFit:
-    """Closed-form fit of the balanced repeated-measures model for one edge.
-
-    fixed_effects are the per-condition means; subject_intercepts are
-    subject means relative to the grand mean; the F-test compares the
-    condition stratum to the residual stratum with dof
-    (J-1, (n-1)(J-1)).  ``degenerate`` flags a zero residual stratum
-    (infinite F, reported as p = 0).
-    """
-
-    fixed_effects: np.ndarray
-    subject_intercepts: np.ndarray
-    residual_variance: float
-    f_statistic: float
-    p_value: float
-    trend_sign: int
-    dof: tuple[float, float]
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
 class FdrDecision:
     """Step-up FDR decision over a family of hypotheses.
 
@@ -100,7 +69,6 @@ class FdrDecision:
 
     rejected: np.ndarray
     threshold_index: int
-    base_rate: float
 
     def __post_init__(self):
         mask = np.array(self.rejected, dtype=bool, copy=True)
@@ -113,7 +81,7 @@ class FdrDecision:
 
 
 class FitFamily(NamedTuple):
-    """Repeated-measures fits for a family of H hypotheses, in hypothesis order."""
+    """repeated_measures_fit's result for a family of H hypotheses, in hypothesis order."""
 
     fixed_effects: np.ndarray  # (H, J) condition means
     subject_intercepts: np.ndarray  # (H, n) subject means minus the grand mean
@@ -124,42 +92,38 @@ class FitFamily(NamedTuple):
     degenerate: np.ndarray  # bool: zero residual stratum, reported as F = inf, p = 0
 
 
-def grand_mean_z_family(values, grand_mean: float, grand_sd: float):
-    """grand_mean_z_test for every column of an (n, H) array at once.
+def grand_mean_z_test(values, grand_mean: float, grand_sd: float):
+    """Two-sided z-tests of column means against pooled grand statistics.
 
-    Returns (statistic, p_value, effect_sign) arrays of length H.  Each
-    column's mean is a pairwise sum over a contiguous row, as for a
-    single sample, so the results match one-column calls bit for bit.
+    ``values`` is an (n, H) array with one column per hypothesis and
+    n >= 2 rows.  Column h gets statistic = (mean(values[:, h]) -
+    grand_mean) / (grand_sd / sqrt(n)), with the p-value from the standard
+    normal.  Returns (statistic, p_value, effect_sign) arrays of length H.
+    Each column's mean is a pairwise sum over a contiguous row, so a
+    one-column call gives the same bits as the column does in its family.
     """
-    x = np.ascontiguousarray(np.asarray(values, dtype=float).T)
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise ValidationError(
+            f"grand_mean_z_test needs an (n, H) array with n >= 2, got shape {x.shape}")
+    if not grand_sd > 0:
+        raise ValidationError(f"grand_sd must be positive, got {grand_sd!r}")
+    x = np.ascontiguousarray(x.T)
     delta = x.mean(axis=1) - grand_mean
     statistic = delta / (grand_sd / math.sqrt(x.shape[1]))
     p_value = np.minimum(_erfc(np.abs(statistic) / math.sqrt(2.0)).astype(float), 1.0)
     return statistic, p_value, np.sign(delta).astype(int)
 
 
-def grand_mean_z_test(edge_values, grand_mean: float, grand_sd: float) -> TestResult:
-    """Two-sided z-test of a sample mean against pooled grand statistics.
+def repeated_measures_fit(values) -> FitFamily:
+    """Fit the balanced subjects x conditions decomposition to every table of a family.
 
-    statistic = (mean(edge_values) - grand_mean) / (grand_sd / sqrt(n)),
-    with the p-value from the standard normal.
-    """
-    values = np.asarray(edge_values, dtype=float)
-    if values.ndim != 1 or values.size < 2:
-        raise ValidationError("grand_mean_z_test needs a 1-d sample of size >= 2")
-    if not grand_sd > 0:
-        raise ValidationError(f"grand_sd must be positive, got {grand_sd!r}")
-    statistic, p_value, sign = grand_mean_z_family(values[:, None], grand_mean, grand_sd)
-    return TestResult(
-        statistic=float(statistic[0]),
-        p_value=float(p_value[0]),
-        effect_sign=int(sign[0]),
-        dof=(math.inf, math.inf),
-    )
-
-
-def repeated_measures_family(values) -> FitFamily:
-    """repeated_measures_fit for every n x J table values[:, :, h] of an (n, J, H) array.
+    ``values`` has shape (n, J, H): table h is values[:, :, h], with rows
+    = subjects (n >= 2) and columns = conditions in gradient order
+    (J >= 2), every cell finite.  Variance splits into subject, condition
+    and residual strata; the condition F-test has dof (J-1, (n-1)(J-1)).
+    The trend sign is the sign of the equally spaced linear contrast over
+    the condition means.
 
     The tables are copied once into an (H, n, J) layout so that every sum
     runs in the order a single table's would: the grand mean and the total
@@ -167,8 +131,16 @@ def repeated_measures_family(values) -> FitFamily:
     values, and condition and subject means accumulate sequentially.  A
     one-table call therefore gives the same bits as the batched one.
     """
-    x = np.moveaxis(np.asarray(values, dtype=float), -1, 0).copy()
-    h, n, j = x.shape
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 3:
+        raise ValidationError(
+            f"repeated_measures_fit needs an (n, J, H) array, got shape {arr.shape}")
+    n, j, h = arr.shape
+    if n < 2 or j < 2:
+        raise ValidationError(f"need n >= 2 subjects and J >= 2 conditions, got {n} x {j}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("unsupported design: table has missing or non-finite cells")
+    x = np.moveaxis(arr, -1, 0).copy()
     grand = x.reshape(h, n * j).mean(axis=1)
     cond_means = x.mean(axis=1)
     subj_means = x.mean(axis=2)
@@ -270,36 +242,6 @@ def _f_tail(d1: int, d2: int, f_stat) -> np.ndarray:
     return p
 
 
-def repeated_measures_fit(values) -> EdgeModelFit:
-    """Fit the balanced subjects x conditions decomposition for one response.
-
-    ``values`` is a complete n x J table (rows = subjects, columns =
-    conditions in gradient order).  Variance splits into subject,
-    condition, and residual strata; the condition F-test has dof
-    (J-1, (n-1)(J-1)).  The trend sign is the sign of the equally
-    spaced linear contrast over the condition means.
-    """
-    table = np.asarray(values, dtype=float)
-    if table.ndim != 2:
-        raise ValidationError("repeated_measures_fit needs an n x J table")
-    n, j = table.shape
-    if n < 2 or j < 2:
-        raise ValidationError(f"need n >= 2 subjects and J >= 2 conditions, got {n} x {j}")
-    if not np.all(np.isfinite(table)):
-        raise ValidationError("unsupported design: table has missing or non-finite cells")
-    fit = repeated_measures_family(table[:, :, None])
-    return EdgeModelFit(
-        fixed_effects=fit.fixed_effects[0],
-        subject_intercepts=fit.subject_intercepts[0],
-        residual_variance=float(fit.residual_variance[0]),
-        f_statistic=float(fit.f_statistic[0]),
-        p_value=float(fit.p_value[0]),
-        trend_sign=int(fit.trend_sign[0]),
-        dof=(float(j - 1), float((n - 1) * (j - 1))),
-        degenerate=bool(fit.degenerate[0]),
-    )
-
-
 def _validated_pvalues(p_values) -> np.ndarray:
     p = np.asarray(p_values, dtype=float)
     if p.ndim != 1:
@@ -321,16 +263,16 @@ def bh_fdr(p_values, base_rate: float) -> FdrDecision:
     p = _validated_pvalues(p_values)
     m = p.size
     if m == 0:
-        return FdrDecision(np.zeros(0, dtype=bool), 0, base_rate)
+        return FdrDecision(np.zeros(0, dtype=bool), 0)
     order = np.argsort(p, kind="stable")
     ranks = np.arange(1, m + 1)
     passing = p[order] <= ranks * base_rate / m
     if not passing.any():
-        return FdrDecision(np.zeros(m, dtype=bool), 0, base_rate)
+        return FdrDecision(np.zeros(m, dtype=bool), 0)
     k = int(np.max(ranks[passing]))
     rejected = np.zeros(m, dtype=bool)
     rejected[order[:k]] = True
-    return FdrDecision(rejected, k, base_rate)
+    return FdrDecision(rejected, k)
 
 
 def uncorrected(p_values, alpha: float) -> FdrDecision:
@@ -339,4 +281,4 @@ def uncorrected(p_values, alpha: float) -> FdrDecision:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
     p = _validated_pvalues(p_values)
     rejected = p < alpha
-    return FdrDecision(rejected, int(rejected.sum()), alpha)
+    return FdrDecision(rejected, int(rejected.sum()))

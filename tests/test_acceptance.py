@@ -204,8 +204,8 @@ class TestCriterion6InferenceCorrectness:
             n = int(rng.integers(3, 12))
             j = int(rng.integers(2, 7))
             table = rng.normal(loc=rng.normal(), scale=rng.uniform(0.5, 2.0), size=(n, j))
-            fit = sk.repeated_measures_fit(table)
-            assert abs(fit.f_statistic - oracles.rm_anova_f(table)) <= 1e-10
+            fit = sk.repeated_measures_fit(table[:, :, None])
+            assert abs(fit.f_statistic[0] - oracles.rm_anova_f(table)) <= 1e-10
         report("6b (repeated-measures oracle)", True, "100 balanced tables, 1e-10")
 
     def test_plant_and_recover_routes_every_effect_correctly(self):

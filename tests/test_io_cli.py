@@ -295,6 +295,14 @@ class TestSignedInputRefusal:
             sk.association_graph(m)
 
 
+def test_mean_spn_of_a_one_node_study_is_refused(tmp_path, capsys):
+    corr = [[np.zeros((1, 1))] * 2] * 2
+    manifest = build_manifest(tmp_path, corr, ["A"], ["rest", "task"], ["s1", "s2"])
+    err = refused(capsys, ["spn", "mean", "--manifest", str(manifest), "--condition", "rest"],
+                  tmp_path / "out")
+    assert "error: mean SPN needs at least 2 nodes, got 1" in err
+
+
 class TestManifestErrors:
     @pytest.mark.parametrize("change,message", [
         (lambda p: p.pop("files"), "missing manifest key 'files'"),

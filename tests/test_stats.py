@@ -11,7 +11,7 @@ from scipy import special  # the reference only: spnkit computes its p-values wi
 
 import spnkit as sk
 from spnkit.errors import ValidationError
-from spnkit.stats import _f_tail, grand_mean_z_family, repeated_measures_family
+from spnkit.stats import _f_tail
 
 import oracles
 
@@ -47,53 +47,72 @@ class TestFisherZ:
 
 
 class TestGrandMeanZTest:
+    """One-column families: ``x[:, None]`` is a single hypothesis."""
+
     def test_mean_equal_to_grand_mean(self):
-        t = sk.grand_mean_z_test([0.3, 0.3, 0.3], 0.3, 1.0)
-        assert t.statistic == 0.0
-        assert t.p_value == 1.0
-        assert t.effect_sign == 0
+        statistic, p, sign = sk.grand_mean_z_test(np.array([0.3, 0.3, 0.3])[:, None], 0.3, 1.0)
+        assert statistic.tolist() == [0.0]
+        assert p.tolist() == [1.0]
+        assert sign.tolist() == [0]
 
     def test_unit_shift_with_four_samples(self):
-        t = sk.grand_mean_z_test([1.0, 1.0, 1.0, 1.0], 0.0, 1.0)
-        assert t.statistic == pytest.approx(2.0)
-        assert t.p_value == pytest.approx(oracles.normal_two_sided_p(2.0), abs=1e-12)
-        assert t.p_value == pytest.approx(0.0455, abs=1e-4)
-        assert t.effect_sign == 1
+        statistic, p, sign = sk.grand_mean_z_test(np.ones(4)[:, None], 0.0, 1.0)
+        assert statistic[0] == pytest.approx(2.0)
+        assert p[0] == pytest.approx(oracles.normal_two_sided_p(2.0), abs=1e-12)
+        assert p[0] == pytest.approx(0.0455, abs=1e-4)
+        assert sign.tolist() == [1]
 
     def test_more_samples_shrink_p(self):
-        small = sk.grand_mean_z_test([0.5] * 4, 0.0, 1.0)
-        large = sk.grand_mean_z_test([0.5] * 8, 0.0, 1.0)
-        assert large.p_value < small.p_value
+        _, small, _ = sk.grand_mean_z_test(np.full(4, 0.5)[:, None], 0.0, 1.0)
+        _, large, _ = sk.grand_mean_z_test(np.full(8, 0.5)[:, None], 0.0, 1.0)
+        assert large[0] < small[0]
 
     def test_negative_effect_sign(self):
-        t = sk.grand_mean_z_test([-0.5, -0.4], 0.0, 1.0)
-        assert t.effect_sign == -1
+        _, _, sign = sk.grand_mean_z_test(np.array([-0.5, -0.4])[:, None], 0.0, 1.0)
+        assert sign.tolist() == [-1]
 
-    def test_invalid_sd(self):
-        with pytest.raises(ValidationError):
-            sk.grand_mean_z_test([0.1, 0.2], 0.0, 0.0)
+    @pytest.mark.parametrize("sd", [0.0, -1.0, math.nan])
+    def test_invalid_sd(self, sd):
+        with pytest.raises(ValidationError) as err:
+            sk.grand_mean_z_test(np.array([0.1, 0.2])[:, None], 0.0, sd)
+        assert str(err.value) == f"grand_sd must be positive, got {sd!r}"
 
     def test_needs_two_values(self):
-        with pytest.raises(ValidationError):
-            sk.grand_mean_z_test([0.1], 0.0, 1.0)
+        with pytest.raises(ValidationError) as err:
+            sk.grand_mean_z_test(np.array([0.1])[:, None], 0.0, 1.0)
+        assert str(err.value) == (
+            "grand_mean_z_test needs an (n, H) array with n >= 2, got shape (1, 1)")
+
+    def test_one_dimensional_sample_is_refused(self):
+        with pytest.raises(ValidationError) as err:
+            sk.grand_mean_z_test(np.array([0.1, 0.2, 0.3]), 0.0, 1.0)
+        assert str(err.value) == (
+            "grand_mean_z_test needs an (n, H) array with n >= 2, got shape (3,)")
+
+
+def fit_one(table):
+    """The repeated-measures fit of one n x J table, as a one-table family."""
+    return sk.repeated_measures_fit(np.asarray(table, dtype=float)[:, :, None])
 
 
 class TestRepeatedMeasuresFit:
+    """One-table families: ``table[:, :, None]`` is a single hypothesis."""
+
     def test_identical_columns(self):
         rng = np.random.default_rng(0)
         col = rng.normal(size=5)
-        fit = sk.repeated_measures_fit(np.column_stack([col, col, col]))
-        assert fit.f_statistic == 0.0
-        assert fit.p_value == 1.0
-        assert fit.trend_sign == 0
+        fit = fit_one(np.column_stack([col, col, col]))
+        assert fit.f_statistic.tolist() == [0.0]
+        assert fit.p_value.tolist() == [1.0]
+        assert fit.trend_sign.tolist() == [0]
 
     def test_noise_free_effect_is_degenerate(self):
         table = np.tile(np.array([0.0, 1.0]), (3, 1))
-        fit = sk.repeated_measures_fit(table)
-        assert math.isinf(fit.f_statistic)
-        assert fit.p_value == 0.0
-        assert fit.trend_sign == 1
-        assert fit.degenerate
+        fit = fit_one(table)
+        assert fit.f_statistic.tolist() == [math.inf]
+        assert fit.p_value.tolist() == [0.0]
+        assert fit.trend_sign.tolist() == [1]
+        assert fit.degenerate.tolist() == [True]
 
     def test_matches_sums_of_squares_oracle(self):
         rng = np.random.default_rng(42)
@@ -101,60 +120,64 @@ class TestRepeatedMeasuresFit:
             n = int(rng.integers(3, 9))
             j = int(rng.integers(2, 6))
             table = rng.normal(size=(n, j))
-            fit = sk.repeated_measures_fit(table)
-            assert fit.f_statistic == pytest.approx(oracles.rm_anova_f(table), abs=1e-10)
-            assert fit.p_value == pytest.approx(
-                oracles.f_tail_p(fit.f_statistic, j - 1, (n - 1) * (j - 1)), abs=1e-12
+            fit = fit_one(table)
+            assert fit.f_statistic[0] == pytest.approx(oracles.rm_anova_f(table), abs=1e-10)
+            assert fit.p_value[0] == pytest.approx(
+                oracles.f_tail_p(fit.f_statistic[0], j - 1, (n - 1) * (j - 1)), abs=1e-12
             )
 
     def test_random_intercept_absorbs_subject_shift(self):
         rng = np.random.default_rng(7)
         table = rng.normal(size=(5, 3))
         shifted = table + rng.normal(size=(5, 1))
-        a = sk.repeated_measures_fit(table)
-        b = sk.repeated_measures_fit(shifted)
-        assert b.f_statistic == pytest.approx(a.f_statistic, abs=1e-10)
+        a = fit_one(table)
+        b = fit_one(shifted)
+        assert b.f_statistic[0] == pytest.approx(a.f_statistic[0], abs=1e-10)
 
     def test_condition_permutation_keeps_f(self):
         rng = np.random.default_rng(8)
         table = rng.normal(size=(6, 4))
         perm = rng.permutation(4)
-        a = sk.repeated_measures_fit(table)
-        b = sk.repeated_measures_fit(table[:, perm])
-        assert b.f_statistic == pytest.approx(a.f_statistic, abs=1e-10)
+        a = fit_one(table)
+        b = fit_one(table[:, perm])
+        assert b.f_statistic[0] == pytest.approx(a.f_statistic[0], abs=1e-10)
 
     def test_reversing_conditions_flips_trend(self):
         rng = np.random.default_rng(9)
         table = rng.normal(size=(6, 4)) + np.linspace(0, 1, 4)
-        a = sk.repeated_measures_fit(table)
-        b = sk.repeated_measures_fit(table[:, ::-1])
-        assert a.trend_sign == -b.trend_sign != 0
+        a = fit_one(table)
+        b = fit_one(table[:, ::-1])
+        assert a.trend_sign[0] == -b.trend_sign[0] != 0
 
     def test_effects_and_intercepts(self):
         rng = np.random.default_rng(10)
         table = rng.normal(size=(4, 3))
-        fit = sk.repeated_measures_fit(table)
-        np.testing.assert_allclose(fit.fixed_effects, table.mean(axis=0))
+        fit = fit_one(table)
+        np.testing.assert_allclose(fit.fixed_effects, table.mean(axis=0)[None, :])
         np.testing.assert_allclose(
-            fit.subject_intercepts, table.mean(axis=1) - table.mean()
+            fit.subject_intercepts, (table.mean(axis=1) - table.mean())[None, :]
         )
-        assert fit.dof == (2.0, 6.0)
 
-    def test_missing_cells_rejected(self):
-        table = np.array([[0.1, 0.2], [np.nan, 0.3]])
-        with pytest.raises(ValidationError):
-            sk.repeated_measures_fit(table)
-
-    def test_minimum_shape(self):
-        with pytest.raises(ValidationError):
-            sk.repeated_measures_fit(np.zeros((1, 3)))
-        with pytest.raises(ValidationError):
-            sk.repeated_measures_fit(np.zeros((3, 1)))
-
-    def test_one_dimensional_table_is_refused(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_missing_cells_rejected(self, bad):
+        table = np.array([[0.1, 0.2], [bad, 0.3]])
         with pytest.raises(ValidationError) as err:
-            sk.repeated_measures_fit(np.zeros(4))
-        assert str(err.value) == "repeated_measures_fit needs an n x J table"
+            fit_one(table)
+        assert str(err.value) == "unsupported design: table has missing or non-finite cells"
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1)])
+    def test_minimum_shape(self, shape):
+        with pytest.raises(ValidationError) as err:
+            fit_one(np.zeros(shape))
+        assert str(err.value) == (
+            f"need n >= 2 subjects and J >= 2 conditions, got {shape[0]} x {shape[1]}")
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 2)])
+    def test_table_without_a_family_axis_is_refused(self, shape):
+        with pytest.raises(ValidationError) as err:
+            sk.repeated_measures_fit(np.zeros(shape))
+        assert str(err.value) == (
+            f"repeated_measures_fit needs an (n, J, H) array, got shape {shape}")
 
 
 class TestBhFdr:
@@ -270,7 +293,7 @@ class TestTailProbabilities:
     def test_normal_tail_is_math_erfc_and_matches_scipy(self):
         z = np.geomspace(1e-8, 36.5, 300)
         values = np.tile(np.concatenate([-z[::-1], [0.0], z]), (4, 1)) / 2.0
-        statistic, p, _ = grand_mean_z_family(values, 0.0, 1.0)
+        statistic, p, _ = sk.grand_mean_z_test(values, 0.0, 1.0)
         assert p.tolist() == [oracles.normal_two_sided_p(s) for s in statistic]
         np.testing.assert_allclose(p, special.erfc(np.abs(statistic) / math.sqrt(2.0)),
                                    rtol=1e-12, atol=0)
@@ -299,8 +322,8 @@ class TestTailProbabilities:
         rng = np.random.default_rng(81)
         tables = rng.normal(size=(20, 4, 50)) * rng.uniform(0.1, 3.0, 50)
         tables[:, 1:] += rng.uniform(0.0, 2.0, 50)
-        family = repeated_measures_family(tables).p_value
-        alone = [repeated_measures_family(tables[:, :, [h]]).p_value[0] for h in range(50)]
+        family = sk.repeated_measures_fit(tables).p_value
+        alone = [sk.repeated_measures_fit(tables[:, :, [h]]).p_value[0] for h in range(50)]
         assert family.tolist() == alone
 
     def test_flat_and_degenerate_tables_in_one_family(self):
@@ -308,7 +331,7 @@ class TestTailProbabilities:
         tables = rng.normal(size=(6, 4, 5))
         tables[:, :, 1] = rng.normal(size=(6, 1))  # identical columns: flat
         tables[:, :, 3] = np.arange(4.0)  # noise-free effect: zero residual
-        fits = repeated_measures_family(tables)
+        fits = sk.repeated_measures_fit(tables)
         assert fits.p_value[1] == 1.0 and fits.p_value[3] == 0.0
         assert fits.degenerate.tolist() == [False, False, False, True, False]
         live = [0, 2, 4]
