@@ -16,7 +16,6 @@ from .density import (
 )
 from .errors import (
     DataError,
-    DegenerateStatisticsError,
     DegenerateStatisticsWarning,
     IncompleteDesignError,
     SchemaError,

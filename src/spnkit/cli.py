@@ -13,11 +13,12 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 from . import density as density_mod
 from . import io as spnio
-from .errors import DegenerateStatisticsError, DegenerateStatisticsWarning, ValidationError
+from .errors import DegenerateStatisticsWarning, ValidationError
 from .modularity import TOPOLOGIES, edges_sweep, randomness_sweep
 from .spn import CORRECTIONS
 
@@ -150,29 +151,29 @@ _NOT_CONFIG = ("command", "func", "load", "name", "out_dir", "simulate_command",
 def run(args) -> int:
     """Run one parsed subcommand with nothing half-written left behind.
 
-    Loads the manifest data the subcommand needs and runs it, recording
-    warnings, in a staging directory inside --out-dir; writes
-    ``run_log.txt`` there; and moves every file up into --out-dir only
-    when the run succeeds.  A failure, or a DegenerateStatisticsWarning
-    under --strict (raised as DegenerateStatisticsError), removes the
-    staging directory, and --out-dir too if this run created it.
+    Loads the manifest data the subcommand needs and runs it in a staging
+    directory inside --out-dir, recording every warning; re-issues them
+    to the caller's filters; writes ``run_log.txt``; and moves every file
+    up into --out-dir only when the run succeeds.  Under --strict the
+    first DegenerateStatisticsWarning is raised, not recorded.  A failure
+    removes the staging directory, and --out-dir too if this run created it.
     """
     out = Path(args.out_dir)
     created = not out.is_dir()
     out.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
-        with spnio.recorded_warnings() as caught:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error" if getattr(args, "strict", False) else "always",
+                                  DegenerateStatisticsWarning)
             data = None
             if args.load is not None:
                 manifest = spnio.parse_manifest(args.manifest)
                 _resolve_options(args, manifest.options)
                 data = getattr(spnio, args.load)(manifest)
             summary = args.func(args, data, staging)
-        degenerate = [str(w.message) for w in caught
-                      if issubclass(w.category, DegenerateStatisticsWarning)]
-        if getattr(args, "strict", False) and degenerate:
-            raise DegenerateStatisticsError("; ".join(degenerate))
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
         spnio.write_run_log(staging, args.name, config, [str(w.message) for w in caught],
                             sorted(staging.iterdir()))
@@ -264,8 +265,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except (DegenerateStatisticsError, DegenerateStatisticsWarning) as exc:
-        # the warning itself arrives here when the interpreter's filters make it an error
+    except DegenerateStatisticsWarning as exc:  # raised under --strict or the caller's filters
         print(f"degenerate statistics: {exc}", file=sys.stderr)
         return 4
     except ValidationError as exc:

@@ -1,8 +1,9 @@
 """Exception and warning types shared across spnkit.
 
 The CLI maps these onto process exit codes: ValidationError (and its
-subclasses) -> 2, I/O failures -> 3, DegenerateStatisticsError -> 4
-(only raised when degenerate-statistics warnings are escalated).
+subclasses) -> 2, I/O failures -> 3, and DegenerateStatisticsWarning -> 4
+when it is raised as an error (under --strict, or by the caller's
+warnings filters).
 """
 
 
@@ -28,7 +29,3 @@ class DataError(ValidationError):
 
 class DegenerateStatisticsWarning(UserWarning):
     """Statistics collapsed (zero variance, zero residual); results are trivial."""
-
-
-class DegenerateStatisticsError(SpnkitError):
-    """Escalated form of DegenerateStatisticsWarning under strict mode."""

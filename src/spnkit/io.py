@@ -14,10 +14,8 @@ inputs and options is byte-identical.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
-import warnings
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
@@ -25,13 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import density as density_mod
-from .errors import (
-    DataError,
-    DegenerateStatisticsWarning,
-    IncompleteDesignError,
-    SchemaError,
-    ValidationError,
-)
+from .errors import DataError, IncompleteDesignError, SchemaError, ValidationError
 from .graphs import BinaryGraph, WeightedGraph, _node_coords, _node_labels, global_efficiency, \
     local_efficiency, spread_condition_holds, threshold, weighted_density, weighted_efficiency
 from .spn import NodeSignalDataset, SpnResult, StudyDataset, differential_spn, mean_spn
@@ -247,7 +239,11 @@ def load_node_signals(manifest: Manifest | str | Path) -> NodeSignalDataset:
     labels = manifest.node_labels
 
     def read(path):
-        vector = _read_csv(path, "signal vector").ravel()
+        table = _read_csv(path, "signal vector")
+        if min(table.shape) > 1:
+            raise SchemaError(f"{path}: expected one row or one column of signal values, "
+                              f"got {table.shape[0]} rows of {table.shape[1]}")
+        vector = table.ravel()
         if vector.size != len(labels):
             raise SchemaError(f"{path}: expected {len(labels)} signal values, got {vector.size}")
         return vector
@@ -387,8 +383,8 @@ class ReportBundle:
     """In-memory results plus the files written by report_pipeline.
 
     ``paths`` lists the report files; there is no run log among them
-    (``spnkit report`` writes ``run_log.txt`` itself).  ``warnings``
-    holds the message of every warning raised while the steps ran.
+    (``spnkit report`` writes ``run_log.txt`` itself).  Warnings are not
+    kept here: each reaches the caller's filters when it is raised.
     """
 
     density_table: tuple
@@ -396,7 +392,6 @@ class ReportBundle:
     differential: tuple[SpnResult, SpnResult]
     density_profiles: dict
     paths: tuple[Path, ...]
-    warnings: tuple[str, ...] = ()
 
 
 def safe_name(label: str) -> str:
@@ -411,22 +406,6 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
     table.writerows(rows)
     path.write_text(text.getvalue())
     return path
-
-
-@contextlib.contextmanager
-def recorded_warnings():
-    """Record the warnings raised inside the block, then re-issue each one.
-
-    Yields the list of ``warnings.WarningMessage`` records, filled when
-    the block exits.  Every DegenerateStatisticsWarning is recorded;
-    others as the caller's filters allow.  Re-issuing passes them on to
-    the caller's filters and to any recorder further out.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DegenerateStatisticsWarning)
-        yield caught
-    for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
 
 def write_run_log(out_dir, command: str, config: dict, notes, paths) -> Path:
@@ -606,29 +585,27 @@ def report_pipeline(
     (2) one mean SPN per condition, (3) the differential SPN pair,
     (4) density-integrated metric profiles per condition (computed on
     the condition-mean association matrix).  Reruns with identical
-    inputs and options produce byte-identical files.  No run log is
-    written: the warnings are in the returned bundle, and the CLI's
-    ``spnkit report`` writes ``run_log.txt`` next to these files.
+    inputs and options produce byte-identical files.  Warnings go to the
+    caller's filters as they are raised.  No run log is written; the
+    CLI's ``spnkit report`` writes ``run_log.txt`` next to these files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with recorded_warnings() as caught:
-        table, paths = step_weighted_density(data, out, "01_", negatives)
-        mean_results = {}
-        for ci, condition in enumerate(data.condition_labels):
-            mean_results[condition], written = step_mean_spn(
-                data, out, "02_", ci, base_rate, correction, fmt)
-            paths += written
-        differential, written = step_differential_spn(data, out, "03_", base_rate, correction, fmt)
+    table, paths = step_weighted_density(data, out, "01_", negatives)
+    mean_results = {}
+    for ci, condition in enumerate(data.condition_labels):
+        mean_results[condition], written = step_mean_spn(
+            data, out, "02_", ci, base_rate, correction, fmt)
         paths += written
-        profiles, written = step_density_profiles(
-            data, out, "04_", negatives, metric, density_grid)
-        paths += written
+    differential, written = step_differential_spn(data, out, "03_", base_rate, correction, fmt)
+    paths += written
+    profiles, written = step_density_profiles(
+        data, out, "04_", negatives, metric, density_grid)
+    paths += written
     return ReportBundle(
         density_table=tuple(table),
         mean_spns=mean_results,
         differential=differential,
         density_profiles=profiles,
         paths=tuple(paths),
-        warnings=tuple(str(w.message) for w in caught),
     )

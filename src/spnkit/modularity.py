@@ -56,8 +56,6 @@ class SweepResult:
     """Rows of (parameter, replicates, mean module count, sd) for one sweep."""
 
     rows: tuple[SweepRow, ...]
-    seed: int
-    topology: str
 
     def to_csv(self, path) -> None:
         from .io import write_csv  # io imports this module
@@ -293,7 +291,7 @@ def randomness_sweep(
     base = ring_lattice(n_v, n_e)
     rows = _sweep(rewiring_grid, replicates, "rewiring",
                   lambda gi, steps, r: rewire(base, steps, _child_seed(seed, gi, r)))
-    return SweepResult(rows, seed, "lattice")
+    return SweepResult(rows)
 
 
 def edges_sweep(
@@ -312,4 +310,4 @@ def edges_sweep(
     else:
         rows = _sweep(edge_grid, replicates, "edge",
                       lambda gi, n_e, r: random_graph(n_v, n_e, _child_seed(seed, gi, r)))
-    return SweepResult(rows, seed, topology)
+    return SweepResult(rows)

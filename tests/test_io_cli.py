@@ -426,6 +426,18 @@ class TestInputErrorBranches:
         err = refused(capsys, ["spn", "node-diff", "--manifest", str(manifest)], tmp_path / "out")
         assert f"{tmp_path / 's2_task_signal.csv'}: {message}" in err
 
+    def test_signal_table_of_several_rows_and_columns_is_refused(self, tmp_path, capsys):
+        # a 2 x 2 table holds the 4 values of a 4-node study, but in no defined order
+        corr = [[hollow(4, 0.2), hollow(4, 0.3)], [hollow(4, 0.25), hollow(4, 0.35)]]
+        signals = [[[1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.5, 4.5]],
+                   [[1.1, 2.1, 3.1, 4.1], [1.6, 2.6, 3.6, 4.6]]]
+        manifest = build_manifest(tmp_path, corr, ["A", "B", "C", "D"], ["rest", "task"],
+                                  ["s1", "s2"], signals=signals)
+        (tmp_path / "s2_task_signal.csv").write_text("1.6,2.6\n3.6,4.6\n")
+        err = refused(capsys, ["spn", "node-diff", "--manifest", str(manifest)], tmp_path / "out")
+        assert (f"{tmp_path / 's2_task_signal.csv'}: expected one row or one column of signal "
+                "values, got 2 rows of 2") in err
+
     def test_ragged_signal_file_names_file_and_line(self, tmp_path, capsys):
         corr = [[hollow(3, 0.2), hollow(3, 0.3)], [hollow(3, 0.25), hollow(3, 0.35)]]
         signals = [[[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]], [[1.1, 2.1, 3.1], [1.6, 2.6, 3.6]]]
@@ -655,7 +667,17 @@ class TestReportPipeline:
         plus, minus = bundle.differential
         assert plus.network.edge_count == 0
         assert minus.network.edge_count == 0
-        assert any("grand SD is zero" in note for note in bundle.warnings)
+
+    def test_warnings_reach_the_caller_as_they_are_raised(self, tmp_path):
+        corr = np.stack([np.stack([hollow(4, 0.3)] * 2)] * 3)
+        data = sk.StudyDataset(corr, ("a", "b", "c", "d"), ("c0", "c1"), ("s0", "s1", "s2"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", sk.DegenerateStatisticsWarning)
+            with pytest.raises(sk.DegenerateStatisticsWarning, match="grand SD is zero"):
+                sk.report_pipeline(data, out)
+        # the first mean SPN stopped the pipeline before it wrote anything
+        assert sorted(p.name for p in out.iterdir()) == ["01_weighted_density.csv"]
 
     def test_planted_dataset_lands_in_the_right_sections(self, tmp_path):
         rng = np.random.default_rng(42)
@@ -845,6 +867,36 @@ class TestCli:
             assert not strict.exists()
             # without --strict the same run degrades to a warning and succeeds
             assert run_cli([*args, "--out-dir", str(tmp_path / f"lax-{i}")]) == 0, command
+
+    @pytest.fixture
+    def constant_manifest(self, tmp_path):
+        return build_manifest(tmp_path, [[hollow(3, 0.3)] * 2] * 2, ["A", "B", "C"],
+                              ["rest", "task"], ["s1", "s2"])
+
+    def test_strict_stops_at_the_first_degenerate_statistic(self, constant_manifest, tmp_path,
+                                                            capsys, monkeypatch):
+        calls, step_3 = [], spnio.step_differential_spn
+        monkeypatch.setattr(spnio, "step_differential_spn",
+                            lambda *a, **k: calls.append(a) or step_3(*a, **k))
+        out = tmp_path / "out"
+        args = ["report", "--strict", "--manifest", str(constant_manifest), "--out-dir", str(out)]
+        assert run_cli(args) == 4
+        assert not out.exists()
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "degenerate statistics: grand SD is zero (constant dataset); mean SPN is empty\n")
+
+    def test_caller_filter_that_raises_the_warning_exits_4(self, constant_manifest, tmp_path,
+                                                           capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", sk.DegenerateStatisticsWarning)
+            code = cli_main(["report", "--manifest", str(constant_manifest),
+                             "--out-dir", str(out)])
+        assert code == 4
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "degenerate statistics: grand SD is zero (constant dataset); mean SPN is empty\n")
 
     def test_import_leaves_the_heavy_scipy_modules_unloaded(self, quoted_manifest, tmp_path):
         # scipy.sparse.csgraph is imported by the function that calls it, so
