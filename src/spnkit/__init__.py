@@ -38,7 +38,6 @@ from .graphs import (
 )
 from .io import (
     Manifest,
-    ManifestOptions,
     ReportBundle,
     association_graph,
     export_graph,
@@ -50,7 +49,6 @@ from .io import (
 )
 from .modularity import (
     Partition,
-    SweepResult,
     SweepRow,
     edges_sweep,
     greedy_modularity,

@@ -53,13 +53,13 @@ def _profile_grid(args) -> list[int] | None:
     return args.grid
 
 
-def _resolve_options(args, options: spnio.ManifestOptions) -> None:
-    """Fill unset flags from the manifest's options, so that the commands and
-    the run log see the values the run uses, and refuse k = 0 for modularity."""
+def _resolve_options(args, manifest: spnio.Manifest) -> None:
+    """Fill unset (None) flags from the manifest's options, so that the commands
+    and the run log see the values the run uses, and refuse k = 0 for modularity."""
     if hasattr(args, "base_rate") and args.base_rate is None:
-        args.base_rate = options.base_rate
-    if hasattr(args, "grid") and not args.grid and options.density_grid is not None:
-        args.grid = list(options.density_grid)
+        args.base_rate = manifest.base_rate
+    if hasattr(args, "grid") and args.grid is None and manifest.density_grid is not None:
+        args.grid = list(manifest.density_grid)
     if getattr(args, "metric", "").startswith("modularity") and 0 in (_profile_grid(args) or ()):
         source = "--grid" if isinstance(args.grid, str) else f"{args.manifest}: options.density_grid"
         raise ValidationError(f"{source} holds density level k=0, where {args.metric} is "
@@ -118,15 +118,15 @@ def cmd_density_profile(args, data, out: Path) -> str:
 
 def cmd_simulate_rewire(args, data, out: Path) -> str:
     grid = _parse_grid(args.grid)
-    randomness_sweep(args.n_v, args.n_e, grid, args.replicates, args.seed).to_csv(
-        out / "rewire_sweep.csv")
+    spnio.write_sweep(out / "rewire_sweep.csv",
+                      randomness_sweep(args.n_v, args.n_e, grid, args.replicates, args.seed))
     return f"rewiring sweep ({len(grid)} grid points x {args.replicates} replicates)"
 
 
 def cmd_simulate_edges(args, data, out: Path) -> str:
     grid = _parse_grid(args.edge_grid)
-    edges_sweep(args.n_v, grid, args.topology, args.replicates, args.seed).to_csv(
-        out / f"edges_sweep_{args.topology}.csv")
+    spnio.write_sweep(out / f"edges_sweep_{args.topology}.csv",
+                      edges_sweep(args.n_v, grid, args.topology, args.replicates, args.seed))
     return f"edge sweep ({args.topology}, {len(grid)} grid points x {args.replicates} replicates)"
 
 
@@ -169,7 +169,7 @@ def run(args) -> int:
             data = None
             if args.load is not None:
                 manifest = spnio.parse_manifest(args.manifest)
-                _resolve_options(args, manifest.options)
+                _resolve_options(args, manifest)
                 data = getattr(spnio, args.load)(manifest)
             summary = args.func(args, data, staging)
         for w in caught:

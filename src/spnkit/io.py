@@ -35,21 +35,19 @@ MANIFEST_SCHEMA = 1
 EXPORT_FORMATS = ("dot", "json", "csv")
 
 
-@dataclass(frozen=True)
-class ManifestOptions:
-    base_rate: float = 0.05
-    density_grid: tuple[int, ...] | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class Manifest:
+    """A checked manifest; ``base_rate`` and ``density_grid`` are the defaults
+    its ``options`` set for ``--base-rate`` and ``--grid`` (0.05 and None if unset)."""
+
     subjects: tuple[str, ...]
     conditions: tuple[str, ...]
     node_labels: tuple[str, ...]
     node_coords: np.ndarray | None
     files: dict
     signal_files: dict | None
-    options: ManifestOptions
+    base_rate: float
+    density_grid: tuple[int, ...] | None
     path: Path
 
 
@@ -146,11 +144,8 @@ def parse_manifest(path) -> Manifest:
     base_rate = float(typed(opts.get("base_rate", 0.05), (int, float), "options.base_rate"))
     if not 0.0 < base_rate < 1.0:
         raise SchemaError(f"{path}: options.base_rate must lie in (0, 1), got {base_rate!r}")
-    options = ManifestOptions(
-        base_rate=base_rate,
-        density_grid=tuple(grid) if grid is not None else None,
-    )
-    return Manifest(subjects, conditions, labels, coords, files, signal_files, options, path)
+    return Manifest(subjects, conditions, labels, coords, files, signal_files, base_rate,
+                    tuple(grid) if grid is not None else None, path)
 
 
 def _raise_if_ragged(path: Path) -> None:
@@ -408,6 +403,13 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
+def write_sweep(path, rows) -> Path:
+    """Write the rows of ``randomness_sweep`` or ``edges_sweep`` as a CSV table."""
+    return write_csv(Path(path), ["parameter", "replicates", "mean_modules", "sd_modules"],
+                     ((row.parameter, row.replicates, repr(row.mean_modules),
+                       repr(row.sd_modules)) for row in rows))
+
+
 def write_run_log(out_dir, command: str, config: dict, notes, paths) -> Path:
     """Write ``run_log.txt``: the command, its config, the spnkit, numpy and
     scipy versions, every warning and every file written.  Holds nothing
@@ -588,7 +590,14 @@ def report_pipeline(
     inputs and options produce byte-identical files.  Warnings go to the
     caller's filters as they are raised.  No run log is written; the
     CLI's ``spnkit report`` writes ``run_log.txt`` next to these files.
+    Condition labels that share a ``safe_name`` are refused up front.
     """
+    stems = [safe_name(condition) for condition in data.condition_labels]
+    for ci, stem in enumerate(stems):
+        if (first := stems.index(stem)) != ci:
+            raise ValidationError(
+                f"conditions {data.condition_labels[first]!r} and "
+                f"{data.condition_labels[ci]!r} share the file stem 02_mean_spn_{stem}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table, paths = step_weighted_density(data, out, "01_", negatives)

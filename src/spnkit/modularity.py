@@ -16,7 +16,6 @@ bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -45,24 +44,12 @@ class Partition:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep grid value: its replicates' mean module count and sd."""
+
     parameter: int
     replicates: int
     mean_modules: float
     sd_modules: float
-
-
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    """Rows of (parameter, replicates, mean module count, sd) for one sweep."""
-
-    rows: tuple[SweepRow, ...]
-
-    def to_csv(self, path) -> None:
-        from .io import write_csv  # io imports this module
-
-        write_csv(Path(path), ["parameter", "replicates", "mean_modules", "sd_modules"],
-                  ((row.parameter, row.replicates, repr(row.mean_modules), repr(row.sd_modules))
-                   for row in self.rows))
 
 
 def modularity_q(g: BinaryGraph, assignment) -> float:
@@ -281,33 +268,31 @@ def _sweep(grid, replicates: int, what: str, graph) -> tuple[SweepRow, ...]:
 
 def randomness_sweep(
     n_v: int, n_e: int, rewiring_grid, replicates: int, seed: int
-) -> SweepResult:
+) -> tuple[SweepRow, ...]:
     """Module counts of rewired ring lattices as randomness increases.
 
     For each rewiring count in the grid, ``replicates`` independently
-    seeded rewirings of the same base lattice are clustered.
+    seeded rewirings of the same base lattice are clustered, giving one row
+    per grid value in grid order (``spnkit.io.write_sweep`` writes them).
     """
     _check_sweep(replicates, seed)
     base = ring_lattice(n_v, n_e)
-    rows = _sweep(rewiring_grid, replicates, "rewiring",
+    return _sweep(rewiring_grid, replicates, "rewiring",
                   lambda gi, steps, r: rewire(base, steps, _child_seed(seed, gi, r)))
-    return SweepResult(rows)
 
 
 def edges_sweep(
     n_v: int, edge_grid, topology: str, replicates: int, seed: int
-) -> SweepResult:
+) -> tuple[SweepRow, ...]:
     """Module counts as a function of edge count, for lattice or random graphs.
 
-    Lattice generation is deterministic, so its rows collapse to a
-    single evaluation (recorded replicates = 1, sd = 0).
+    Rows as in ``randomness_sweep``.  Lattice generation is deterministic,
+    so its rows collapse to a single evaluation (recorded replicates = 1, sd = 0).
     """
     _check_sweep(replicates, seed)
     if topology not in TOPOLOGIES:
         raise ValidationError(f"topology must be 'lattice' or 'random', got {topology!r}")
     if topology == "lattice":
-        rows = _sweep(edge_grid, 1, "edge", lambda gi, n_e, r: ring_lattice(n_v, n_e))
-    else:
-        rows = _sweep(edge_grid, replicates, "edge",
-                      lambda gi, n_e, r: random_graph(n_v, n_e, _child_seed(seed, gi, r)))
-    return SweepResult(rows)
+        return _sweep(edge_grid, 1, "edge", lambda gi, n_e, r: ring_lattice(n_v, n_e))
+    return _sweep(edge_grid, replicates, "edge",
+                  lambda gi, n_e, r: random_graph(n_v, n_e, _child_seed(seed, gi, r)))

@@ -19,7 +19,7 @@ is the rounding of ``math.lgamma`` at large degrees of freedom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -61,23 +61,21 @@ def fisher_z_inverse(z):
 
 @dataclass(frozen=True)
 class FdrDecision:
-    """Step-up FDR decision over a family of hypotheses.
+    """Which hypotheses of a family a test rejects.
 
-    ``rejected`` is a boolean mask in the original hypothesis order;
-    ``threshold_index`` is the step-up rank (number of rejections).
+    ``rejected`` is a read-only boolean mask in the original hypothesis
+    order; ``n_rejected`` counts it.  For ``bh_fdr`` that count is the
+    step-up rank.
     """
 
     rejected: np.ndarray
-    threshold_index: int
+    n_rejected: int = field(init=False)
 
     def __post_init__(self):
         mask = np.array(self.rejected, dtype=bool, copy=True)
         mask.setflags(write=False)
         object.__setattr__(self, "rejected", mask)
-
-    @property
-    def n_rejected(self) -> int:
-        return self.threshold_index
+        object.__setattr__(self, "n_rejected", int(mask.sum()))
 
 
 class FitFamily(NamedTuple):
@@ -262,17 +260,13 @@ def bh_fdr(p_values, base_rate: float) -> FdrDecision:
         raise ValidationError(f"base_rate must lie in (0, 1), got {base_rate!r}")
     p = _validated_pvalues(p_values)
     m = p.size
-    if m == 0:
-        return FdrDecision(np.zeros(0, dtype=bool), 0)
     order = np.argsort(p, kind="stable")
     ranks = np.arange(1, m + 1)
     passing = p[order] <= ranks * base_rate / m
-    if not passing.any():
-        return FdrDecision(np.zeros(m, dtype=bool), 0)
-    k = int(np.max(ranks[passing]))
+    k = int(ranks[passing].max(initial=0))
     rejected = np.zeros(m, dtype=bool)
     rejected[order[:k]] = True
-    return FdrDecision(rejected, k)
+    return FdrDecision(rejected)
 
 
 def uncorrected(p_values, alpha: float) -> FdrDecision:
@@ -280,5 +274,4 @@ def uncorrected(p_values, alpha: float) -> FdrDecision:
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
     p = _validated_pvalues(p_values)
-    rejected = p < alpha
-    return FdrDecision(rejected, int(rejected.sum()))
+    return FdrDecision(p < alpha)

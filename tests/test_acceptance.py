@@ -114,7 +114,7 @@ class TestCriterion3RewiringTrend:
         start = time.perf_counter()
         grid = list(range(0, 501, 50))
         sweep = sk.randomness_sweep(112, 600, grid, replicates=100, seed=MASTER_SEED)
-        means = [row.mean_modules for row in sweep.rows]
+        means = [row.mean_modules for row in sweep]
         rho = float(spearmanr(grid, means).statistic)
         elapsed = time.perf_counter() - start
         ok = rho > 0.8 and elapsed < 600.0
@@ -129,8 +129,8 @@ class TestCriterion4EdgeTrend:
         grid = [100, 600, 1100, 1600, 2100]
         random_sweep = sk.edges_sweep(112, grid, "random", replicates=100, seed=MASTER_SEED)
         lattice_sweep = sk.edges_sweep(112, grid, "lattice", replicates=100, seed=MASTER_SEED)
-        random_means = [row.mean_modules for row in random_sweep.rows]
-        lattice_means = [row.mean_modules for row in lattice_sweep.rows]
+        random_means = [row.mean_modules for row in random_sweep]
+        lattice_means = [row.mean_modules for row in lattice_sweep]
         elapsed = time.perf_counter() - start
         random_ok = all(a > b for a, b in zip(random_means, random_means[1:]))
         lattice_ok = all(a > b for a, b in zip(lattice_means, lattice_means[1:]))
@@ -195,7 +195,7 @@ class TestCriterion6InferenceCorrectness:
             expected, k = oracles.bh_stepup(p.tolist(), alpha)
             decision = sk.bh_fdr(p, alpha)
             assert decision.rejected.tolist() == expected
-            assert decision.threshold_index == k
+            assert decision.n_rejected == k
         report("6a (BH-FDR oracle)", True, "1000 random p-vectors, exact")
 
     def test_repeated_measures_f_matches_sums_of_squares_oracle(self):

@@ -454,6 +454,14 @@ class TestInputErrorBranches:
         err = refused(capsys, ["spn", "diff", "--manifest", str(small_manifest)], tmp_path / "out")
         assert f"{tmp_path / 's2_rest.csv'}: expected a square matrix, got shape (2, 3)" in err
 
+    def test_report_refuses_condition_labels_sharing_a_file_name(self, tmp_path, capsys):
+        corr = [[hollow(3, 0.2), hollow(3, 0.4)], [hollow(3, 0.3), hollow(3, 0.5)]]
+        manifest = build_manifest(tmp_path, corr, ["A", "B", "C"], ["2 back", "2_back"],
+                                  ["s1", "s2"])
+        err = refused(capsys, ["report", "--manifest", str(manifest)], tmp_path / "out")
+        assert ("error: conditions '2 back' and '2_back' share the file stem "
+                "02_mean_spn_2_back") in err
+
     def test_nan_tau_is_refused(self, small_manifest, tmp_path, capsys):
         # every comparison with NaN is false, so it would write edgeless metrics
         err = refused(capsys, ["metrics", "--manifest", str(small_manifest), "--tau", "nan"],
@@ -697,6 +705,17 @@ class TestReportPipeline:
             assert pa.name == pb.name
             assert pa.read_bytes() == pb.read_bytes()
 
+    def test_condition_labels_sharing_a_file_name_are_refused(self, tmp_path):
+        # safe_name maps both labels to 2_back, so one mean SPN would overwrite the other
+        corr = np.stack([np.stack([hollow(3, 0.2), hollow(3, 0.4)])] * 2)
+        data = sk.StudyDataset(corr, ("A", "B", "C"), ("2 back", "2_back"), ("s1", "s2"))
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError) as err:
+            sk.report_pipeline(data, out)
+        assert str(err.value) == ("conditions '2 back' and '2_back' share the file stem "
+                                  "02_mean_spn_2_back")
+        assert not out.exists()
+
     def test_writes_no_run_log(self, tmp_path):
         rng = np.random.default_rng(8)
         data = planted_trend_dataset(rng, edge_up=1, edge_down=4, n=8, n_v=6)
@@ -825,11 +844,20 @@ class TestCli:
         assert "seed must be nonnegative, got -1" in err
 
     def test_empty_density_grid_means_the_default(self, small_manifest, tmp_path):
-        m = ["density-profile", "--manifest", str(small_manifest)]
-        assert run_cli([*m, "--grid", "", "--out-dir", str(tmp_path / "a")]) == 0
-        assert run_cli([*m, "--out-dir", str(tmp_path / "b")]) == 0
-        for name in ("density_profiles.csv", "density_integrated.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        # the flag wins over a grid the manifest sets, as any flag does
+        with_grid = tmp_path / "with_grid.json"
+        with_grid.write_text(small_manifest.read_text())
+        edit_manifest(with_grid, lambda p: p.update(options={"density_grid": [1, 2]}))
+        default = tmp_path / "default"
+        assert run_cli(["density-profile", "--manifest", str(small_manifest),
+                        "--out-dir", str(default)]) == 0
+        for manifest in (small_manifest, with_grid):
+            out = tmp_path / manifest.stem
+            assert run_cli(["density-profile", "--manifest", str(manifest), "--grid", "",
+                            "--out-dir", str(out)]) == 0
+            for name in ("density_profiles.csv", "density_integrated.csv"):
+                assert (out / name).read_bytes() == (default / name).read_bytes(), manifest
+            assert '"grid": ""' in (out / "run_log.txt").read_text()
 
     def test_report(self, small_manifest, tmp_path):
         out = tmp_path / "out"

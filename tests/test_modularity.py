@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spnkit as sk
+from spnkit import io as spnio
 from spnkit import modularity
 from spnkit.errors import ValidationError
 
@@ -423,23 +424,23 @@ class TestRewireMatchesPerDrawReference:
 class TestSweeps:
     def test_zero_rewirings_row_is_deterministic(self):
         sweep = sk.randomness_sweep(6, 6, [0], replicates=5, seed=1)
-        row = sweep.rows[0]
+        row = sweep[0]
         assert row.sd_modules == 0.0
         assert row.replicates == 5
 
     def test_same_master_seed_reproduces_the_sweep(self):
         a = sk.randomness_sweep(20, 40, [0, 10, 20], replicates=4, seed=11)
         b = sk.randomness_sweep(20, 40, [0, 10, 20], replicates=4, seed=11)
-        assert a.rows == b.rows
+        assert a == b
 
     def test_edges_sweep_parameters_match_grid(self):
         grid = [10, 20, 30]
         sweep = sk.edges_sweep(12, grid, "random", replicates=3, seed=2)
-        assert [row.parameter for row in sweep.rows] == grid
+        assert [row.parameter for row in sweep] == grid
 
     def test_lattice_rows_collapse_to_single_replicate(self):
         sweep = sk.edges_sweep(12, [10, 20], "lattice", replicates=7, seed=0)
-        for row in sweep.rows:
+        for row in sweep:
             assert row.replicates == 1
             assert row.sd_modules == 0.0
 
@@ -460,7 +461,7 @@ class TestSweeps:
 
         monkeypatch.setattr(modularity, "greedy_modularity", counting)
         sweep = run()
-        assert len(seen) == calls == sum(row.replicates for row in sweep.rows)
+        assert len(seen) == calls == sum(row.replicates for row in sweep)
 
     def test_empty_grids_are_refused(self):
         with pytest.raises(ValidationError, match="rewiring grid is empty"):
@@ -496,7 +497,7 @@ class TestSweeps:
     def test_csv_serialization(self, tmp_path):
         sweep = sk.edges_sweep(10, [5, 10], "random", replicates=2, seed=3)
         target = tmp_path / "sweep.csv"
-        sweep.to_csv(target)
+        spnio.write_sweep(target, sweep)
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "parameter,replicates,mean_modules,sd_modules"
         assert len(lines) == 3

@@ -186,11 +186,11 @@ class TestBhFdr:
         # 0.0125, 0.025, 0.0375, 0.05
         d = sk.bh_fdr([0.005, 0.013, 0.02, 0.8], 0.05)
         assert d.rejected.tolist() == [True, True, True, False]
-        assert d.threshold_index == 3
+        assert d.n_rejected == 3
 
     def test_all_ones_reject_none(self):
         d = sk.bh_fdr([1.0, 1.0, 1.0], 0.05)
-        assert d.threshold_index == 0
+        assert d.n_rejected == 0
         assert not d.rejected.any()
 
     def test_all_zeros_reject_all(self):
@@ -199,7 +199,7 @@ class TestBhFdr:
 
     def test_empty_input(self):
         d = sk.bh_fdr([], 0.05)
-        assert d.threshold_index == 0
+        assert d.n_rejected == 0
         assert d.rejected.size == 0
 
     def test_matches_stepup_oracle(self):
@@ -211,7 +211,7 @@ class TestBhFdr:
             expected, k = oracles.bh_stepup(p.tolist(), alpha)
             d = sk.bh_fdr(p, alpha)
             assert d.rejected.tolist() == expected
-            assert d.threshold_index == k
+            assert d.n_rejected == k
 
     def test_superset_of_bonferroni(self):
         rng = np.random.default_rng(3)
@@ -234,8 +234,8 @@ class TestBhFdr:
         rng = np.random.default_rng(5)
         p = np.round(rng.random(40), 2)
         d = sk.bh_fdr(p, 0.2)
-        if d.threshold_index:
-            cut = np.sort(p)[d.threshold_index - 1]
+        if d.n_rejected:
+            cut = np.sort(p)[d.n_rejected - 1]
             assert np.array_equal(d.rejected, p <= cut)
 
     def test_validates_inputs(self):
@@ -254,6 +254,7 @@ class TestUncorrected:
     def test_thresholds_pointwise(self):
         d = sk.uncorrected([0.005, 0.02, 0.5], 0.01)
         assert d.rejected.tolist() == [True, False, False]
+        assert d.n_rejected == 1
 
     def test_alpha_must_lie_inside_the_unit_interval(self):
         with pytest.raises(ValidationError) as err:
