@@ -148,24 +148,39 @@ def cmd_report(args, data, out: Path) -> str:
 _NOT_CONFIG = ("command", "func", "load", "name", "out_dir", "simulate_command", "spn_command")
 
 
+def _raises(category) -> bool:
+    """True iff the caller's warning filters make every ``category`` warning
+    an error, whatever its message, module and line.  A filter that matches
+    only some of them and does not raise leaves the answer False."""
+    for action, message, cat, module, lineno in warnings.filters:
+        if not issubclass(category, cat):
+            continue
+        if message is None and module is None and not lineno:
+            return action == "error"
+        if action != "error":
+            return False
+    return warnings.defaultaction == "error"
+
+
 def run(args) -> int:
     """Run one parsed subcommand with nothing half-written left behind.
 
     Loads the manifest data the subcommand needs and runs it in a staging
     directory inside --out-dir, recording every warning; re-issues them
     to the caller's filters; writes ``run_log.txt``; and moves every file
-    up into --out-dir only when the run succeeds.  Under --strict the
-    first DegenerateStatisticsWarning is raised, not recorded.  A failure
+    up into --out-dir only when the run succeeds.  Under --strict, or when
+    the caller's filters make it an error, the first
+    DegenerateStatisticsWarning is raised, not recorded.  A failure
     removes the staging directory, and --out-dir too if this run created it.
     """
+    strict = getattr(args, "strict", False) or _raises(DegenerateStatisticsWarning)
     out = Path(args.out_dir)
     created = not out.is_dir()
     out.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("error" if getattr(args, "strict", False) else "always",
-                                  DegenerateStatisticsWarning)
+            warnings.simplefilter("error" if strict else "always", DegenerateStatisticsWarning)
             data = None
             if args.load is not None:
                 manifest = spnio.parse_manifest(args.manifest)

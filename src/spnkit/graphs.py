@@ -327,16 +327,38 @@ def shortest_paths_weighted(g: WeightedGraph) -> np.ndarray:
     costs 1/w, as a read-only (n, n) float array; unreachable pairs hold
     ``UNREACHABLE``.
 
-    Stronger connections are shorter; zero-weight pairs carry no edge.
-    """
-    # imported here so that processes which never call this skip loading csgraph
-    from scipy.sparse.csgraph import shortest_path
+    Stronger connections are shorter; zero-weight pairs carry no edge, and
+    so does a weight so small that 1/w overflows to infinity.
 
+    Dijkstra from every source at once: each round, every source settles
+    its nearest unsettled node u and relaxes ``dist[s, u] + lengths[u]``.
+    Entry [s, t] is therefore the least, over paths from s to t, of the
+    path's lengths summed left to right from s.  Floating-point addition
+    is monotone and every length is positive, so that least sum does not
+    depend on the order nodes are settled in or on how ties break, and it
+    is bit for bit what scipy's Dijkstra gives.  Summing the same path
+    from t groups the additions differently, so [s, t] and [t, s] can
+    differ in the last bit: no symmetric shortcut (one triangle mirrored)
+    and no Floyd–Warshall, which groups by intermediate node, may replace
+    this kernel without changing the bytes of ``weighted_efficiency``.
+    """
     w = g.weights
-    lengths = np.zeros_like(w)
-    pos = w > 0
-    lengths[pos] = 1.0 / w[pos]
-    return _freeze(shortest_path(lengths, method="D", directed=False, unweighted=False))
+    n = w.shape[0]
+    lengths = np.full_like(w, np.inf)
+    with np.errstate(over="ignore"):
+        np.divide(1.0, w, out=lengths, where=w > 0)
+    rows = np.arange(n)
+    # round one settles each source and relaxes its own edges; the node a
+    # source settles last can shorten no path, so n - 2 rounds remain
+    dist = lengths.copy()
+    np.fill_diagonal(dist, 0.0)
+    settled = np.zeros_like(w)
+    np.fill_diagonal(settled, np.inf)
+    for _ in range(n - 2):
+        u = np.argmin(dist + settled, axis=1)
+        settled[rows, u] = np.inf
+        np.minimum(dist, dist[rows, u][:, None] + lengths[u], out=dist)
+    return _freeze(dist)
 
 
 def _efficiency_from_distances(dist: np.ndarray) -> float:

@@ -14,7 +14,9 @@ boolean off-diagonal mask, local efficiency through one validated
 neighbourhood, and ``rewire`` with one scalar ``rng.integers`` call per
 draw.  The last two are the only references here that call spnkit.
 ``ring_lattice_by_rounds`` is the round-by-round loop that the slot
-arithmetic of ``ring_lattice`` replaced.
+arithmetic of ``ring_lattice`` replaced, and
+``scipy_shortest_paths_weighted`` the scipy Dijkstra call that the numpy
+all-source Dijkstra of ``shortest_paths_weighted`` replaced.
 """
 
 import math
@@ -22,6 +24,7 @@ from collections import deque
 
 import numpy as np
 from mpmath import betainc, mp, mpf
+from scipy.sparse.csgraph import shortest_path
 
 import spnkit as sk
 
@@ -116,6 +119,14 @@ def reciprocal_lengths(weights: np.ndarray) -> np.ndarray:
     lengths[pos] = 1.0 / w[pos]
     np.fill_diagonal(lengths, np.inf)
     return lengths
+
+
+def scipy_shortest_paths_weighted(w: np.ndarray) -> np.ndarray:
+    """All-pairs weighted distances, edge length 1/w, by scipy's Dijkstra."""
+    lengths = np.zeros_like(w)
+    pos = w > 0
+    lengths[pos] = 1.0 / w[pos]
+    return shortest_path(lengths, method="D", directed=False, unweighted=False)
 
 
 def efficiency_from_oracle(dist: np.ndarray) -> float:

@@ -237,6 +237,69 @@ class TestShortestPathsWeighted:
             np.testing.assert_allclose(mine, ref, atol=1e-12)
 
 
+class TestShortestPathsWeightedMatchScipy:
+    """The numpy all-source Dijkstra against scipy's Dijkstra, bit for bit."""
+
+    @staticmethod
+    def assert_same(w):
+        mine = sk.shortest_paths_weighted(sk.WeightedGraph.from_matrix(w))
+        with np.errstate(over="ignore"):
+            ref = oracles.scipy_shortest_paths_weighted(w)
+        assert np.array_equal(mine, ref)
+        return ref
+
+    @pytest.mark.parametrize("density", [0.3, 1.0])
+    def test_random_graphs(self, density):
+        rng = np.random.default_rng(int(density * 10) + 80)
+        for n in range(2, 41):
+            self.assert_same(random_weighted(rng, n, density, low=0.05).weights)
+
+    def test_tie_heavy_weights(self):
+        # multiples of 0.25 make many paths of equal length
+        rng = np.random.default_rng(81)
+        for n in range(2, 41):
+            w = np.triu(rng.integers(0, 5, (n, n)) * 0.25, 1)
+            self.assert_same(w + w.T)
+
+    def test_disconnected_graphs_and_isolated_nodes(self):
+        rng = np.random.default_rng(82)
+        for n in range(2, 41):
+            w = random_weighted(rng, n, 0.5, low=0.05).weights.copy()
+            cut = int(rng.integers(1, n))
+            w[:cut, cut:] = w[cut:, :cut] = 0.0
+            lone = int(rng.integers(n))
+            w[lone] = w[:, lone] = 0.0
+            ref = self.assert_same(w)
+            assert np.isinf(ref[lone, np.arange(n) != lone]).all()
+            self.assert_same(np.zeros((n, n)))
+
+    def test_single_node(self):
+        assert self.assert_same(np.zeros((1, 1))).tolist() == [[0.0]]
+
+    def test_weight_whose_reciprocal_overflows_is_no_edge(self):
+        w = np.array([[0.0, 1e-320, 0.5], [1e-320, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            assert np.isinf(1.0 / np.float64(1e-320))
+        ref = self.assert_same(w)
+        assert np.isinf(ref[0, 1]) and ref[0, 2] == 2.0
+
+    def test_paper_size_correlation_cells(self):
+        # |r| of module factor-model samples, as in a study's cells; at this
+        # size the distances are not bitwise symmetric, so a kernel that
+        # mirrors one triangle cannot pass
+        rng = np.random.default_rng(83)
+        modules = np.arange(112) * 8 // 112
+        asymmetric = 0
+        for _ in range(4):
+            x = rng.normal(size=(120, 8))[:, modules] * 0.5 + rng.normal(size=(120, 112))
+            r = np.corrcoef(x, rowvar=False)
+            r = np.triu(r, 1) + np.triu(r, 1).T
+            ref = self.assert_same(np.abs(r))
+            mirrored = np.triu(ref) + np.triu(ref, 1).T
+            asymmetric += not np.array_equal(mirrored, ref)
+        assert asymmetric > 0
+
+
 class TestGlobalEfficiency:
     def test_complete_graph_is_one(self):
         for n in (2, 4, 7):

@@ -915,7 +915,12 @@ class TestCli:
             "degenerate statistics: grand SD is zero (constant dataset); mean SPN is empty\n")
 
     def test_caller_filter_that_raises_the_warning_exits_4(self, constant_manifest, tmp_path,
-                                                           capsys):
+                                                           capsys, monkeypatch):
+        # the caller's error filter stops the run at the first warning, as
+        # --strict does, instead of running every step before the re-issue
+        calls, step_3 = [], spnio.step_differential_spn
+        monkeypatch.setattr(spnio, "step_differential_spn",
+                            lambda *a, **k: calls.append(a) or step_3(*a, **k))
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error", sk.DegenerateStatisticsWarning)
@@ -923,15 +928,15 @@ class TestCli:
                              "--out-dir", str(out)])
         assert code == 4
         assert not out.exists()
+        assert calls == []
         assert capsys.readouterr().err == (
             "degenerate statistics: grand SD is zero (constant dataset); mean SPN is empty\n")
 
     def test_import_leaves_the_heavy_scipy_modules_unloaded(self, quoted_manifest, tmp_path):
-        # scipy.sparse.csgraph is imported by the function that calls it, so
-        # simulate, density-profile and --help never load it; scipy.special is
-        # never imported, so neither are the statistics runs
-        probe = ("import sys, spnkit, spnkit.cli; "
-                 "print(sorted({'scipy.special', 'scipy.sparse.csgraph'} & set(sys.modules)))")
+        # no spnkit computation imports scipy.special or scipy.sparse: the
+        # p-values and the weighted shortest paths are spnkit's own numpy code
+        unloaded = "print(sorted({'scipy.special', 'scipy.sparse'} & set(sys.modules)))"
+        probe = f"import sys, spnkit, spnkit.cli; {unloaded}"
         env = {**os.environ, "PYTHONPATH": str(Path(sk.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
@@ -939,13 +944,12 @@ class TestCli:
         m = ["--manifest", str(quoted_manifest)]
         runs = [[*command, *m, "--out-dir", str(tmp_path / str(i))] for i, command in enumerate(
             (["spn", "mean", "--condition", "c2"], ["spn", "diff"], ["spn", "node-diff"],
-             ["report", "--abs", "--grid", "1:15:2"]))]
+             ["report", "--abs", "--grid", "1:15:2"], ["metrics", "--abs", "--tau", "0.3"]))]
         probe = ("import sys\nfrom spnkit.cli import main\n"
-                 f"for args in {runs!r}:\n    assert main(args) == 0, args\n"
-                 "print('scipy.special' in sys.modules)")
+                 f"for args in {runs!r}:\n    assert main(args) == 0, args\n{unloaded}")
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
-        assert done.stdout.strip().splitlines()[-1] == "False"
+        assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 @pytest.fixture
