@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,8 @@ from .errors import DataError, IncompleteDesignError, SchemaError, ValidationErr
 from .graphs import BinaryGraph, WeightedGraph, _node_coords, _node_labels, global_efficiency, \
     local_efficiency, spread_condition_holds, threshold, weighted_density, weighted_efficiency
 from .spn import NodeSignalDataset, SpnResult, StudyDataset, differential_spn, mean_spn
-from .spn import _check_signals, _checked_correlation_matrix, _design_labels
+from .spn import _check_signals, _checked_cells, _checked_correlation_matrix, _design_labels
+from .spn import _symmetric, _upper_triangle
 from .spn import node_differential_spn
 from .stats import fisher_z, fisher_z_inverse
 
@@ -189,40 +189,37 @@ def load_matrix_csv(path, n_nodes: int | None = None) -> np.ndarray:
     return matrix
 
 
-def _load_cells(manifest: Manifest, files: dict, shape: tuple, read, build, rule):
-    """Read every cell file of ``files`` into one subject-major stack, then
-    ``build`` the dataset from it.
+def _load_cells(manifest: Manifest, files: dict, out: np.ndarray, read, rule) -> np.ndarray:
+    """Read every cell file of ``files``, subject-major, one at a time, and
+    return ``out``, read-only, with ``rule(read(path), path)`` at [si, ci].
 
-    ``read(path)`` parses one file and checks it holds ``shape``, so every
-    file is read and sized before any cell rule runs; the dataset then runs
-    its rule once per cell.  If a cell breaks it, ``rule(cell, path)`` is run
-    again over the stack to name the first bad file instead.
+    ``read(path)`` parses one file and checks it holds the cell's shape.
+    Every file is read and sized before the first cell that breaks
+    ``rule`` is reported, with the path of its file.
     """
-    cells = [(si, ci, files[(subject, condition)])
-             for si, subject in enumerate(manifest.subjects)
-             for ci, condition in enumerate(manifest.conditions)]
-    stack = np.empty((len(manifest.subjects), len(manifest.conditions), *shape), dtype=float)
-    for si, ci, path in cells:
-        stack[si, ci] = read(path)
-    try:
-        return build(stack)
-    except DataError:
-        for si, ci, path in cells:
-            rule(stack[si, ci], path)
-        raise
+    def cell(si, ci):
+        path = files[(manifest.subjects[si], manifest.conditions[ci])]
+        return read(path), path
+
+    return _checked_cells(out, cell, rule)
 
 
 def load_dataset(manifest: Manifest | str | Path) -> StudyDataset:
-    """Assemble the balanced subjects x conditions array from manifest files."""
+    """Assemble the balanced subjects x conditions dataset from manifest files.
+
+    Each file is checked as it is read, and only its upper triangle is kept.
+    """
     if not isinstance(manifest, Manifest):
         manifest = parse_manifest(manifest)
     n_v = len(manifest.node_labels)
-    return _load_cells(
-        manifest, manifest.files, (n_v, n_v), lambda path: load_matrix_csv(path, n_v),
-        lambda stack: StudyDataset(stack, manifest.node_labels, manifest.conditions,
-                                   manifest.subjects, manifest.node_coords),
-        _checked_correlation_matrix,
+    edge_values = _load_cells(
+        manifest, manifest.files,
+        np.empty((len(manifest.subjects), len(manifest.conditions), n_v * (n_v - 1) // 2)),
+        lambda path: load_matrix_csv(path, n_v),
+        _upper_triangle(_checked_correlation_matrix, n_v),
     )
+    return StudyDataset._from_checked(edge_values, manifest.node_labels, manifest.conditions,
+                                    manifest.subjects, manifest.node_coords)
 
 
 def load_node_signals(manifest: Manifest | str | Path) -> NodeSignalDataset:
@@ -243,11 +240,12 @@ def load_node_signals(manifest: Manifest | str | Path) -> NodeSignalDataset:
             raise SchemaError(f"{path}: expected {len(labels)} signal values, got {vector.size}")
         return vector
 
-    return _load_cells(
-        manifest, manifest.signal_files, (len(labels),), read,
-        lambda stack: NodeSignalDataset(stack, labels, manifest.conditions, manifest.subjects),
+    signals = _load_cells(
+        manifest, manifest.signal_files,
+        np.empty((len(manifest.subjects), len(manifest.conditions), len(labels))), read,
         lambda cell, path: _check_signals(cell, path, labels),
     )
+    return NodeSignalDataset._from_checked(signals, labels, manifest.conditions, manifest.subjects)
 
 
 def association_graph(matrix, node_labels=None, node_coords=None, negatives: str = "error") -> WeightedGraph:
@@ -280,7 +278,7 @@ def _cell_graphs(data: StudyDataset, negatives: str):
     """(subject, condition, signed matrix, association graph) of each cell, subject-major."""
     for si, subject in enumerate(data.subject_ids):
         for ci, condition in enumerate(data.condition_labels):
-            matrix = data.correlations[si, ci]
+            matrix = _symmetric(data.edge_values[si, ci], data.n_nodes)
             yield subject, condition, matrix, _association_graph(
                 matrix, data.node_labels, None, negatives,
                 f"association matrix of subject {subject!r}, condition {condition!r}",
@@ -394,12 +392,19 @@ def safe_name(label: str) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
-    """Write a CSV table at once: LF line ends, a field quoted only if it holds , " or LF."""
-    text = StringIO()
-    table = csv.writer(text, lineterminator="\n")
-    table.writerow(header)
-    table.writerows(rows)
-    path.write_text(text.getvalue())
+    """Write a CSV table: LF line ends, a field quoted only if it holds , " or LF.
+
+    Rows go to the file as ``rows`` yields them, so a generator's rows are
+    never all held at once.  If ``rows`` raises, the file is removed.
+    """
+    try:
+        with path.open("w") as f:
+            table = csv.writer(f, lineterminator="\n")
+            table.writerow(header)
+            table.writerows(rows)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -432,8 +437,8 @@ def write_run_log(out_dir, command: str, config: dict, notes, paths) -> Path:
 
 def condition_mean_matrix(data: StudyDataset, condition: int) -> np.ndarray:
     """Fisher-domain mean of one condition's matrices, back-transformed."""
-    z = fisher_z(data.correlations[:, condition])
-    return np.asarray(fisher_z_inverse(z.mean(axis=0)))
+    z = fisher_z(data.edge_values[:, condition])
+    return _symmetric(fisher_z_inverse(z.mean(axis=0)), data.n_nodes)
 
 
 def _float_column(values: np.ndarray) -> list[str]:
@@ -547,25 +552,30 @@ def step_differential_spn(data: StudyDataset, out: Path, prefix: str,
 
 def step_density_profiles(data: StudyDataset, out: Path, prefix: str, negatives: str,
                           metric: str, density_grid):
-    """Step 4: density-integrated metric profiles of each condition-mean matrix."""
+    """Step 4: density-integrated metric profiles of each condition-mean matrix.
+
+    Each condition's profile rows are written as soon as it is done."""
     metric_fn = density_mod.metric_by_name(metric)
-    profiles, profile_rows, summary_rows = {}, [], []
-    for ci, condition in enumerate(data.condition_labels):
-        g = _association_graph(
-            condition_mean_matrix(data, ci), data.node_labels, None, negatives,
-            f"condition-mean association matrix of condition {condition!r}",
-        )
-        try:
-            profile = density_mod.density_integrated_metric(g, metric_fn, grid=density_grid)
-        except ValidationError as exc:
-            raise ValidationError(f"density profile of condition {condition!r}: {exc}") from exc
-        profiles[condition] = profile
-        for k, mass, value in zip(profile.densities, profile.weights, profile.values):
-            profile_rows.append((condition, k, repr(float(mass)), repr(float(value))))
-        summary_rows.append((condition, metric, repr(profile.integrated)))
+    profiles, summary_rows = {}, []
+
+    def profile_rows():
+        for ci, condition in enumerate(data.condition_labels):
+            g = _association_graph(
+                condition_mean_matrix(data, ci), data.node_labels, None, negatives,
+                f"condition-mean association matrix of condition {condition!r}",
+            )
+            try:
+                profile = density_mod.density_integrated_metric(g, metric_fn, grid=density_grid)
+            except ValidationError as exc:
+                raise ValidationError(f"density profile of condition {condition!r}: {exc}") from exc
+            profiles[condition] = profile
+            for k, mass, value in zip(profile.densities, profile.weights, profile.values):
+                yield condition, k, repr(float(mass)), repr(float(value))
+            summary_rows.append((condition, metric, repr(profile.integrated)))
+
     return profiles, [
         write_csv(out / f"{prefix}density_profiles.csv",
-                  ["condition", "k", "p_mass", "value"], profile_rows),
+                  ["condition", "k", "p_mass", "value"], profile_rows()),
         write_csv(out / f"{prefix}density_integrated.csv",
                   ["condition", "metric", "integrated"], summary_rows),
     ]

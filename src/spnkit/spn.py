@@ -19,6 +19,8 @@ lexicographic); the FDR decision mask in each result follows that order.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -30,7 +32,6 @@ from .graphs import (BinaryGraph, _edge_graph, _node_metadata, _refuse_carriage_
 from .stats import (
     FdrDecision,
     bh_fdr,
-    fisher_z,
     grand_mean_z_test,
     repeated_measures_fit,
     uncorrected,
@@ -78,13 +79,54 @@ def _check_signals(vector: np.ndarray, source, node_labels) -> np.ndarray:
     return vector
 
 
-def _check_cells(stack: np.ndarray, subjects, conditions, rule, what: str) -> None:
-    """Run ``rule(cell, source)`` on each subject x condition cell of ``stack``,
-    subject-major, and write what it returns back into the cell."""
-    for si, subject in enumerate(subjects):
-        for ci, condition in enumerate(conditions):
-            source = f"{what}[subject {subject!r}, condition {condition!r}]"
-            stack[si, ci] = rule(stack[si, ci], source)
+def _checked_cells(out: np.ndarray, cell, rule) -> np.ndarray:
+    """Fill ``out``, of shape (n, J, ...), subject-major, with
+    ``rule(value, source)`` for ``value, source = cell(si, ci)`` at [si, ci];
+    return it read-only.
+
+    The first DataError is raised once every cell has been fetched, and no
+    rule runs after it: a loader whose ``cell`` reads a file reports a file
+    it cannot read or size before any cell that breaks the rule.
+    """
+    fault = None
+    for si, ci in np.ndindex(*out.shape[:2]):
+        value, source = cell(si, ci)
+        if fault is None:
+            try:
+                out[si, ci] = rule(value, source)
+            except DataError as exc:
+                fault = exc
+    if fault is not None:
+        raise fault
+    out.setflags(write=False)
+    return out
+
+
+@functools.cache
+def _flat_pairs(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices, in a raveled N_V x N_V matrix, of the upper-triangle
+    entries in edge_pairs order and of their mirror images, read-only."""
+    rows, cols = np.triu_indices(n_nodes, k=1)
+    flat = rows * n_nodes + cols, cols * n_nodes + rows
+    for index in flat:
+        index.setflags(write=False)
+    return flat
+
+
+def _upper_triangle(rule, n_nodes: int):
+    """``rule(matrix, source)`` cut to the upper triangle of the matrix it returns."""
+    upper, _ = _flat_pairs(n_nodes)
+    return lambda matrix, source: rule(matrix, source).ravel().take(upper)
+
+
+def _symmetric(values: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The symmetric hollow N_V x N_V matrices whose upper triangles, in
+    edge_pairs order, lie along the last axis of ``values``."""
+    upper, lower = _flat_pairs(n_nodes)
+    out = np.zeros((*values.shape[:-1], n_nodes * n_nodes))
+    out[..., upper] = values
+    out[..., lower] = values
+    return out.reshape(*values.shape[:-1], n_nodes, n_nodes)
 
 
 def _design_labels(condition_labels, subject_ids, j: int, n: int):
@@ -101,35 +143,60 @@ def _design_labels(condition_labels, subject_ids, j: int, n: int):
     return conditions, subjects
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class StudyDataset:
     """Balanced n x J array of per-subject, per-condition correlation matrices.
 
-    ``correlations`` has shape (n, J, N_V, N_V); every cell must pass the
-    correlation-matrix rule (finite, off-diagonal entries in the open
-    range (-1, 1), symmetric within 1e-9, hollow) and is stored
-    symmetrized.  ``condition_labels`` are ordered by the experimental
+    Built from ``correlations`` of shape (n, J, N_V, N_V); every cell must
+    pass the correlation-matrix rule (finite, off-diagonal entries in the
+    open range (-1, 1), symmetric within 1e-9, hollow).  The rule leaves
+    each cell exactly symmetric and hollow, so the dataset holds only its
+    upper triangle: ``edge_values``, a read-only (n, J, N_E) array in
+    edge_pairs order, from which ``correlations()`` rebuilds every cell
+    bit for bit.  ``condition_labels`` are ordered by the experimental
     gradient.  ``node_coords`` is optional pass-through metadata.
     """
 
-    correlations: np.ndarray
+    edge_values: np.ndarray
     node_labels: tuple[str, ...]
     condition_labels: tuple[str, ...]
     subject_ids: tuple[str, ...]
     node_coords: np.ndarray | None = None
 
-    def __post_init__(self):
-        arr = np.array(self.correlations, dtype=float)
+    def __init__(self, correlations, node_labels, condition_labels, subject_ids,
+                 node_coords=None):
+        arr = np.asarray(correlations, dtype=float)  # checked cell by cell, never copied whole
         if arr.ndim != 4 or arr.shape[2] != arr.shape[3]:
             raise ValidationError(
                 f"correlations must have shape (n, J, N_V, N_V), got {arr.shape}"
             )
         n, j, n_v, _ = arr.shape
-        labels, coords = _node_metadata(self.node_labels, self.node_coords, n_v, "dataset")
-        conditions, subjects = _design_labels(self.condition_labels, self.subject_ids, j, n)
-        _check_cells(arr, subjects, conditions, _checked_correlation_matrix, "correlations")
-        arr.setflags(write=False)
-        object.__setattr__(self, "correlations", arr)
+        self._hold_labels(node_labels, condition_labels, subject_ids, node_coords, n, j, n_v)
+        subjects, conditions = self.subject_ids, self.condition_labels
+        edge_values = _checked_cells(
+            np.empty((n, j, n_v * (n_v - 1) // 2)),
+            lambda si, ci: (arr[si, ci], f"correlations[subject {subjects[si]!r}, "
+                                         f"condition {conditions[ci]!r}]"),
+            _upper_triangle(_checked_correlation_matrix, n_v),
+        )
+        object.__setattr__(self, "edge_values", edge_values)
+
+    @classmethod
+    def _from_checked(cls, edge_values, node_labels, condition_labels, subject_ids,
+                      node_coords=None) -> StudyDataset:
+        """The dataset holding ``edge_values``, a read-only (n, J, N_E) array of
+        upper triangles that have passed the cell rule (see load_dataset)."""
+        data = cls.__new__(cls)
+        n, j, _ = edge_values.shape
+        data._hold_labels(node_labels, condition_labels, subject_ids, node_coords, n, j,
+                          len(node_labels))
+        object.__setattr__(data, "edge_values", edge_values)
+        return data
+
+    def _hold_labels(self, node_labels, condition_labels, subject_ids, node_coords,
+                     n: int, j: int, n_v: int) -> None:
+        labels, coords = _node_metadata(node_labels, node_coords, n_v, "dataset")
+        conditions, subjects = _design_labels(condition_labels, subject_ids, j, n)
         object.__setattr__(self, "node_labels", labels)
         object.__setattr__(self, "condition_labels", conditions)
         object.__setattr__(self, "subject_ids", subjects)
@@ -137,23 +204,27 @@ class StudyDataset:
 
     @property
     def n_subjects(self) -> int:
-        return self.correlations.shape[0]
+        return self.edge_values.shape[0]
 
     @property
     def n_conditions(self) -> int:
-        return self.correlations.shape[1]
+        return self.edge_values.shape[1]
 
     @property
     def n_nodes(self) -> int:
-        return self.correlations.shape[2]
+        return len(self.node_labels)
 
-    def edge_values(self) -> np.ndarray:
-        """Upper-triangle entries as an (n, J, N_E) array in edge_pairs order."""
-        iu = np.triu_indices(self.n_nodes, k=1)
-        return self.correlations[:, :, iu[0], iu[1]]
+    def correlations(self) -> np.ndarray:
+        """Every cell as its full checked matrix, in a new (n, J, N_V, N_V) array.
+
+        This is n J N_V^2 floats, about twice what the dataset holds; the
+        pipelines never build it, and rebuild one matrix at a time where a
+        step needs a graph.
+        """
+        return _symmetric(self.edge_values, self.n_nodes)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class NodeSignalDataset:
     """Balanced n x J array of per-node time-averaged intensity signals, all finite."""
 
@@ -162,17 +233,34 @@ class NodeSignalDataset:
     condition_labels: tuple[str, ...]
     subject_ids: tuple[str, ...]
 
-    def __post_init__(self):
-        arr = np.array(self.signals, dtype=float)
+    def __init__(self, signals, node_labels, condition_labels, subject_ids):
+        arr = np.asarray(signals, dtype=float)
         if arr.ndim != 3:
             raise ValidationError(f"signals must have shape (n, J, N_V), got {arr.shape}")
-        n, j, n_v = arr.shape
-        labels, _ = _node_metadata(self.node_labels, None, n_v, "dataset")
-        conditions, subjects = _design_labels(self.condition_labels, self.subject_ids, j, n)
-        _check_cells(arr, subjects, conditions,
-                     lambda cell, source: _check_signals(cell, source, labels), "signals")
-        arr.setflags(write=False)
-        object.__setattr__(self, "signals", arr)
+        self._hold_labels(node_labels, condition_labels, subject_ids, *arr.shape)
+        labels, subjects, conditions = self.node_labels, self.subject_ids, self.condition_labels
+        signals = _checked_cells(
+            np.empty(arr.shape),
+            lambda si, ci: (arr[si, ci], f"signals[subject {subjects[si]!r}, "
+                                         f"condition {conditions[ci]!r}]"),
+            lambda cell, source: _check_signals(cell, source, labels),
+        )
+        object.__setattr__(self, "signals", signals)
+
+    @classmethod
+    def _from_checked(cls, signals, node_labels, condition_labels,
+                      subject_ids) -> NodeSignalDataset:
+        """The dataset holding ``signals``, a read-only (n, J, N_V) array of
+        vectors that have passed the signal rule (see load_node_signals)."""
+        data = cls.__new__(cls)
+        data._hold_labels(node_labels, condition_labels, subject_ids, *signals.shape)
+        object.__setattr__(data, "signals", signals)
+        return data
+
+    def _hold_labels(self, node_labels, condition_labels, subject_ids, n: int, j: int,
+                     n_v: int) -> None:
+        labels, _ = _node_metadata(node_labels, None, n_v, "dataset")
+        conditions, subjects = _design_labels(condition_labels, subject_ids, j, n)
         object.__setattr__(self, "node_labels", labels)
         object.__setattr__(self, "condition_labels", conditions)
         object.__setattr__(self, "subject_ids", subjects)
@@ -237,6 +325,19 @@ def _trend_family(values, name, base_rate: float, correction: str):
     return shared, rejected & (trend > 0), rejected & (trend < 0), rejected & (trend == 0)
 
 
+def _fisher_z_tables(data: StudyDataset) -> np.ndarray:
+    """Fisher z of every edge value: an (n, J, N_E) view of a new C-ordered
+    (N_E, n, J) array, the step's one full-size copy.
+
+    Each edge's n x J table is contiguous.  repeated_measures_fit reads the
+    tables in place, and a sum over the whole array runs table by table,
+    the order the mean SPN's grand statistics have always been summed in.
+    """
+    z = np.moveaxis(data.edge_values, -1, 0).copy()
+    np.arctanh(z, out=z)
+    return np.moveaxis(z, 0, -1)
+
+
 def mean_spn(
     data: StudyDataset, condition: int, base_rate: float = 0.05, correction: str = "fdr"
 ) -> SpnResult:
@@ -260,9 +361,14 @@ def mean_spn(
         raise ValidationError(
             f"condition index {condition} out of range 0..{data.n_conditions - 1}"
         )
-    z = fisher_z(data.edge_values())
+    z = _fisher_z_tables(data)
+    tested = z[:, condition].copy(order="K")  # (N_E, n) in memory, as the z-test reads it
     grand_mean = float(z.mean())
-    grand_sd = float(z.std(ddof=1))
+    # z.std(ddof=1) by numpy's own steps, with the squared deviations formed in z
+    z -= grand_mean
+    z *= z
+    grand_sd = math.sqrt(float(z.sum()) / (z.size - 1))
+    del z
 
     # a constant dataset leaves only rounding noise (~1e-17) in the SD
     if grand_sd <= 1e-12 * max(1.0, abs(grand_mean)):
@@ -271,10 +377,10 @@ def mean_spn(
             DegenerateStatisticsWarning,
             stacklevel=2,
         )
-        n_e = z.shape[2]
+        n_e = tested.shape[1]
         statistic, p_value, sign = np.zeros(n_e), np.ones(n_e), np.zeros(n_e, dtype=int)
     else:
-        statistic, p_value, sign = grand_mean_z_test(z[:, condition], grand_mean, grand_sd)
+        statistic, p_value, sign = grand_mean_z_test(tested, grand_mean, grand_sd)
 
     decision = _correct(p_value, base_rate, correction)
     return SpnResult(
@@ -303,7 +409,7 @@ def differential_spn(
         raise ValidationError("differential SPN needs n >= 2 subjects and J >= 2 conditions")
     rows, cols = np.triu_indices(data.n_nodes, k=1)
     shared, up, down, zero = _trend_family(
-        fisher_z(data.edge_values()), lambda e: f"edge ({rows[e]}, {cols[e]})", base_rate, correction
+        _fisher_z_tables(data), lambda e: f"edge ({rows[e]}, {cols[e]})", base_rate, correction
     )
     shared["diagnostics"] = tuple(zip(rows[zero].tolist(), cols[zero].tolist()))
     return (

@@ -30,6 +30,9 @@ from .errors import ValidationError
 # variance stratum is treated as exactly zero (degenerate).
 _SS_REL_TOL = 1e-12
 
+# Tables whose squared deviations repeated_measures_fit holds at once.
+_TABLES_PER_BLOCK = 256
+
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 # The continued fraction stops once a step changes the value by at most
@@ -123,11 +126,14 @@ def repeated_measures_fit(values) -> FitFamily:
     The trend sign is the sign of the equally spaced linear contrast over
     the condition means.
 
-    The tables are copied once into an (H, n, J) layout so that every sum
-    runs in the order a single table's would: the grand mean and the total
-    sum of squares are pairwise sums over each table's contiguous n * J
-    values, and condition and subject means accumulate sequentially.  A
-    one-table call therefore gives the same bits as the batched one.
+    The tables are read in an (H, n, J) layout so that every sum runs in
+    the order a single table's would: the grand mean and the total sum of
+    squares are pairwise sums over each table's contiguous n * J values,
+    and condition and subject means accumulate sequentially.  A one-table
+    call therefore gives the same bits as the batched one.  ``values`` is
+    copied into that layout unless it is already an (n, J, H) view of a
+    C-ordered (H, n, J) array, which is then read in place; either way it
+    is never written to.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 3:
@@ -138,18 +144,21 @@ def repeated_measures_fit(values) -> FitFamily:
         raise ValidationError(f"need n >= 2 subjects and J >= 2 conditions, got {n} x {j}")
     if not np.isfinite(arr).all():
         raise ValidationError("unsupported design: table has missing or non-finite cells")
-    x = np.moveaxis(arr, -1, 0).copy()
+    x = np.ascontiguousarray(np.moveaxis(arr, -1, 0))
     grand = x.reshape(h, n * j).mean(axis=1)
     cond_means = x.mean(axis=1)
-    subj_means = x.mean(axis=2)
+    intercepts = x.mean(axis=2)
+    intercepts -= grand[:, None]  # subject means minus the grand mean
 
-    # the only family-sized temporary: squared deviations, formed in place
-    x -= grand[:, None, None]
-    x *= x
-    ss_total = x.reshape(h, n * j).sum(axis=1)
-    del x
+    # squared deviations, formed a block of tables at a time
+    ss_total = np.empty(h)
+    for lo in range(0, h, _TABLES_PER_BLOCK):
+        block = slice(lo, lo + _TABLES_PER_BLOCK)
+        dev = x[block] - grand[block, None, None]
+        dev *= dev
+        ss_total[block] = dev.reshape(len(dev), n * j).sum(axis=1)
     ss_cond = n * ((cond_means - grand[:, None]) ** 2).sum(axis=1)
-    ss_subj = j * ((subj_means - grand[:, None]) ** 2).sum(axis=1)
+    ss_subj = j * (intercepts ** 2).sum(axis=1)
     ss_resid = np.maximum(ss_total - ss_cond - ss_subj, 0.0)
 
     df_cond = j - 1
@@ -170,7 +179,7 @@ def repeated_measures_fit(values) -> FitFamily:
     trend[flat] = 0
     return FitFamily(
         fixed_effects=cond_means,
-        subject_intercepts=subj_means - grand[:, None],
+        subject_intercepts=intercepts,
         residual_variance=ms_resid,
         f_statistic=np.where(flat, 0.0, np.where(degenerate, np.inf, f_stat)),
         p_value=np.where(flat, 1.0, np.where(degenerate, 0.0, p_value)),

@@ -7,8 +7,8 @@ import numpy as np
 from spnkit import NodeSignalDataset, StudyDataset
 
 
-def dataset_from_z(z_edges: np.ndarray) -> StudyDataset:
-    """Build a StudyDataset from (n, J, N_E) Fisher-z edge values."""
+def stack_from_z(z_edges: np.ndarray) -> np.ndarray:
+    """The (n, J, N_V, N_V) correlation stack of (n, J, N_E) Fisher-z edge values."""
     n, j, n_e = z_edges.shape
     n_v = int(round((1 + np.sqrt(1 + 8 * n_e)) / 2))
     assert n_v * (n_v - 1) // 2 == n_e
@@ -20,6 +20,13 @@ def dataset_from_z(z_edges: np.ndarray) -> StudyDataset:
             m = np.zeros((n_v, n_v))
             m[iu] = r[i, c]
             corr[i, c] = m + m.T
+    return corr
+
+
+def dataset_from_z(z_edges: np.ndarray) -> StudyDataset:
+    """Build a StudyDataset from (n, J, N_E) Fisher-z edge values."""
+    corr = stack_from_z(z_edges)
+    n, j, n_v, _ = corr.shape
     return StudyDataset(
         correlations=corr,
         node_labels=tuple(f"n{v}" for v in range(n_v)),

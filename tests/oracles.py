@@ -12,11 +12,16 @@ over the whole matrix per inserted edge, the efficiency sum over a
 boolean off-diagonal mask, local efficiency through one validated
 ``BinaryGraph`` and one public ``global_efficiency`` call per
 neighbourhood, and ``rewire`` with one scalar ``rng.integers`` call per
-draw.  The last two are the only references here that call spnkit.
-``ring_lattice_by_rounds`` is the round-by-round loop that the slot
-arithmetic of ``ring_lattice`` replaced, and
+draw.  ``ring_lattice_by_rounds`` is the round-by-round loop that the
+slot arithmetic of ``ring_lattice`` replaced, and
 ``scipy_shortest_paths_weighted`` the scipy Dijkstra call that the numpy
-all-source Dijkstra of ``shortest_paths_weighted`` replaced.
+all-source Dijkstra of ``shortest_paths_weighted`` replaced.  The last
+group keeps the paths a study took while it held every full (n, J, N_V,
+N_V) cell: each cell as ``validate_symmetric_hollow`` returns it, the
+upper-triangle gather, ``fisher_z`` and ``z.std`` on full-size copies,
+``repeated_measures_fit`` through its own copy, and condition means over
+full matrices.  These references call spnkit's public functions, as do
+the local efficiency and ``rewire`` references.
 """
 
 import math
@@ -27,6 +32,7 @@ from mpmath import betainc, mp, mpf
 from scipy.sparse.csgraph import shortest_path
 
 import spnkit as sk
+from spnkit.graphs import validate_symmetric_hollow
 
 mp.dps = 30
 
@@ -415,3 +421,38 @@ def ring_lattice_by_rounds(n_v: int, n_e: int) -> list[tuple[int, int]]:
         edges.extend(ring[:take])
         offset += 1
     return edges
+
+
+def checked_stack(correlations) -> np.ndarray:
+    """The (n, J, N_V, N_V) stack a dataset used to hold: every cell as
+    ``validate_symmetric_hollow`` returns it."""
+    stack = np.array(correlations, dtype=float)
+    for si, ci in np.ndindex(*stack.shape[:2]):
+        stack[si, ci] = validate_symmetric_hollow(stack[si, ci])
+    return stack
+
+
+def gathered_edge_values(stack: np.ndarray) -> np.ndarray:
+    """The upper triangles gathered out of the full stack, as ``edge_values()``
+    did; numpy lays the result out as (N_E, n, J) in memory."""
+    rows, cols = np.triu_indices(stack.shape[2], k=1)
+    return stack[:, :, rows, cols]
+
+
+def mean_spn_statistics_full_stack(stack: np.ndarray, condition: int):
+    """(statistic, p_value, sign) of the mean SPN through the gathered copy,
+    ``fisher_z`` and ``z.std``, each on a full-size array."""
+    z = sk.fisher_z(gathered_edge_values(stack))
+    return sk.grand_mean_z_test(z[:, condition], float(z.mean()), float(z.std(ddof=1)))
+
+
+def differential_fit_full_stack(stack: np.ndarray):
+    """The differential SPN's fit through the gathered copy, ``fisher_z`` and
+    ``repeated_measures_fit``'s copy of a C-ordered (n, J, H) array."""
+    z = sk.fisher_z(gathered_edge_values(stack))
+    return sk.repeated_measures_fit(np.ascontiguousarray(z))
+
+
+def condition_mean_matrix_full_stack(stack: np.ndarray, condition: int) -> np.ndarray:
+    """One condition's Fisher-domain mean of full matrices, back-transformed."""
+    return sk.fisher_z_inverse(sk.fisher_z(stack[:, condition]).mean(axis=0))

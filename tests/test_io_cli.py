@@ -150,6 +150,19 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match=r"s1_task_signal\.csv: expected 3 signal values, got 2"):
             sk.load_node_signals(manifest)
 
+    def test_of_two_bad_files_the_first_subject_major_is_named(self, tmp_path):
+        # subject-major, s1/task comes first; condition-major order would reach s2/rest first
+        first, second = hollow(3, 0.2), hollow(3, 0.2)
+        first[1, 2] = first[2, 1] = 1.25
+        second[0, 1] = second[1, 0] = np.nan
+        corr = [[hollow(3, 0.3), first], [second, hollow(3, 0.3)]]
+        manifest = build_manifest(tmp_path, corr, ["A", "B", "C"], ["rest", "task"],
+                                  ["s1", "s2"])
+        with pytest.raises(DataError) as err:
+            sk.load_dataset(manifest)
+        assert str(err.value) == (f"{tmp_path / 's1_task.csv'}: entry (1,2) = 1.25 "
+                                  "outside the open correlation range (-1, 1)")
+
     def test_node_signals(self, tmp_path):
         corr = [[hollow(3, 0.2), hollow(3, 0.3)], [hollow(3, 0.25), hollow(3, 0.35)]]
         signals = [[[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]], [[1.1, 2.1, 3.1], [1.6, 2.6, 3.6]]]
@@ -283,6 +296,15 @@ class TestSignedInputRefusal:
         assert "condition-mean association matrix of condition 'task' has negative entry" in err
         assert "at (0,2); rerun with --abs" in err
         assert "np.float64" not in err
+
+    def test_a_refused_condition_leaves_no_profile_table(self, signed_manifest, tmp_path):
+        # the 'rest' rows are written before the 'task' mean is refused
+        data = sk.load_dataset(signed_manifest)
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(DataError, match="condition-mean association matrix of condition 'task'"):
+            spnio.step_density_profiles(data, out, "04_", "error", "global_efficiency", None)
+        assert list(out.iterdir()) == []
 
     def test_unknown_negatives_mode_is_refused(self):
         with pytest.raises(ValidationError) as err:
@@ -511,7 +533,7 @@ class TestExporters:
         planted = planted_trend_dataset(rng, edge_up=0, edge_down=5, effect=1.5, n=6, j=3, n_v=4,
                                         sigma=0.1)
         labels, conditions = ("A", "b,c", "C", "D"), ("lo", "mid", "hi")
-        data = sk.StudyDataset(planted.correlations, labels, conditions, planted.subject_ids)
+        data = sk.StudyDataset(planted.correlations(), labels, conditions, planted.subject_ids)
         values = rng.normal(5.0, 0.1, size=(5, 3, 3))
         values[:, :, 0] += [0.0, 1.0, 2.0]
         values[:, :, 2] -= [0.0, 1.0, 2.0]
@@ -957,7 +979,7 @@ def trend_manifest(tmp_path):
     """Six subjects x three conditions on 6 nodes, with a rising and a falling edge."""
     rng = np.random.default_rng(3)
     data = planted_trend_dataset(rng, edge_up=2, edge_down=9, n=6, j=3, n_v=6)
-    return build_manifest(tmp_path, data.correlations, data.node_labels,
+    return build_manifest(tmp_path, data.correlations(), data.node_labels,
                           data.condition_labels, data.subject_ids)
 
 
@@ -973,7 +995,7 @@ def quoted_manifest(tmp_path):
     rng = np.random.default_rng(3)
     data = planted_trend_dataset(rng, edge_up=2, edge_down=9, n=6, j=3, n_v=6)
     signals = rng.normal(size=(6, 3, 6)) + np.arange(3)[None, :, None]
-    return build_manifest(tmp_path, data.correlations, QUOTED_LABELS, QUOTED_CONDITIONS,
+    return build_manifest(tmp_path, data.correlations(), QUOTED_LABELS, QUOTED_CONDITIONS,
                           QUOTED_SUBJECTS, signals=signals)
 
 
@@ -1073,7 +1095,7 @@ class TestOnePipeline:
         rng = np.random.default_rng(3)
         data = planted_trend_dataset(rng, edge_up=2, edge_down=9, n=6, j=3, n_v=6)
         options = {"standardize": True, "density_grid": [1, 3, 5], "seed": 42}
-        with_options = build_manifest(tmp_path, data.correlations, data.node_labels,
+        with_options = build_manifest(tmp_path, data.correlations(), data.node_labels,
                                       data.condition_labels, data.subject_ids, options=options)
         plain = tmp_path / "plain.json"
         payload = json.loads(with_options.read_text())

@@ -24,7 +24,7 @@ def first_python_block() -> str:
 
 def test_library_quickstart_runs(tmp_path, monkeypatch):
     data = noise_dataset(np.random.default_rng(0), n=2, j=2, n_v=8)
-    build_manifest(tmp_path, data.correlations, data.node_labels, data.condition_labels,
+    build_manifest(tmp_path, data.correlations(), data.node_labels, data.condition_labels,
                    data.subject_ids)
     monkeypatch.chdir(tmp_path)
     namespace = {}

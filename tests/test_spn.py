@@ -63,11 +63,11 @@ class TestStudyDatasetValidation:
         corr[0, 0, 0, 1], corr[0, 0, 1, 0] = 0.3, 0.3 + 1e-12
         corr[0, 0, 2, 2] = 1e-12
         data = sk.StudyDataset(corr, ("a", "b", "c"), ("c0",), ("s0",))
-        stored = data.correlations[0, 0]
+        stored = data.correlations()[0, 0]
         np.testing.assert_array_equal(stored, stored.T)
         assert stored[2, 2] == 0.0
         assert corr[0, 0, 1, 0] == 0.3 + 1e-12 and corr[0, 0, 2, 2] == 1e-12
-        assert not data.correlations.flags.writeable
+        assert not data.edge_values.flags.writeable
 
 
     @pytest.mark.parametrize("cell,values,message", [
@@ -199,7 +199,7 @@ class TestMeanSpn:
         data = planted_mean_dataset(rng, 4, effect=1.0, n=8, n_v=7)
         perm = rng.permutation(7)
         permuted = sk.StudyDataset(
-            data.correlations[:, :, perm][:, :, :, perm],
+            data.correlations()[:, :, perm][:, :, :, perm],
             tuple(data.node_labels[i] for i in perm),
             data.condition_labels,
             data.subject_ids,
@@ -265,7 +265,7 @@ class TestDifferentialSpn:
         rng = np.random.default_rng(6)
         data = planted_trend_dataset(rng, edge_up=1, edge_down=8, n=10, n_v=8)
         reversed_data = sk.StudyDataset(
-            data.correlations[:, ::-1],
+            data.correlations()[:, ::-1],
             data.node_labels,
             tuple(reversed(data.condition_labels)),
             data.subject_ids,
@@ -354,11 +354,11 @@ class TestThresholdAveragingDisagreement:
         z = sk.fisher_z(np.array([[0.9, 0.2, 0.1], [0.1, 0.2, 0.3]]))
         data = dataset_from_z(z[:, None, :])
         tau = 0.4
-        mean_matrix = data.correlations.mean(axis=(0, 1))
+        mean_matrix = data.correlations().mean(axis=(0, 1))
         mean_then_threshold = sk.threshold(mean_matrix, tau)
         votes = np.zeros((3, 3))
         for i in range(2):
-            votes += sk.threshold(data.correlations[i, 0], tau).adjacency
+            votes += sk.threshold(data.correlations()[i, 0], tau).adjacency
         majority = sk.BinaryGraph.from_adjacency((votes > 1).astype(int))
         assert mean_then_threshold.adjacency[0, 1] == 1
         assert majority.adjacency[0, 1] == 0
