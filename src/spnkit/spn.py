@@ -30,6 +30,7 @@ from .errors import DataError, DegenerateStatisticsWarning, ValidationError
 from .graphs import (BinaryGraph, _edge_graph, _node_metadata, _refuse_carriage_returns,
                      validate_symmetric_hollow)
 from .stats import (
+    _TABLES_PER_BLOCK,
     FdrDecision,
     bh_fdr,
     grand_mean_z_test,
@@ -312,28 +313,37 @@ def _warn_zero_residual(degenerate: np.ndarray, name) -> None:
         )
 
 
-def _trend_family(values, name, base_rate: float, correction: str):
-    """Fit every table of ``values``, warn of zero residuals, correct once, and
-    return the SpnResult fields an SPN+/SPN- pair shares with the masks of the
-    significant hypotheses whose linear trend is up, down and zero."""
-    fits = repeated_measures_fit(values)
-    _warn_zero_residual(fits.degenerate, name)
-    decision = _correct(fits.p_value, base_rate, correction)
-    rejected, trend = decision.rejected, fits.trend_sign
-    shared = dict(correction=decision, statistic=fits.f_statistic, p_value=fits.p_value,
-                  sign=trend)
+def _trend_family(blocks, name, base_rate: float, correction: str):
+    """Fit every table of each (n, J, B) block of ``blocks`` in turn, warn of
+    zero residuals, correct the whole family once, and return the SpnResult
+    fields an SPN+/SPN- pair shares with the masks of the significant
+    hypotheses whose linear trend is up, down and zero.
+
+    Only the F statistic, p-value, trend sign and degeneracy of each table
+    outlive its block; ``map`` drops each block as soon as it is fitted.
+    """
+    fitted = [(fits.f_statistic, fits.p_value, fits.trend_sign, fits.degenerate)
+              for fits in map(repeated_measures_fit, blocks)]
+    f_statistic, p_value, trend, degenerate = map(np.concatenate, zip(*fitted))
+    _warn_zero_residual(degenerate, name)
+    decision = _correct(p_value, base_rate, correction)
+    rejected = decision.rejected
+    shared = dict(correction=decision, statistic=f_statistic, p_value=p_value, sign=trend)
     return shared, rejected & (trend > 0), rejected & (trend < 0), rejected & (trend == 0)
 
 
-def _fisher_z_tables(data: StudyDataset) -> np.ndarray:
-    """Fisher z of every edge value: an (n, J, N_E) view of a new C-ordered
-    (N_E, n, J) array, the step's one full-size copy.
+def _fisher_z_tables(edge_values: np.ndarray) -> np.ndarray:
+    """Fisher z of ``edge_values``, an (..., N_E') slice of a dataset's edge
+    values: an (..., N_E') view of a new C-ordered (N_E', ...) array.
 
-    Each edge's n x J table is contiguous.  repeated_measures_fit reads the
-    tables in place, and a sum over the whole array runs table by table,
-    the order the mean SPN's grand statistics have always been summed in.
+    Each edge's values are contiguous.  repeated_measures_fit reads an
+    (n, J, B) block's tables in place, grand_mean_z_test an (n, N_E)
+    condition's columns, and a sum over a whole (n, J, N_E) copy runs
+    table by table, the order the mean SPN's grand statistics have always
+    been summed in.  The transform is elementwise, so a slice gets the
+    bits it has inside the whole family.
     """
-    z = np.moveaxis(data.edge_values, -1, 0).copy()
+    z = np.moveaxis(edge_values, -1, 0).copy()
     np.arctanh(z, out=z)
     return np.moveaxis(z, 0, -1)
 
@@ -352,6 +362,10 @@ def mean_spn(
     A zero grand SD (fully constant dataset) degenerates every statistic
     to zero; a DegenerateStatisticsWarning is emitted and the network is
     empty.
+
+    The grand statistics are summed over one Fisher-z copy of the whole
+    study, which is freed before the tested condition's (N_E, n) table is
+    transformed from the dataset, so the two never coexist.
     """
     if data.n_subjects < 2:
         raise ValidationError("mean SPN needs at least 2 subjects")
@@ -361,14 +375,14 @@ def mean_spn(
         raise ValidationError(
             f"condition index {condition} out of range 0..{data.n_conditions - 1}"
         )
-    z = _fisher_z_tables(data)
-    tested = z[:, condition].copy(order="K")  # (N_E, n) in memory, as the z-test reads it
+    z = _fisher_z_tables(data.edge_values)
     grand_mean = float(z.mean())
     # z.std(ddof=1) by numpy's own steps, with the squared deviations formed in z
     z -= grand_mean
     z *= z
     grand_sd = math.sqrt(float(z.sum()) / (z.size - 1))
     del z
+    tested = _fisher_z_tables(data.edge_values[:, condition])
 
     # a constant dataset leaves only rounding noise (~1e-17) in the SD
     if grand_sd <= 1e-12 * max(1.0, abs(grand_mean)):
@@ -404,12 +418,20 @@ def differential_spn(
     listed in ``diagnostics`` of both results instead of either network.
     Fits with a zero residual (reported as p = 0) raise a
     DegenerateStatisticsWarning.
+
+    The family is transformed and fitted _TABLES_PER_BLOCK edges at a
+    time, so the step holds one block of Fisher z, never the whole
+    family; each table's fit does not depend on the others, so the
+    results are those of one whole-family fit, bit for bit.
     """
     if data.n_subjects < 2 or data.n_conditions < 2:
         raise ValidationError("differential SPN needs n >= 2 subjects and J >= 2 conditions")
     rows, cols = np.triu_indices(data.n_nodes, k=1)
+    # one empty block when N_V = 1
+    blocks = (_fisher_z_tables(data.edge_values[..., lo:lo + _TABLES_PER_BLOCK])
+              for lo in range(0, max(rows.size, 1), _TABLES_PER_BLOCK))
     shared, up, down, zero = _trend_family(
-        _fisher_z_tables(data), lambda e: f"edge ({rows[e]}, {cols[e]})", base_rate, correction
+        blocks, lambda e: f"edge ({rows[e]}, {cols[e]})", base_rate, correction
     )
     shared["diagnostics"] = tuple(zip(rows[zero].tolist(), cols[zero].tolist()))
     return (
@@ -432,7 +454,7 @@ def node_differential_spn(
     if n < 2 or j < 2:
         raise ValidationError("node differential SPN needs n >= 2 and J >= 2")
     shared, up, down, _ = _trend_family(
-        data.signals, lambda v: f"node {v} ({data.node_labels[v]})", base_rate, correction
+        [data.signals], lambda v: f"node {v} ({data.node_labels[v]})", base_rate, correction
     )
     empty = _edge_graph(data.node_labels, [], [])
     return (

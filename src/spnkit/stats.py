@@ -30,8 +30,12 @@ from .errors import ValidationError
 # variance stratum is treated as exactly zero (degenerate).
 _SS_REL_TOL = 1e-12
 
-# Tables whose squared deviations repeated_measures_fit holds at once.
-_TABLES_PER_BLOCK = 256
+# Tables whose squared deviations repeated_measures_fit holds at once, and
+# the differential SPN's block of edges.  Each block is one pass of the F
+# tail's continued-fraction loop: on a 20 x 4 x 112 study the SPN takes 2.7
+# times as long as one whole-family fit at 256 tables a block and 1.5 times
+# at 1024, which holds a third of that fit's peak memory.
+_TABLES_PER_BLOCK = 1024
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 

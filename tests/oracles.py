@@ -19,8 +19,9 @@ all-source Dijkstra of ``shortest_paths_weighted`` replaced.  The last
 group keeps the paths a study took while it held every full (n, J, N_V,
 N_V) cell: each cell as ``validate_symmetric_hollow`` returns it, the
 upper-triangle gather, ``fisher_z`` and ``z.std`` on full-size copies,
-``repeated_measures_fit`` through its own copy, and condition means over
-full matrices.  These references call spnkit's public functions, as do
+``repeated_measures_fit`` through its own copy (and the differential SPN
+routed from that one whole-family fit), and condition means over full
+matrices.  These references call spnkit's public functions, as do
 the local efficiency and ``rewire`` references.
 """
 
@@ -451,6 +452,25 @@ def differential_fit_full_stack(stack: np.ndarray):
     ``repeated_measures_fit``'s copy of a C-ordered (n, J, H) array."""
     z = sk.fisher_z(gathered_edge_values(stack))
     return sk.repeated_measures_fit(np.ascontiguousarray(z))
+
+
+def differential_spn_whole_family(stack: np.ndarray, base_rate: float = 0.05):
+    """The differential SPN as one whole-family fit of the full stack:
+    (fit, SPN+ adjacency, SPN- adjacency, zero-trend pairs), each pair's
+    route decided by ``bh_fdr`` over the whole family."""
+    fit = differential_fit_full_stack(stack)
+    rejected = sk.bh_fdr(fit.p_value, base_rate).rejected
+    rows, cols = np.triu_indices(stack.shape[2], k=1)
+
+    def adjacency(mask):
+        a = np.zeros(stack.shape[2:], dtype=np.uint8)
+        a[rows[mask], cols[mask]] = a[cols[mask], rows[mask]] = 1
+        return a
+
+    zero = rejected & (fit.trend_sign == 0)
+    return (fit, adjacency(rejected & (fit.trend_sign > 0)),
+            adjacency(rejected & (fit.trend_sign < 0)),
+            tuple(zip(rows[zero].tolist(), cols[zero].tolist())))
 
 
 def condition_mean_matrix_full_stack(stack: np.ndarray, condition: int) -> np.ndarray:

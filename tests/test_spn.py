@@ -293,6 +293,12 @@ class TestDifferentialSpn:
         assert rederive_edges(plus, lambda s: s > 0) == set(plus.network.edges())
         assert rederive_edges(minus, lambda s: s < 0) == set(minus.network.edges())
 
+    def test_a_one_node_study_tests_nothing(self):
+        data = sk.StudyDataset(np.zeros((3, 2, 1, 1)), ["a"], ["c0", "c1"], ["s0", "s1", "s2"])
+        plus, minus = sk.differential_spn(data)
+        assert plus.statistic.size == plus.p_value.size == plus.sign.size == 0
+        assert plus.diagnostics == () and minus.network.edge_count == 0
+
     def test_shared_fdr_family(self):
         rng = np.random.default_rng(9)
         data = planted_trend_dataset(rng, edge_up=0, edge_down=5, n=8, n_v=6)
