@@ -63,7 +63,6 @@ from .spn import (
     SpnResult,
     StudyDataset,
     differential_spn,
-    edge_pairs,
     mean_spn,
     node_differential_spn,
 )

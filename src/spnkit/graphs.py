@@ -173,11 +173,6 @@ class WeightedGraph:
     def n_nodes(self) -> int:
         return self.weights.shape[0]
 
-    def positive_edges(self) -> list[tuple[int, int, float]]:
-        """Edges with positive weight as (i, j, w), i < j, in lexicographic order."""
-        i, j = np.nonzero(np.triu(self.weights, k=1))
-        return [(int(a), int(b), float(self.weights[a, b])) for a, b in zip(i, j)]
-
 
 @dataclass(frozen=True, eq=False)
 class BinaryGraph:
@@ -232,14 +227,6 @@ class BinaryGraph:
     @property
     def n_nodes(self) -> int:
         return self.adjacency.shape[0]
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Edges as (i, j), i < j, in lexicographic order."""
-        i, j = np.nonzero(np.triu(self.adjacency, k=1))
-        return [(int(a), int(b)) for a, b in zip(i, j)]
-
-    def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1).astype(int)
 
 
 def _edge_graph(node_labels, rows, cols, node_coords=None) -> BinaryGraph:

@@ -419,7 +419,7 @@ def write_run_log(out_dir, command: str, config: dict, notes, paths) -> Path:
     """Write ``run_log.txt``: the command, its config, the spnkit, numpy and
     scipy versions, every warning and every file written.  Holds nothing
     that changes between reruns with the same inputs and options."""
-    import scipy
+    import scipy  # cheaper in time and memory than importlib.metadata.version("scipy")
 
     from . import __version__
 

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import ValidationError
 from .graphs import BinaryGraph, _check_integer, _default_labels, _edge_graph, max_edge_count
 
-_Q_TOL = 1e-9
 TOPOLOGIES = ("lattice", "random")
 
 
@@ -33,13 +32,6 @@ class Partition:
     assignment: tuple[int, ...]
     module_count: int
     q: float
-
-    def __post_init__(self):
-        ids = set(self.assignment)
-        if ids != set(range(self.module_count)):
-            raise ValidationError("module ids must be contiguous from 0")
-        if not -1.0 - _Q_TOL <= self.q <= 1.0 + _Q_TOL:
-            raise ValidationError(f"modularity q={self.q!r} outside [-1, 1]")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ commute).  Three pipelines are provided:
 * node differential SPN+/- - the same model applied to per-node signal
   intensities, flagging vertices instead of edges.
 
-Hypotheses are ordered by the upper-triangle edge list (i < j,
-lexicographic); the FDR decision mask in each result follows that order.
+Hypotheses are ordered by the upper triangle, (i, j) with i < j in
+lexicographic order, as np.triu_indices(N_V, k=1) gives them; the FDR
+decision mask in each result follows that order.
 """
 
 from __future__ import annotations
@@ -39,11 +40,6 @@ from .stats import (
 )
 
 CORRECTIONS = ("fdr", "none")
-
-
-def edge_pairs(n_nodes: int) -> list[tuple[int, int]]:
-    """Canonical hypothesis order: upper-triangle (i, j), i < j, lexicographic."""
-    return [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)]
 
 
 def _checked_correlation_matrix(matrix: np.ndarray, source) -> np.ndarray:
@@ -106,7 +102,8 @@ def _checked_cells(out: np.ndarray, cell, rule) -> np.ndarray:
 @functools.cache
 def _flat_pairs(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """The flat indices, in a raveled N_V x N_V matrix, of the upper-triangle
-    entries in edge_pairs order and of their mirror images, read-only."""
+    entries in the upper-triangle order of np.triu_indices(N_V, k=1) and of
+    their mirror images, read-only."""
     rows, cols = np.triu_indices(n_nodes, k=1)
     flat = rows * n_nodes + cols, cols * n_nodes + rows
     for index in flat:
@@ -121,8 +118,9 @@ def _upper_triangle(rule, n_nodes: int):
 
 
 def _symmetric(values: np.ndarray, n_nodes: int) -> np.ndarray:
-    """The symmetric hollow N_V x N_V matrices whose upper triangles, in
-    edge_pairs order, lie along the last axis of ``values``."""
+    """The symmetric hollow N_V x N_V matrices whose upper triangles, in the
+    upper-triangle order of np.triu_indices(N_V, k=1), lie along the last
+    axis of ``values``."""
     upper, lower = _flat_pairs(n_nodes)
     out = np.zeros((*values.shape[:-1], n_nodes * n_nodes))
     out[..., upper] = values
@@ -152,10 +150,11 @@ class StudyDataset:
     pass the correlation-matrix rule (finite, off-diagonal entries in the
     open range (-1, 1), symmetric within 1e-9, hollow).  The rule leaves
     each cell exactly symmetric and hollow, so the dataset holds only its
-    upper triangle: ``edge_values``, a read-only (n, J, N_E) array in
-    edge_pairs order, from which ``correlations()`` rebuilds every cell
-    bit for bit.  ``condition_labels`` are ordered by the experimental
-    gradient.  ``node_coords`` is optional pass-through metadata.
+    upper triangle: ``edge_values``, a read-only (n, J, N_E) array in the
+    upper-triangle order of np.triu_indices(N_V, k=1), from which
+    ``correlations()`` rebuilds every cell bit for bit.
+    ``condition_labels`` are ordered by the experimental gradient.
+    ``node_coords`` is optional pass-through metadata.
     """
 
     edge_values: np.ndarray
@@ -272,7 +271,8 @@ class SpnResult:
     """A summary network with the per-hypothesis statistics behind it.
 
     ``statistic``, ``p_value`` and ``sign`` hold every tested hypothesis,
-    significant or not, in edge_pairs (or node-index) order: the z
+    significant or not, in the upper-triangle order of
+    np.triu_indices(N_V, k=1) (or in node-index order): the z
     statistic and effect sign for a mean SPN, the F statistic and linear
     trend sign for differential ones.  ``correction`` is the decision mask
     in the same order, so the network is re-derivable.
@@ -296,21 +296,28 @@ def _correct(p_values, base_rate: float, correction: str) -> FdrDecision:
 
 
 def _edge_network(data: StudyDataset, mask: np.ndarray) -> BinaryGraph:
-    """The graph whose edges are the masked hypotheses (edge_pairs order)."""
+    """The graph whose edges are the masked hypotheses, in the upper-triangle
+    order of np.triu_indices(N_V, k=1)."""
     rows, cols = np.triu_indices(data.n_nodes, k=1)
     return _edge_graph(data.node_labels, rows[mask], cols[mask], data.node_coords)
 
 
-def _warn_zero_residual(degenerate: np.ndarray, name) -> None:
-    """Warn that zero-residual fits were reported as p = 0, naming the first."""
-    hits = np.flatnonzero(degenerate)
-    if hits.size:
-        warnings.warn(
-            f"{hits.size} fit(s) have zero residual variance and are reported as p = 0 "
-            f"(infinite F); first: {name(int(hits[0]))}",
-            DegenerateStatisticsWarning,
-            stacklevel=4,  # past _trend_family and the public SPN function
-        )
+def _warn_zero_residual(degenerate: np.ndarray, f_statistic: np.ndarray, name) -> None:
+    """Warn of the zero-residual fits reported as p = 0 and of those, flat
+    too, reported as p = 1, naming the first of each."""
+    for hits, what in (
+        (degenerate & (f_statistic > 0), "zero residual variance and are reported as p = 0 "
+                                         "(infinite F)"),
+        (degenerate & (f_statistic == 0), "zero residual and zero condition variance "
+                                          "(F = 0/0) and are reported as F = 0, p = 1"),
+    ):
+        hits = np.flatnonzero(hits)
+        if hits.size:
+            warnings.warn(
+                f"{hits.size} fit(s) have {what}; first: {name(int(hits[0]))}",
+                DegenerateStatisticsWarning,
+                stacklevel=4,  # past _trend_family and the public SPN function
+            )
 
 
 def _trend_family(blocks, name, base_rate: float, correction: str):
@@ -322,10 +329,9 @@ def _trend_family(blocks, name, base_rate: float, correction: str):
     Only the F statistic, p-value, trend sign and degeneracy of each table
     outlive its block; ``map`` drops each block as soon as it is fitted.
     """
-    fitted = [(fits.f_statistic, fits.p_value, fits.trend_sign, fits.degenerate)
-              for fits in map(repeated_measures_fit, blocks)]
-    f_statistic, p_value, trend, degenerate = map(np.concatenate, zip(*fitted))
-    _warn_zero_residual(degenerate, name)
+    f_statistic, p_value, trend, degenerate = map(
+        np.concatenate, zip(*map(repeated_measures_fit, blocks)))
+    _warn_zero_residual(degenerate, f_statistic, name)
     decision = _correct(p_value, base_rate, correction)
     rejected = decision.rejected
     shared = dict(correction=decision, statistic=f_statistic, p_value=p_value, sign=trend)
@@ -416,8 +422,8 @@ def differential_spn(
     surviving edge by the sign of its linear trend: positive to SPN+,
     negative to SPN-.  Significant edges with an exactly zero trend are
     listed in ``diagnostics`` of both results instead of either network.
-    Fits with a zero residual (reported as p = 0) raise a
-    DegenerateStatisticsWarning.
+    Fits with a zero residual (reported as p = 0, or as p = 1 when the
+    condition means are equal too) raise a DegenerateStatisticsWarning.
 
     The family is transformed and fitted _TABLES_PER_BLOCK edges at a
     time, so the step holds one block of Fisher z, never the whole

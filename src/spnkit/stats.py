@@ -88,13 +88,12 @@ class FdrDecision:
 class FitFamily(NamedTuple):
     """repeated_measures_fit's result for a family of H hypotheses, in hypothesis order."""
 
-    fixed_effects: np.ndarray  # (H, J) condition means
-    subject_intercepts: np.ndarray  # (H, n) subject means minus the grand mean
-    residual_variance: np.ndarray
     f_statistic: np.ndarray
     p_value: np.ndarray
     trend_sign: np.ndarray  # int, -1 / 0 / +1
-    degenerate: np.ndarray  # bool: zero residual stratum, reported as F = inf, p = 0
+    # bool: zero residual stratum, reported as F = inf, p = 0, or, when the
+    # condition stratum is zero too (F = 0/0), as F = 0, p = 1
+    degenerate: np.ndarray
 
 
 def grand_mean_z_test(values, grand_mean: float, grand_sd: float):
@@ -128,7 +127,8 @@ def repeated_measures_fit(values) -> FitFamily:
     (J >= 2), every cell finite.  Variance splits into subject, condition
     and residual strata; the condition F-test has dof (J-1, (n-1)(J-1)).
     The trend sign is the sign of the equally spaced linear contrast over
-    the condition means.
+    the condition means.  A stratum below _SS_REL_TOL of the table's sum
+    of squares about zero counts as zero (see FitFamily.degenerate).
 
     The tables are read in an (H, n, J) layout so that every sum runs in
     the order a single table's would: the grand mean and the total sum of
@@ -174,17 +174,16 @@ def repeated_measures_fit(values) -> FitFamily:
     slack = _SS_REL_TOL * np.abs(terms).sum(axis=1)
     trend = np.where(contrast > slack, 1, np.where(contrast < -slack, -1, 0))
 
-    tol = _SS_REL_TOL * ss_total
+    # "zero" is judged against the sum of squares about zero: in a constant
+    # table ss_total is itself rounding noise, and so can be beaten by ss_cond
+    tol = _SS_REL_TOL * (ss_total + n * j * grand ** 2)
     flat = ss_cond <= tol
-    degenerate = ~flat & (ss_resid <= tol)
+    degenerate = ss_resid <= tol
     with np.errstate(divide="ignore", invalid="ignore"):
         f_stat = (ss_cond / df_cond) / ms_resid
         p_value = _f_tail(df_cond, df_resid, f_stat)
     trend[flat] = 0
     return FitFamily(
-        fixed_effects=cond_means,
-        subject_intercepts=intercepts,
-        residual_variance=ms_resid,
         f_statistic=np.where(flat, 0.0, np.where(degenerate, np.inf, f_stat)),
         p_value=np.where(flat, 1.0, np.where(degenerate, 0.0, p_value)),
         trend_sign=trend,

@@ -9,7 +9,8 @@ reference: greedy modularity with a full gain rebuild per merge and with
 the upper-triangle row and column update, hop counts by frontier
 products in uint8 (exact only below 256 nodes), the hop-count update
 over the whole matrix per inserted edge, the efficiency sum over a
-boolean off-diagonal mask, local efficiency through one validated
+boolean off-diagonal mask, the density ranking of positive edges by one
+plain sort, local efficiency through one validated
 ``BinaryGraph`` and one public ``global_efficiency`` call per
 neighbourhood, and ``rewire`` with one scalar ``rng.integers`` call per
 draw.  ``ring_lattice_by_rounds`` is the round-by-round loop that the
@@ -164,6 +165,25 @@ def insert_edge_full(dist: np.ndarray, u: int, v: int) -> None:
     through = dist[:, u, None] + 1.0 + dist[None, v, :]
     np.minimum(dist, through, out=dist)
     np.minimum(dist, through.T, out=dist)
+
+
+def ranked_positive_edges(weights: np.ndarray) -> list[tuple[int, int, float]]:
+    """The positive-weight edges (i, j, w), i < j, of a symmetric weight
+    matrix, strongest first and ties in lexicographic (i, j) order: the
+    density ranking by one plain sort."""
+    n = len(weights)
+    edges = [(i, j, float(weights[i, j])) for i in range(n) for j in range(i + 1, n)
+             if weights[i, j] > 0]
+    return sorted(edges, key=lambda e: (-e[2], e[0], e[1]))
+
+
+def adjacency_of(n: int, edges) -> np.ndarray:
+    """The n x n 0/1 adjacency of the (i, j) or (i, j, w) ``edges``, set one
+    edge at a time."""
+    adjacency = np.zeros((n, n), dtype=np.uint8)
+    for i, j, *_ in edges:
+        adjacency[i, j] = adjacency[j, i] = 1
+    return adjacency
 
 
 def efficiency_profile_full_update(order, n: int, ks) -> list[float]:

@@ -55,7 +55,7 @@ class TestCriterion1MonotoneInvariance:
         for trial in range(200):
             n = int(rng.integers(5, 31))
             g = random_weighted_graph(rng, n, ties=bool(trial % 3 == 0))
-            if not g.positive_edges():
+            if not g.weights.any():
                 g = random_weighted_graph(rng, n, density=1.0)
             for h in maps:
                 # selected edge sets compared at every k; values are compared below
@@ -209,27 +209,28 @@ class TestCriterion6InferenceCorrectness:
         report("6b (repeated-measures oracle)", True, "100 balanced tables, 1e-10")
 
     def test_plant_and_recover_routes_every_effect_correctly(self):
-        pairs = sk.edge_pairs(12)
+        rows, cols = np.triu_indices(12, k=1)
         misrouted = 0
         missed = 0
         for run in range(100):
             rng = np.random.default_rng(np.random.SeedSequence((MASTER_SEED + 1, run)))
-            planted = int(rng.integers(len(pairs)))
+            planted = int(rng.integers(rows.size))
             data = planted_mean_dataset(rng, planted, effect=1.0, n=20, j=4)
             result = sk.mean_spn(data, condition=int(rng.integers(4)), base_rate=0.05)
-            if pairs[planted] not in result.network.edges():
+            if not result.network.adjacency[rows[planted], cols[planted]]:
                 missed += 1
             if result.sign[planted] != 1:
                 misrouted += 1
 
             rng = np.random.default_rng(np.random.SeedSequence((MASTER_SEED + 2, run)))
-            up, down = rng.choice(len(pairs), size=2, replace=False)
+            up, down = rng.choice(rows.size, size=2, replace=False)
             data = planted_trend_dataset(rng, int(up), int(down), effect=1.0, n=20, j=4)
             plus, minus = sk.differential_spn(data, base_rate=0.05)
-            plus_edges, minus_edges = set(plus.network.edges()), set(minus.network.edges())
-            if pairs[up] not in plus_edges or pairs[down] not in minus_edges:
+            plus_edges = plus.network.adjacency[rows, cols]
+            minus_edges = minus.network.adjacency[rows, cols]
+            if not (plus_edges[up] and minus_edges[down]):
                 missed += 1
-            if pairs[up] in minus_edges or pairs[down] in plus_edges:
+            if minus_edges[up] or plus_edges[down]:
                 misrouted += 1
         ok = misrouted == 0 and missed == 0
         report("6c (plant and recover)", ok, f"{misrouted} misrouted, {missed} missed in 100 runs")

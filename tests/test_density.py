@@ -33,19 +33,18 @@ class TestDensityThreshold:
 
     def test_takes_the_k_strongest(self):
         g = triangle()
-        picked = sk.density_threshold(g, 2).edges()
+        picked = sk.density_threshold(g, 2).adjacency
         # sort-and-take oracle over (weight, pair)
-        ranked = sorted(g.positive_edges(), key=lambda e: (-e[2], e[0], e[1]))
-        assert set(picked) == {(i, j) for i, j, _ in ranked[:2]}
-        assert set(picked) == {(1, 2), (0, 2)}  # weights 1.0 and 0.8
+        ranked = oracles.ranked_positive_edges(g.weights)
+        assert np.array_equal(picked, oracles.adjacency_of(3, ranked[:2]))
+        assert np.array_equal(picked, oracles.adjacency_of(3, [(1, 2), (0, 2)]))  # 1.0 and 0.8
 
     def test_full_density_equals_zero_threshold(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             g = random_weighted(rng, 7)
-            k = len(g.positive_edges())
-            full = sk.density_threshold(g, k)
-            assert full.edges() == sk.threshold(g.weights, 0.0).edges()
+            full = sk.density_threshold(g, np.count_nonzero(np.triu(g.weights, 1)))
+            assert np.array_equal(full.adjacency, sk.threshold(g.weights, 0.0).adjacency)
 
     def test_rejects_out_of_range_and_zero_weight_selection(self):
         g = triangle()
@@ -79,7 +78,8 @@ class TestDensityThreshold:
 
     def test_numpy_integer_levels_accepted(self):
         g = triangle()
-        assert sk.density_threshold(g, np.int64(2)).edges() == [(0, 2), (1, 2)]
+        assert np.array_equal(sk.density_threshold(g, np.int64(2)).adjacency,
+                              oracles.adjacency_of(3, [(0, 2), (1, 2)]))
         profile = sk.density_integrated_metric(g, sk.global_efficiency, grid=np.arange(1, 4))
         assert profile.densities == (1, 2, 3)
         assert all(type(k) is int for k in profile.densities)
@@ -87,19 +87,20 @@ class TestDensityThreshold:
     def test_nested_in_k(self):
         rng = np.random.default_rng(1)
         g = random_weighted(rng, 8)
-        previous = set()
-        for k in range(len(g.positive_edges()) + 1):
-            current = set(sk.density_threshold(g, k).edges())
-            assert previous <= current
+        previous = np.zeros((8, 8))
+        for k in range(np.count_nonzero(np.triu(g.weights, 1)) + 1):
+            current = sk.density_threshold(g, k).adjacency
+            assert np.all(previous <= current)
             previous = current
 
     def test_deterministic_under_ties(self):
         m = np.full((4, 4), 0.5)
         np.fill_diagonal(m, 0.0)
         g = sk.WeightedGraph.from_matrix(m)
-        first = sk.density_threshold(g, 3).edges()
-        again = sk.density_threshold(g, 3).edges()
-        assert first == again == [(0, 1), (0, 2), (0, 3)]  # lexicographic tie rule
+        first = sk.density_threshold(g, 3).adjacency
+        again = sk.density_threshold(g, 3).adjacency
+        assert np.array_equal(first, again)
+        assert np.array_equal(first, oracles.adjacency_of(4, [(0, 1), (0, 2), (0, 3)]))  # tie rule
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_ranked_edges_follow_the_sort_key(self, ties):
@@ -108,14 +109,14 @@ class TestDensityThreshold:
             g = random_weighted(rng, n, density=0.7)
             if ties:  # three distinct weights: the (i, j) rule orders most edges
                 g = sk.WeightedGraph.from_matrix(np.ceil(g.weights * 3) / 3)
-            expected = sorted(g.positive_edges(), key=lambda e: (-e[2], e[0], e[1]))
+            expected = oracles.ranked_positive_edges(g.weights)
             rows, cols = density_mod.ranked_edges(g)
             assert list(zip(rows.tolist(), cols.tolist())) == [(i, j) for i, j, _ in expected]
             assert rows.dtype.kind == cols.dtype.kind == "i"
             m = len(expected)
             for k in sorted({0, min(1, m), m // 3, m // 2, m}):
-                assert sk.density_threshold(g, k).edges() == sorted(
-                    (i, j) for i, j, _ in expected[:k])
+                assert np.array_equal(sk.density_threshold(g, k).adjacency,
+                                      oracles.adjacency_of(n, expected[:k]))
 
 
 class TestDensityIntegratedMetric:
@@ -143,7 +144,7 @@ class TestDensityIntegratedMetric:
         g = random_weighted(rng, 5, density=0.9)
         profile = sk.density_integrated_metric(g, sk.global_efficiency)
         # independent re-evaluation: own ranking, own efficiency, own average
-        ranked = sorted(g.positive_edges(), key=lambda e: (-e[2], e[0], e[1]))
+        ranked = oracles.ranked_positive_edges(g.weights)
         values = []
         for k in range(1, len(ranked) + 1):
             adjacency = np.zeros((5, 5))
@@ -219,16 +220,15 @@ class TestDensityIntegratedMetric:
             g = random_weighted(rng, n, density=0.7)
             if ties:
                 g = sk.WeightedGraph.from_matrix(np.ceil(g.weights * 3) / 3)
-            m = len(g.positive_edges())
             seen = []
 
             def recording(bg):
-                seen.append(bg.edges())
+                seen.append(bg.adjacency)
                 return 0.0
 
-            grid = list(range(m + 1))
+            grid = list(range(np.count_nonzero(np.triu(g.weights, 1)) + 1))
             sk.density_integrated_metric(g, recording, grid=grid)
-            assert seen == [sk.density_threshold(g, k).edges() for k in grid]
+            assert np.array_equal(seen, [sk.density_threshold(g, k).adjacency for k in grid])
 
     @pytest.mark.parametrize("name", ["modularity_count", "modularity_q"])
     def test_metric_refusal_names_the_level(self, name):
@@ -253,7 +253,7 @@ def assert_same_profile(g, grid=None):
     assert np.array_equal(fast.values, slow.values)
     assert [repr(v) for v in fast.values] == [repr(v) for v in slow.values]
     assert repr(fast.integrated) == repr(slow.integrated)
-    ranked = sorted(g.positive_edges(), key=lambda e: (-e[2], e[0], e[1]))
+    ranked = oracles.ranked_positive_edges(g.weights)
     walk = oracles.efficiency_profile_full_update(ranked, g.n_nodes, fast.densities)
     assert [repr(v) for v in fast.values.tolist()] == [repr(v) for v in walk]
     return fast
@@ -287,7 +287,7 @@ class TestIncrementalGlobalEfficiency:
             g = random_weighted(rng, n, density=0.7)
             if ties:  # few distinct weights: the (i, j) tie rule orders most edges
                 g = sk.WeightedGraph.from_matrix(np.ceil(g.weights * 3) / 3)
-            if g.positive_edges():
+            if g.weights.any():
                 assert_same_profile(g)
 
     def test_grids_on_disconnected_prefixes(self):
@@ -302,7 +302,7 @@ class TestIncrementalGlobalEfficiency:
     def test_zero_unsorted_and_repeated_levels(self):
         rng = np.random.default_rng(24)
         g = random_weighted(rng, 20, density=0.6)
-        m = len(g.positive_edges())
+        m = np.count_nonzero(np.triu(g.weights, 1))
         assert_same_profile(g, grid=[0, 1, 2])
         assert_same_profile(g, grid=[m, 7, 0, 30, 3])
         profile = assert_same_profile(g, grid=[5, 5, 40, 5, 0, 40])
@@ -313,7 +313,7 @@ class TestIncrementalGlobalEfficiency:
         rng = np.random.default_rng(25)
         n = 24
         g = random_weighted(rng, n, density=1.0)
-        m = len(g.positive_edges())
+        m = np.count_nonzero(np.triu(g.weights, 1))
         assert m == sk.max_edge_count(n)
         diameters = [
             sk.shortest_paths_unweighted(sk.density_threshold(g, k)).max()
@@ -331,7 +331,7 @@ class TestIncrementalGlobalEfficiency:
         assert hop_diameter(g, 28) > 2 and hop_diameter(g, 200) <= 2
         assert_same_profile(g, grid=[3, 28, 200])
         assert_same_profile(g, grid=[200, 28, 3, 200])
-        m = len(g.positive_edges())
+        m = np.count_nonzero(np.triu(g.weights, 1))
         assert_same_profile(g, grid=[28, m])
 
     @pytest.mark.parametrize("ties", [False, True])
@@ -341,7 +341,7 @@ class TestIncrementalGlobalEfficiency:
         g = random_weighted(rng, n, density=1.0)
         if ties:
             g = sk.WeightedGraph.from_matrix(np.ceil(g.weights * 3) / 3)
-        m = len(g.positive_edges())
+        m = np.count_nonzero(np.triu(g.weights, 1))
         grid = sorted(set(range(0, m + 1, 97)) | {1, n - 1, m - 1, m})
         assert any(hop_diameter(g, k) > 2 for k in grid)
         assert any(hop_diameter(g, k) == 2 for k in grid)
@@ -423,8 +423,9 @@ class TestMonotoneInvariance:
         g = random_weighted(rng, 7)
         h = lambda w: w**3
         transformed = sk.WeightedGraph.from_matrix(h(g.weights))
-        for k in range(len(g.positive_edges()) + 1):
-            assert sk.density_threshold(g, k).edges() == sk.density_threshold(transformed, k).edges()
+        for k in range(np.count_nonzero(np.triu(g.weights, 1)) + 1):
+            assert np.array_equal(sk.density_threshold(g, k).adjacency,
+                                  sk.density_threshold(transformed, k).adjacency)
 
 
 class TestDensityProfileType:

@@ -681,15 +681,19 @@ class TestExporters:
         g = sk.BinaryGraph.from_adjacency(a + a.T)
         path = sk.export_graph(g, "csv", tmp_path / "g.csv")
         matrix = np.loadtxt(path, delimiter=",")
-        assert sk.threshold(matrix, 0.5).edges() == g.edges()
+        assert np.array_equal(sk.threshold(matrix, 0.5).adjacency, g.adjacency)
 
 
 class TestReportPipeline:
     def test_constant_dataset_yields_constant_table_and_empty_spns(self, tmp_path):
         corr = np.stack([np.stack([hollow(4, 0.3)] * 2)] * 3)
         data = sk.StudyDataset(corr, ("a", "b", "c", "d"), ("c0", "c1"), ("s0", "s1", "s2"))
-        with pytest.warns(sk.DegenerateStatisticsWarning, match="grand SD is zero"):
+        with pytest.warns(sk.DegenerateStatisticsWarning) as record:
             bundle = sk.report_pipeline(data, tmp_path / "out")
+        assert [str(w.message) for w in record] == [
+            "grand SD is zero (constant dataset); mean SPN is empty"] * 2 + [
+            "6 fit(s) have zero residual and zero condition variance (F = 0/0) and are "
+            "reported as F = 0, p = 1; first: edge (0, 1)"]
         densities = {row[2] for row in bundle.density_table}
         assert len(densities) == 1
         for result in bundle.mean_spns.values():
@@ -713,10 +717,10 @@ class TestReportPipeline:
         rng = np.random.default_rng(42)
         data = planted_trend_dataset(rng, edge_up=5, edge_down=20, n=16, n_v=10)
         bundle = sk.report_pipeline(data, tmp_path / "out", negatives="abs")
-        pairs = sk.edge_pairs(10)
+        rows, cols = np.triu_indices(10, k=1)
         plus, minus = bundle.differential
-        assert pairs[5] in plus.network.edges()
-        assert pairs[20] in minus.network.edges()
+        assert plus.network.adjacency[rows[5], cols[5]] == 1
+        assert minus.network.adjacency[rows[20], cols[20]] == 1
 
     def test_rerun_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -1135,6 +1139,24 @@ class TestOnePipeline:
         log = (tmp_path / "lax" / "run_log.txt").read_text()
         assert "warning: 3 fit(s) have zero residual variance" in log
         assert "first: edge (0, 1)" in log
+
+    def test_constant_edge_is_degenerate(self, tmp_path):
+        # edge (0, 1) holds r = 0.3 in every cell of a 20 x 4 design: F = 0/0
+        rng = np.random.default_rng(17)
+        corr = [[hollow(3, 0.3) for _ in range(4)] for _ in range(20)]
+        for cell in (m for row in corr for m in row):
+            cell[0, 2], cell[1, 2] = rng.uniform(-0.5, 0.5, 2)
+            cell[2, :2] = cell[:2, 2]
+        manifest = build_manifest(tmp_path, corr, ["A", "B", "C"], ["c0", "c1", "c2", "c3"],
+                                  [f"s{i}" for i in range(20)])
+        args = ["spn", "diff", "--manifest", str(manifest)]
+        assert run_cli(args + ["--strict", "--out-dir", str(tmp_path / "strict")]) == 4
+        assert not (tmp_path / "strict").exists()
+        assert run_cli(args + ["--out-dir", str(tmp_path / "lax")]) == 0
+        log = (tmp_path / "lax" / "run_log.txt").read_text().splitlines()
+        assert [line for line in log if line.startswith("warning:")] == [
+            "warning: 1 fit(s) have zero residual and zero condition variance (F = 0/0) and "
+            "are reported as F = 0, p = 1; first: edge (0, 1)"]
 
     def test_seed_belongs_to_simulate_only(self, small_manifest, tmp_path):
         with pytest.raises(SystemExit):

@@ -12,16 +12,22 @@ from datasets import (
     planted_mean_dataset,
     planted_trend_dataset,
     signal_dataset,
+    stack_from_z,
 )
 
+# how the SPNs warn of tables with equal condition means and no residual
+FLAT = "zero residual and zero condition variance (F = 0/0) and are reported as F = 0, p = 1"
 
-def rederive_edges(result: sk.SpnResult, sign_rule) -> set:
-    pairs = sk.edge_pairs(result.network.n_nodes)
-    edges = set()
-    for e, pair in enumerate(pairs):
-        if result.correction.rejected[e] and sign_rule(result.sign[e]):
-            edges.add(pair)
-    return edges
+
+def rederived_adjacency(result: sk.SpnResult, sign_rule) -> np.ndarray:
+    """The network that the decision mask and the signs of ``result`` give,
+    hypothesis h being edge h of np.triu_indices(N_V, k=1)."""
+    n = result.network.n_nodes
+    rows, cols = np.triu_indices(n, k=1)
+    kept = result.correction.rejected & sign_rule(result.sign)
+    adjacency = np.zeros((n, n), dtype=np.uint8)
+    adjacency[rows[kept], cols[kept]] = adjacency[cols[kept], rows[kept]] = 1
+    return adjacency
 
 
 class TestStudyDatasetValidation:
@@ -155,7 +161,9 @@ class TestMeanSpn:
         planted = 17
         data = planted_mean_dataset(rng, planted, effect=1.0)
         result = sk.mean_spn(data, condition=1, base_rate=0.05)
-        assert result.network.edges() == [sk.edge_pairs(data.n_nodes)[planted]]
+        rows, cols = np.triu_indices(data.n_nodes, k=1)
+        assert result.network.edge_count == 1
+        assert result.network.adjacency[rows[planted], cols[planted]] == 1
 
     def test_vanishing_base_rate_empties_the_spn(self):
         rng = np.random.default_rng(0)
@@ -169,9 +177,9 @@ class TestMeanSpn:
         z = rng.normal(0.0, 0.1, size=(10, 2, n_e))
         z[:, :, 7] -= 2.0  # strongly sub-mean edge
         result = sk.mean_spn(dataset_from_z(z), condition=0, base_rate=0.05)
-        pair = sk.edge_pairs(10)[7]
+        rows, cols = np.triu_indices(10, k=1)
         assert result.sign[7] == -1
-        assert result.network.adjacency[pair] == 0
+        assert result.network.adjacency[rows[7], cols[7]] == 0
 
     def test_constant_dataset_degenerates_with_warning(self):
         z = np.full((3, 2, 6), 0.25)
@@ -191,8 +199,8 @@ class TestMeanSpn:
         rng = np.random.default_rng(13)
         data = planted_mean_dataset(rng, 5, effect=0.8, n=10, n_v=8)
         result = sk.mean_spn(data, condition=0)
-        derived = rederive_edges(result, lambda s: s > 0)
-        assert derived == set(result.network.edges())
+        derived = rederived_adjacency(result, lambda s: s > 0)
+        assert np.array_equal(derived, result.network.adjacency)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(21)
@@ -213,8 +221,7 @@ class TestMeanSpn:
         rng = np.random.default_rng(3)
         data = noise_dataset(rng, n=6, j=2, n_v=6, sigma=0.25)
         result = sk.mean_spn(data, 0, base_rate=0.01, correction="none")
-        for e, pair in enumerate(sk.edge_pairs(6)):
-            assert result.correction.rejected[e] == (result.p_value[e] < 0.01)
+        assert np.array_equal(result.correction.rejected, result.p_value < 0.01)
 
     def test_condition_index_validated(self):
         rng = np.random.default_rng(1)
@@ -247,7 +254,11 @@ class TestDifferentialSpn:
         rng = np.random.default_rng(2)
         column = rng.normal(0.0, 0.3, size=(5, 1, 10 * 9 // 2))
         z = np.repeat(column, 3, axis=1)
-        plus, minus = sk.differential_spn(dataset_from_z(z))
+        # each subject's row is constant too, so every table has no residual
+        with pytest.warns(DegenerateStatisticsWarning) as record:
+            plus, minus = sk.differential_spn(dataset_from_z(z))
+        assert [str(w.message) for w in record] == [
+            f"45 fit(s) have {FLAT}; first: edge (0, 1)"]
         assert plus.network.edge_count == 0
         assert minus.network.edge_count == 0
 
@@ -255,11 +266,10 @@ class TestDifferentialSpn:
         rng = np.random.default_rng(4)
         data = planted_trend_dataset(rng, edge_up=2, edge_down=30)
         plus, minus = sk.differential_spn(data)
-        pairs = sk.edge_pairs(data.n_nodes)
-        assert pairs[30] in minus.network.edges()
-        assert pairs[30] not in plus.network.edges()
-        assert pairs[2] in plus.network.edges()
-        assert pairs[2] not in minus.network.edges()
+        upper = np.triu_indices(data.n_nodes, k=1)
+        plus_edges, minus_edges = plus.network.adjacency[upper], minus.network.adjacency[upper]
+        assert minus_edges[30] and not plus_edges[30]
+        assert plus_edges[2] and not minus_edges[2]
 
     def test_reversing_conditions_swaps_memberships(self):
         rng = np.random.default_rng(6)
@@ -279,19 +289,22 @@ class TestDifferentialSpn:
         # symmetric profile over four conditions: strong effect, zero contrast
         z = np.zeros((4, 4, 3))
         z[:, :, 0] = [0.0, 1.0, 1.0, 0.0]
-        with pytest.warns(DegenerateStatisticsWarning, match=r"1 fit.*edge \(0, 1\)"):
+        with pytest.warns(DegenerateStatisticsWarning) as record:
             plus, minus = sk.differential_spn(dataset_from_z(z))
-        pair = sk.edge_pairs(3)[0]
-        assert pair in plus.diagnostics
-        assert pair not in plus.network.edges()
-        assert pair not in minus.network.edges()
+        assert [str(w.message) for w in record] == [
+            "1 fit(s) have zero residual variance and are reported as p = 0 (infinite F); "
+            "first: edge (0, 1)",
+            f"2 fit(s) have {FLAT}; first: edge (0, 2)",  # the all-zero edges
+        ]
+        assert (0, 1) in plus.diagnostics
+        assert plus.network.adjacency[0, 1] == minus.network.adjacency[0, 1] == 0
 
     def test_networks_rederivable(self):
         rng = np.random.default_rng(8)
         data = planted_trend_dataset(rng, edge_up=0, edge_down=12, n=12, n_v=8)
         plus, minus = sk.differential_spn(data)
-        assert rederive_edges(plus, lambda s: s > 0) == set(plus.network.edges())
-        assert rederive_edges(minus, lambda s: s < 0) == set(minus.network.edges())
+        assert np.array_equal(rederived_adjacency(plus, lambda s: s > 0), plus.network.adjacency)
+        assert np.array_equal(rederived_adjacency(minus, lambda s: s < 0), minus.network.adjacency)
 
     def test_a_one_node_study_tests_nothing(self):
         data = sk.StudyDataset(np.zeros((3, 2, 1, 1)), ["a"], ["c0", "c1"], ["s0", "s1", "s2"])
@@ -309,7 +322,9 @@ class TestDifferentialSpn:
 class TestNodeDifferentialSpn:
     def test_constant_signals_flag_nothing(self):
         signals = np.ones((4, 3, 5))
-        plus, minus = sk.node_differential_spn(signal_dataset(signals))
+        with pytest.warns(DegenerateStatisticsWarning) as record:
+            plus, minus = sk.node_differential_spn(signal_dataset(signals))
+        assert [str(w.message) for w in record] == [f"5 fit(s) have {FLAT}; first: node 0 (n0)"]
         assert plus.flagged_nodes == ()
         assert minus.flagged_nodes == ()
 
@@ -330,6 +345,47 @@ class TestNodeDifferentialSpn:
         fup, fdown = sk.node_differential_spn(signal_dataset(-signals))
         assert up.flagged_nodes == fdown.flagged_nodes
         assert down.flagged_nodes == fup.flagged_nodes
+
+
+class TestConstantTables:
+    """A table that holds one value in every cell, at the paper's 20 x 4 x
+    112 shape, is reported as F = 0 and p = 1 (F = 0/0) and warned of,
+    whatever the value: rounding in its means must not pass for an effect."""
+
+    VALUES = np.arctanh([0.0, 0.1, 0.2, 0.3, 0.45, 0.6])
+
+    def assert_flat(self, result, held):
+        assert result.statistic[held].tolist() == [0.0] * len(held)
+        assert result.p_value[held].tolist() == [1.0] * len(held)
+        assert result.sign[held].tolist() == [0] * len(held)
+        assert not result.correction.rejected[held].any()
+
+    def test_edge_pipeline(self):
+        rng = np.random.default_rng(15)
+        stack = stack_from_z(rng.normal(0.0, 0.2, size=(20, 4, 6216)))
+        rows, cols = np.triu_indices(112, k=1)
+        held = [0, 1500, 3000, 4500, 6000, 6215]  # in several blocks of the fit
+        for e, r in zip(held, np.tanh(self.VALUES)):
+            stack[:, :, rows[e], cols[e]] = stack[:, :, cols[e], rows[e]] = r
+        data = sk.StudyDataset(stack, [f"n{v}" for v in range(112)],
+                               ["c0", "c1", "c2", "c3"], [f"s{i}" for i in range(20)])
+        with pytest.warns(DegenerateStatisticsWarning) as record:
+            plus, minus = sk.differential_spn(data)
+        assert [str(w.message) for w in record] == [f"6 fit(s) have {FLAT}; first: edge (0, 1)"]
+        self.assert_flat(plus, held)
+        assert not plus.network.adjacency[rows[held], cols[held]].any()
+        assert not minus.network.adjacency[rows[held], cols[held]].any()
+
+    def test_node_pipeline(self):
+        rng = np.random.default_rng(16)
+        signals = rng.normal(0.0, 0.2, size=(20, 4, 112))
+        held = [3, 20, 40, 60, 80, 111]
+        signals[:, :, held] = self.VALUES
+        with pytest.warns(DegenerateStatisticsWarning) as record:
+            plus, minus = sk.node_differential_spn(signal_dataset(signals))
+        assert [str(w.message) for w in record] == [f"6 fit(s) have {FLAT}; first: node 3 (n3)"]
+        self.assert_flat(plus, held)
+        assert not set(held) & set(plus.flagged_nodes + minus.flagged_nodes)
 
 
 class TestZeroResidualWarningNamesTheCaller:
@@ -371,5 +427,5 @@ class TestThresholdAveragingDisagreement:
         assert not np.array_equal(mean_then_threshold.adjacency, majority.adjacency)
         # the SPN is built from per-edge statistics, not either graph above
         result = sk.mean_spn(data, 0)
-        derived = rederive_edges(result, lambda s: s > 0)
-        assert derived == set(result.network.edges())
+        derived = rederived_adjacency(result, lambda s: s > 0)
+        assert np.array_equal(derived, result.network.adjacency)
