@@ -230,11 +230,21 @@ class BinaryGraph:
 
 
 def _edge_graph(node_labels, rows, cols, node_coords=None) -> BinaryGraph:
-    """The graph on ``node_labels`` whose edges are the pairs (rows[e], cols[e])."""
+    """The graph on ``node_labels`` whose edges are the pairs (rows[e], cols[e]).
+
+    Nothing is checked again: the labels are a tuple and the coordinates
+    None or a frozen (n, 3) array that have passed the node rule, and every
+    pair joins two distinct nodes in range.  A pair given twice is one edge.
+    """
     adjacency = np.zeros((len(node_labels),) * 2, dtype=np.uint8)
     adjacency[rows, cols] = 1
     adjacency[cols, rows] = 1
-    return BinaryGraph(node_labels, adjacency, node_coords)
+    g = object.__new__(BinaryGraph)
+    for name, value in (("node_labels", node_labels), ("adjacency", _freeze(adjacency)),
+                        ("node_coords", node_coords),
+                        ("edge_count", int(np.count_nonzero(adjacency)) // 2)):
+        object.__setattr__(g, name, value)
+    return g
 
 
 def threshold(matrix, tau: float) -> BinaryGraph:
@@ -248,10 +258,10 @@ def threshold(matrix, tau: float) -> BinaryGraph:
     if isinstance(matrix, WeightedGraph):
         m, labels, coords = matrix.weights, matrix.node_labels, matrix.node_coords
     else:
-        m, labels, coords = validate_symmetric_hollow(matrix, "threshold input"), None, None
-    adjacency = (m > tau).astype(np.uint8)
-    np.fill_diagonal(adjacency, 0)
-    return BinaryGraph.from_adjacency(adjacency, labels, coords)
+        m = validate_symmetric_hollow(matrix, "threshold input")
+        labels, coords = _default_labels(m.shape[0]), None
+    rows, cols = np.nonzero(np.triu(m > tau, 1))
+    return _edge_graph(labels, rows, cols, coords)
 
 
 def _hop_distances(adjacency: np.ndarray) -> np.ndarray:

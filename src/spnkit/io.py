@@ -25,11 +25,9 @@ from . import density as density_mod
 from .errors import DataError, IncompleteDesignError, SchemaError, ValidationError
 from .graphs import BinaryGraph, WeightedGraph, _node_coords, _node_labels, global_efficiency, \
     local_efficiency, spread_condition_holds, threshold, weighted_density, weighted_efficiency
-from .spn import NodeSignalDataset, SpnResult, StudyDataset, differential_spn, mean_spn
-from .spn import _check_signals, _checked_cells, _checked_correlation_matrix, _design_labels
-from .spn import _symmetric, _upper_triangle
-from .spn import node_differential_spn
-from .stats import fisher_z, fisher_z_inverse
+from .spn import NodeSignalDataset, SpnResult, StudyDataset, _design_labels, _symmetric, \
+    differential_spn, mean_spn, node_differential_spn
+from .stats import fisher_z_inverse
 
 MANIFEST_SCHEMA = 1
 EXPORT_FORMATS = ("dot", "json", "csv")
@@ -189,41 +187,45 @@ def load_matrix_csv(path, n_nodes: int | None = None) -> np.ndarray:
     return matrix
 
 
-def _load_cells(manifest: Manifest, files: dict, out: np.ndarray, read, rule) -> np.ndarray:
-    """Read every cell file of ``files``, subject-major, one at a time, and
-    return ``out``, read-only, with ``rule(read(path), path)`` at [si, ci].
+def _from_files(kind, manifest: Manifest, files: dict, read, *node_coords):
+    """The ``kind`` dataset filled, by its one check-and-fill path, from the
+    cell files of ``files``, read subject-major, one at a time; a
+    StudyDataset takes ``node_coords`` too.
 
     ``read(path)`` parses one file and checks it holds the cell's shape.
-    Every file is read and sized before the first cell that breaks
-    ``rule`` is reported, with the path of its file.
+    Every file is read and sized before the first cell that breaks the
+    dataset's cell rule is reported, with the path of its file.
     """
     def cell(si, ci):
         path = files[(manifest.subjects[si], manifest.conditions[ci])]
         return read(path), path
 
-    return _checked_cells(out, cell, rule)
+    data = kind.__new__(kind)
+    data._fill((len(manifest.subjects), len(manifest.conditions), len(manifest.node_labels)),
+               cell, manifest.node_labels, manifest.conditions, manifest.subjects, *node_coords)
+    return data
 
 
 def load_dataset(manifest: Manifest | str | Path) -> StudyDataset:
     """Assemble the balanced subjects x conditions dataset from manifest files.
 
-    Each file is checked as it is read, and only its upper triangle is kept.
+    The files fill the dataset through the same check-and-fill path as
+    StudyDataset's constructor: each file is checked as it is read, and
+    only its upper triangle is kept; a fault names the file.
     """
     if not isinstance(manifest, Manifest):
         manifest = parse_manifest(manifest)
     n_v = len(manifest.node_labels)
-    edge_values = _load_cells(
-        manifest, manifest.files,
-        np.empty((len(manifest.subjects), len(manifest.conditions), n_v * (n_v - 1) // 2)),
-        lambda path: load_matrix_csv(path, n_v),
-        _upper_triangle(_checked_correlation_matrix, n_v),
-    )
-    return StudyDataset._from_checked(edge_values, manifest.node_labels, manifest.conditions,
-                                    manifest.subjects, manifest.node_coords)
+    return _from_files(StudyDataset, manifest, manifest.files,
+                       lambda path: load_matrix_csv(path, n_v), manifest.node_coords)
 
 
 def load_node_signals(manifest: Manifest | str | Path) -> NodeSignalDataset:
-    """Assemble per-node signal vectors from the manifest's signal_files map."""
+    """Assemble per-node signal vectors from the manifest's signal_files map.
+
+    The files fill the dataset through the same check-and-fill path as
+    NodeSignalDataset's constructor; a fault names the file.
+    """
     if not isinstance(manifest, Manifest):
         manifest = parse_manifest(manifest)
     if manifest.signal_files is None:
@@ -240,12 +242,7 @@ def load_node_signals(manifest: Manifest | str | Path) -> NodeSignalDataset:
             raise SchemaError(f"{path}: expected {len(labels)} signal values, got {vector.size}")
         return vector
 
-    signals = _load_cells(
-        manifest, manifest.signal_files,
-        np.empty((len(manifest.subjects), len(manifest.conditions), len(labels))), read,
-        lambda cell, path: _check_signals(cell, path, labels),
-    )
-    return NodeSignalDataset._from_checked(signals, labels, manifest.conditions, manifest.subjects)
+    return _from_files(NodeSignalDataset, manifest, manifest.signal_files, read)
 
 
 def association_graph(matrix, node_labels=None, node_coords=None, negatives: str = "error") -> WeightedGraph:
@@ -437,7 +434,7 @@ def write_run_log(out_dir, command: str, config: dict, notes, paths) -> Path:
 
 def condition_mean_matrix(data: StudyDataset, condition: int) -> np.ndarray:
     """Fisher-domain mean of one condition's matrices, back-transformed."""
-    z = fisher_z(data.edge_values[:, condition])
+    z = np.arctanh(data.edge_values[:, condition])  # the cells passed |r| < 1 as they entered
     return _symmetric(fisher_z_inverse(z.mean(axis=0)), data.n_nodes)
 
 

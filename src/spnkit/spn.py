@@ -111,12 +111,6 @@ def _flat_pairs(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return flat
 
 
-def _upper_triangle(rule, n_nodes: int):
-    """``rule(matrix, source)`` cut to the upper triangle of the matrix it returns."""
-    upper, _ = _flat_pairs(n_nodes)
-    return lambda matrix, source: rule(matrix, source).ravel().take(upper)
-
-
 def _symmetric(values: np.ndarray, n_nodes: int) -> np.ndarray:
     """The symmetric hollow N_V x N_V matrices whose upper triangles, in the
     upper-triangle order of np.triu_indices(N_V, k=1), lie along the last
@@ -155,6 +149,11 @@ class StudyDataset:
     ``correlations()`` rebuilds every cell bit for bit.
     ``condition_labels`` are ordered by the experimental gradient.
     ``node_coords`` is optional pass-through metadata.
+
+    The constructor and load_dataset share one check-and-fill path,
+    ``_fill``: they differ only in where a cell comes from and how a
+    fault names it, ``correlations[subject ..., condition ...]`` or the
+    cell's file.
     """
 
     edge_values: np.ndarray
@@ -170,37 +169,29 @@ class StudyDataset:
             raise ValidationError(
                 f"correlations must have shape (n, J, N_V, N_V), got {arr.shape}"
             )
-        n, j, n_v, _ = arr.shape
-        self._hold_labels(node_labels, condition_labels, subject_ids, node_coords, n, j, n_v)
-        subjects, conditions = self.subject_ids, self.condition_labels
-        edge_values = _checked_cells(
-            np.empty((n, j, n_v * (n_v - 1) // 2)),
-            lambda si, ci: (arr[si, ci], f"correlations[subject {subjects[si]!r}, "
-                                         f"condition {conditions[ci]!r}]"),
-            _upper_triangle(_checked_correlation_matrix, n_v),
-        )
-        object.__setattr__(self, "edge_values", edge_values)
+        self._fill(arr.shape[:3], lambda si, ci: (
+            arr[si, ci], f"correlations[subject {self.subject_ids[si]!r}, "
+                         f"condition {self.condition_labels[ci]!r}]"),
+            node_labels, condition_labels, subject_ids, node_coords)
 
-    @classmethod
-    def _from_checked(cls, edge_values, node_labels, condition_labels, subject_ids,
-                      node_coords=None) -> StudyDataset:
-        """The dataset holding ``edge_values``, a read-only (n, J, N_E) array of
-        upper triangles that have passed the cell rule (see load_dataset)."""
-        data = cls.__new__(cls)
-        n, j, _ = edge_values.shape
-        data._hold_labels(node_labels, condition_labels, subject_ids, node_coords, n, j,
-                          len(node_labels))
-        object.__setattr__(data, "edge_values", edge_values)
-        return data
-
-    def _hold_labels(self, node_labels, condition_labels, subject_ids, node_coords,
-                     n: int, j: int, n_v: int) -> None:
+    def _fill(self, shape, cell, node_labels, condition_labels, subject_ids,
+              node_coords) -> None:
+        """The one check-and-fill path, of __init__ and of load_dataset: check
+        the labels against ``shape`` (n, J, N_V), then hold the upper triangle
+        of each cell ``cell(si, ci) = (matrix, source)`` that passes the
+        correlation-matrix rule (see _checked_cells)."""
+        n, j, n_v = shape
         labels, coords = _node_metadata(node_labels, node_coords, n_v, "dataset")
         conditions, subjects = _design_labels(condition_labels, subject_ids, j, n)
         object.__setattr__(self, "node_labels", labels)
         object.__setattr__(self, "condition_labels", conditions)
         object.__setattr__(self, "subject_ids", subjects)
         object.__setattr__(self, "node_coords", coords)
+        upper, _ = _flat_pairs(n_v)
+        object.__setattr__(self, "edge_values", _checked_cells(
+            np.empty((n, j, upper.size)), cell,
+            lambda matrix, source: _checked_correlation_matrix(matrix, source).ravel().take(upper),
+        ))
 
     @property
     def n_subjects(self) -> int:
@@ -226,7 +217,11 @@ class StudyDataset:
 
 @dataclass(frozen=True, eq=False, init=False)
 class NodeSignalDataset:
-    """Balanced n x J array of per-node time-averaged intensity signals, all finite."""
+    """Balanced n x J array of per-node time-averaged intensity signals, all finite.
+
+    The constructor and load_node_signals share one check-and-fill path,
+    ``_fill``, as StudyDataset's do.
+    """
 
     signals: np.ndarray
     node_labels: tuple[str, ...]
@@ -237,33 +232,24 @@ class NodeSignalDataset:
         arr = np.asarray(signals, dtype=float)
         if arr.ndim != 3:
             raise ValidationError(f"signals must have shape (n, J, N_V), got {arr.shape}")
-        self._hold_labels(node_labels, condition_labels, subject_ids, *arr.shape)
-        labels, subjects, conditions = self.node_labels, self.subject_ids, self.condition_labels
-        signals = _checked_cells(
-            np.empty(arr.shape),
-            lambda si, ci: (arr[si, ci], f"signals[subject {subjects[si]!r}, "
-                                         f"condition {conditions[ci]!r}]"),
-            lambda cell, source: _check_signals(cell, source, labels),
-        )
-        object.__setattr__(self, "signals", signals)
+        self._fill(arr.shape, lambda si, ci: (
+            arr[si, ci], f"signals[subject {self.subject_ids[si]!r}, "
+                         f"condition {self.condition_labels[ci]!r}]"),
+            node_labels, condition_labels, subject_ids)
 
-    @classmethod
-    def _from_checked(cls, signals, node_labels, condition_labels,
-                      subject_ids) -> NodeSignalDataset:
-        """The dataset holding ``signals``, a read-only (n, J, N_V) array of
-        vectors that have passed the signal rule (see load_node_signals)."""
-        data = cls.__new__(cls)
-        data._hold_labels(node_labels, condition_labels, subject_ids, *signals.shape)
-        object.__setattr__(data, "signals", signals)
-        return data
-
-    def _hold_labels(self, node_labels, condition_labels, subject_ids, n: int, j: int,
-                     n_v: int) -> None:
+    def _fill(self, shape, cell, node_labels, condition_labels, subject_ids) -> None:
+        """The one check-and-fill path, of __init__ and of load_node_signals:
+        check the labels against ``shape`` (n, J, N_V), then hold each vector
+        ``cell(si, ci) = (vector, source)`` that passes the signal rule (see
+        _checked_cells)."""
+        n, j, n_v = shape
         labels, _ = _node_metadata(node_labels, None, n_v, "dataset")
         conditions, subjects = _design_labels(condition_labels, subject_ids, j, n)
         object.__setattr__(self, "node_labels", labels)
         object.__setattr__(self, "condition_labels", conditions)
         object.__setattr__(self, "subject_ids", subjects)
+        object.__setattr__(self, "signals", _checked_cells(
+            np.empty(shape), cell, lambda vector, source: _check_signals(vector, source, labels)))
 
 
 @dataclass(frozen=True, eq=False)

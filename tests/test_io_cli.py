@@ -125,11 +125,10 @@ class TestLoadDataset:
         manifest = build_manifest(tmp_path, corr, ["A", "B", "C"], ["rest", "task"],
                                   ["s1", "s2"], signals=signals)
         calls = collections.Counter()
-        for module in (spnio, spn_mod):  # the loaders' names and the datasets'
-            for name in ("_checked_correlation_matrix", "_check_signals"):
-                rule = getattr(module, name)
-                monkeypatch.setattr(module, name,
-                                    lambda *a, rule=rule, name=name: calls.update([name]) or rule(*a))
+        for name in ("_checked_correlation_matrix", "_check_signals"):  # the cell rules
+            rule = getattr(spn_mod, name)
+            monkeypatch.setattr(spn_mod, name,
+                                lambda *a, rule=rule, name=name: calls.update([name]) or rule(*a))
         sk.load_dataset(manifest)
         sk.load_node_signals(manifest)
         assert calls == {"_checked_correlation_matrix": 4, "_check_signals": 4}
