@@ -20,7 +20,7 @@ from . import density as density_mod
 from . import io as spnio
 from .errors import DegenerateStatisticsWarning, ValidationError
 from .modularity import TOPOLOGIES, edges_sweep, randomness_sweep
-from .spn import CORRECTIONS
+from .stats import CORRECTIONS
 
 
 def _grid_ints(text: str, pieces) -> list[int]:

@@ -26,7 +26,10 @@ from .graphs import (
     _check_integer,
     _edge_graph,
     _efficiency_from_distances,
+    _freeze,
     _insert_edge,
+    _set_fields,
+    _upper_pairs,
     global_efficiency,
     local_efficiency,
     max_edge_count,
@@ -62,11 +65,7 @@ class DensityProfile:
             raise ValidationError(f"probability masses sum to {float(weights.sum())!r}, not 1")
         if not np.all(weights >= 0):
             raise ValidationError("probability masses must be nonnegative")
-        values.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "densities", densities)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
+        _set_fields(self, densities=densities, values=_freeze(values), weights=_freeze(weights))
 
     @property
     def integrated(self) -> float:
@@ -76,11 +75,11 @@ class DensityProfile:
 def ranked_edges(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """The positive edges (i, j), i < j, as two int arrays ``(rows, cols)``,
     strongest first; ties by lexicographic (i, j)."""
-    i, j = np.triu_indices(g.n_nodes, k=1)
+    i, j = _upper_pairs(g.n_nodes)
     w = g.weights[i, j]
-    keep = w > 0
-    i, j, w = i[keep], j[keep], w[keep]
-    order = np.lexsort((j, i, -w))
+    keep = np.flatnonzero(w > 0)
+    # the pairs come in (i, j) order, which a stable sort keeps among ties
+    order = keep[np.argsort(-w[keep], kind="stable")]
     return i[order], j[order]
 
 
@@ -198,7 +197,7 @@ def verify_monotone_invariance(g: WeightedGraph, h: Callable[[float], float]) ->
     argument.  The error names the first neighbouring pair of weights
     whose images break the order; a NaN image breaks it too.
     """
-    weights = g.weights[np.triu_indices(g.n_nodes, k=1)]
+    weights = g.weights[_upper_pairs(g.n_nodes)]
     distinct = np.unique(weights[weights > 0])
     if not distinct.size:
         raise ValidationError("graph has no positive weights")

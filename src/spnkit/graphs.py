@@ -9,6 +9,7 @@ efficiency sums, so every metric here is defined for disconnected graphs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,31 @@ UNREACHABLE = np.inf
 def max_edge_count(n_nodes: int) -> int:
     """Number of edges in the complete graph on ``n_nodes`` vertices."""
     return n_nodes * (n_nodes - 1) // 2
+
+
+@functools.cache
+def _upper_pairs(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (rows, cols), i < j, of np.triu_indices(N_V, k=1), read-only: the one
+    edge order of the SPN hypotheses, a dataset's edge values and the density ranking."""
+    return tuple(map(_freeze, np.triu_indices(n_nodes, k=1)))
+
+
+@functools.cache
+def _flat_pairs(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices, in a raveled N_V x N_V matrix, of the _upper_pairs
+    entries and of their mirror images, read-only."""
+    rows, cols = _upper_pairs(n_nodes)
+    return _freeze(rows * n_nodes + cols), _freeze(cols * n_nodes + rows)
+
+
+def _symmetric(values: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The symmetric hollow N_V x N_V matrices whose upper triangles, in
+    _upper_pairs order, lie along the last axis of ``values``."""
+    upper, lower = _flat_pairs(n_nodes)
+    out = np.zeros((*values.shape[:-1], n_nodes * n_nodes))
+    out[..., upper] = values
+    out[..., lower] = values
+    return out.reshape(*values.shape[:-1], n_nodes, n_nodes)
 
 
 def _is_integer(value) -> bool:
@@ -76,6 +102,14 @@ def validate_symmetric_hollow(matrix, context: str = "matrix") -> np.ndarray:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _set_fields(obj, **fields):
+    """``obj`` with ``fields`` set past its frozen dataclass's guard, unchecked;
+    ``_set_fields(object.__new__(cls), ...)`` builds a graph from checked data."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _refuse_carriage_returns(labels: tuple[str, ...], what: str) -> None:
@@ -159,9 +193,7 @@ class WeightedGraph:
             )
         labels, coords = _node_metadata(
             self.node_labels, self.node_coords, w.shape[0], "weight matrix")
-        object.__setattr__(self, "node_labels", labels)
-        object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "node_coords", coords)
+        _set_fields(self, node_labels=labels, weights=_freeze(w), node_coords=coords)
 
     @classmethod
     def from_matrix(cls, weights, node_labels=None, node_coords=None) -> "WeightedGraph":
@@ -197,10 +229,8 @@ class BinaryGraph:
             raise ValidationError("adjacency: entries must be 0 or 1")
         labels, coords = _node_metadata(
             self.node_labels, self.node_coords, a.shape[0], "adjacency matrix")
-        object.__setattr__(self, "node_labels", labels)
-        object.__setattr__(self, "adjacency", _freeze(a.astype(np.uint8)))
-        object.__setattr__(self, "node_coords", coords)
-        object.__setattr__(self, "edge_count", int(a.sum()) // 2)
+        _set_fields(self, node_labels=labels, adjacency=_freeze(a.astype(np.uint8)),
+                    node_coords=coords, edge_count=int(a.sum()) // 2)
 
     @classmethod
     def from_adjacency(cls, adjacency, node_labels=None, node_coords=None) -> "BinaryGraph":
@@ -239,12 +269,9 @@ def _edge_graph(node_labels, rows, cols, node_coords=None) -> BinaryGraph:
     adjacency = np.zeros((len(node_labels),) * 2, dtype=np.uint8)
     adjacency[rows, cols] = 1
     adjacency[cols, rows] = 1
-    g = object.__new__(BinaryGraph)
-    for name, value in (("node_labels", node_labels), ("adjacency", _freeze(adjacency)),
-                        ("node_coords", node_coords),
-                        ("edge_count", int(np.count_nonzero(adjacency)) // 2)):
-        object.__setattr__(g, name, value)
-    return g
+    return _set_fields(object.__new__(BinaryGraph), node_labels=node_labels,
+                       adjacency=_freeze(adjacency), node_coords=node_coords,
+                       edge_count=int(np.count_nonzero(adjacency)) // 2)
 
 
 def threshold(matrix, tau: float) -> BinaryGraph:

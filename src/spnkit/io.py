@@ -23,11 +23,12 @@ import numpy as np
 
 from . import density as density_mod
 from .errors import DataError, IncompleteDesignError, SchemaError, ValidationError
-from .graphs import BinaryGraph, WeightedGraph, _node_coords, _node_labels, global_efficiency, \
-    local_efficiency, spread_condition_holds, threshold, weighted_density, weighted_efficiency
-from .spn import NodeSignalDataset, SpnResult, StudyDataset, _design_labels, _symmetric, \
-    differential_spn, mean_spn, node_differential_spn
-from .stats import fisher_z_inverse
+from .graphs import BinaryGraph, WeightedGraph, _freeze, _node_coords, _node_labels, _set_fields, \
+    _symmetric, _upper_pairs, global_efficiency, local_efficiency, spread_condition_holds, \
+    threshold, weighted_density, weighted_efficiency
+from .spn import NodeSignalDataset, SpnResult, StudyDataset, _design_labels, differential_spn, \
+    mean_spn, node_differential_spn
+from .stats import _correct, fisher_z_inverse
 
 MANIFEST_SCHEMA = 1
 EXPORT_FORMATS = ("dot", "json", "csv")
@@ -252,23 +253,32 @@ def association_graph(matrix, node_labels=None, node_coords=None, negatives: str
     negatives='abs' takes absolute values first.  WeightedGraph then
     validates the result.
     """
-    return _association_graph(matrix, node_labels, node_coords, negatives, "association matrix")
+    return WeightedGraph.from_matrix(_nonnegative(matrix, negatives, "association matrix"),
+                                     node_labels, node_coords)
 
 
-def _association_graph(matrix, node_labels, node_coords, negatives: str,
-                       source: str) -> WeightedGraph:
+def _nonnegative(matrix, negatives: str, source: str) -> np.ndarray:
+    """The sign rule: ``matrix`` as floats, made nonnegative by negatives='abs';
+    negatives='error' refuses a negative entry, naming ``source``."""
     m = np.asarray(matrix, dtype=float)
     if negatives == "abs":
-        m = np.abs(m)
-    elif negatives != "error":
+        return np.abs(m)
+    if negatives != "error":
         raise ValidationError(f"negatives must be 'error' or 'abs', got {negatives!r}")
-    elif m.ndim == 2 and np.any(m < 0):
+    if m.ndim == 2 and np.any(m < 0):
         i, j = np.unravel_index(np.nanargmin(m), m.shape)
         raise DataError(
             f"{source} has negative entry {float(m[i, j])!r} at ({i},{j}); "
             "rerun with --abs (negatives='abs') to accept signed input"
         )
-    return WeightedGraph.from_matrix(m, node_labels, node_coords)
+    return m
+
+
+def _dataset_graph(data: StudyDataset, matrix, negatives: str, source: str) -> WeightedGraph:
+    """The sign rule, then an unchecked build on ``data``'s labels: ``matrix``
+    was rebuilt from checked upper triangles, so it is symmetric and hollow."""
+    return _set_fields(object.__new__(WeightedGraph), node_labels=data.node_labels,
+                       weights=_freeze(_nonnegative(matrix, negatives, source)), node_coords=None)
 
 
 def _cell_graphs(data: StudyDataset, negatives: str):
@@ -276,10 +286,8 @@ def _cell_graphs(data: StudyDataset, negatives: str):
     for si, subject in enumerate(data.subject_ids):
         for ci, condition in enumerate(data.condition_labels):
             matrix = _symmetric(data.edge_values[si, ci], data.n_nodes)
-            yield subject, condition, matrix, _association_graph(
-                matrix, data.node_labels, None, negatives,
-                f"association matrix of subject {subject!r}, condition {condition!r}",
-            )
+            source = f"association matrix of subject {subject!r}, condition {condition!r}"
+            yield subject, condition, matrix, _dataset_graph(data, matrix, negatives, source)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +321,11 @@ def _to_dot(g, kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in EXPORT_FORMATS:
+        raise ValidationError(f"format must be one of {EXPORT_FORMATS}, got {fmt!r}")
+
+
 def export_graph(g, fmt: str, path) -> Path:
     """Write a graph as DOT, JSON, or a raw CSV matrix.
 
@@ -320,8 +333,7 @@ def export_graph(g, fmt: str, path) -> Path:
     form round-trips byte-identically through graph_from_json.  Anything
     but a BinaryGraph or WeightedGraph is refused before a file is opened.
     """
-    if fmt not in EXPORT_FORMATS:
-        raise ValidationError(f"format must be one of {EXPORT_FORMATS}, got {fmt!r}")
+    _check_format(fmt)
     kind = next((k for k, (cls, _) in _GRAPH_KINDS.items() if isinstance(g, cls)), None)
     if kind is None:
         raise ValidationError(f"cannot export object of type {type(g).__name__}")
@@ -444,7 +456,7 @@ def _float_column(values: np.ndarray) -> list[str]:
 
 def _edge_keys(node_labels) -> dict:
     """The key columns of an edge statistics table: i, j and their labels."""
-    rows, cols = np.triu_indices(len(node_labels), k=1)
+    rows, cols = _upper_pairs(len(node_labels))
     return {"i": rows.tolist(), "j": cols.tolist(), "label_i": [node_labels[i] for i in rows],
             "label_j": [node_labels[j] for j in cols]}
 
@@ -557,10 +569,8 @@ def step_density_profiles(data: StudyDataset, out: Path, prefix: str, negatives:
 
     def profile_rows():
         for ci, condition in enumerate(data.condition_labels):
-            g = _association_graph(
-                condition_mean_matrix(data, ci), data.node_labels, None, negatives,
-                f"condition-mean association matrix of condition {condition!r}",
-            )
+            source = f"condition-mean association matrix of condition {condition!r}"
+            g = _dataset_graph(data, condition_mean_matrix(data, ci), negatives, source)
             try:
                 profile = density_mod.density_integrated_metric(g, metric_fn, grid=density_grid)
             except ValidationError as exc:
@@ -597,7 +607,10 @@ def report_pipeline(
     inputs and options produce byte-identical files.  Warnings go to the
     caller's filters as they are raised.  No run log is written; the
     CLI's ``spnkit report`` writes ``run_log.txt`` next to these files.
-    Condition labels that share a ``safe_name`` are refused up front.
+    Condition labels that share a ``safe_name``, an unknown metric,
+    correction or format and a base rate outside (0, 1) are refused up
+    front, with the errors of the steps that take them, before a file is
+    written.
     """
     stems = [safe_name(condition) for condition in data.condition_labels]
     for ci, stem in enumerate(stems):
@@ -605,6 +618,9 @@ def report_pipeline(
             raise ValidationError(
                 f"conditions {data.condition_labels[first]!r} and "
                 f"{data.condition_labels[ci]!r} share the file stem 02_mean_spn_{stem}")
+    density_mod.metric_by_name(metric)
+    _correct((), base_rate, correction)
+    _check_format(fmt)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table, paths = step_weighted_density(data, out, "01_", negatives)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import BinaryGraph, _check_integer, _default_labels, _edge_graph, max_edge_count
+from .graphs import (BinaryGraph, _check_integer, _default_labels, _edge_graph, _upper_pairs,
+                     max_edge_count)
 
 TOPOLOGIES = ("lattice", "random")
 
@@ -152,7 +153,7 @@ def random_graph(n_v: int, n_e: int, seed: int) -> BinaryGraph:
     limit = _check_generator_args(n_v, n_e)
     rng = np.random.default_rng(seed)
     chosen = rng.choice(limit, size=n_e, replace=False)
-    rows, cols = np.triu_indices(n_v, k=1)
+    rows, cols = _upper_pairs(n_v)
     return _edge_graph(_default_labels(n_v), rows[chosen], cols[chosen])
 
 
@@ -203,7 +204,7 @@ def rewire(g: BinaryGraph, steps: int, seed: int) -> BinaryGraph:
         raise ValidationError("no legal rewiring move on an empty or complete graph")
     if limit > 1 << 32:
         raise ValidationError(f"rewire draws at most 2**32 node pairs, got {limit}")
-    rows, cols = np.triu_indices(n, k=1)
+    rows, cols = _upper_pairs(n)
     edges = np.flatnonzero(g.adjacency[rows, cols]).tolist()
     edge_set = set(edges)
     draw = _uint32_stream(np.random.default_rng(seed), 2 * steps + 64).__next__

@@ -20,7 +20,6 @@ decision mask in each result follows that order.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,18 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateStatisticsWarning, ValidationError
-from .graphs import (BinaryGraph, _edge_graph, _node_metadata, _refuse_carriage_returns,
+from .graphs import (BinaryGraph, _edge_graph, _flat_pairs, _node_metadata,
+                     _refuse_carriage_returns, _set_fields, _symmetric, _upper_pairs,
                      validate_symmetric_hollow)
 from .stats import (
     _TABLES_PER_BLOCK,
     FdrDecision,
-    bh_fdr,
+    _correct,
     grand_mean_z_test,
     repeated_measures_fit,
-    uncorrected,
 )
-
-CORRECTIONS = ("fdr", "none")
 
 
 def _checked_correlation_matrix(matrix: np.ndarray, source) -> np.ndarray:
@@ -97,29 +94,6 @@ def _checked_cells(out: np.ndarray, cell, rule) -> np.ndarray:
         raise fault
     out.setflags(write=False)
     return out
-
-
-@functools.cache
-def _flat_pairs(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flat indices, in a raveled N_V x N_V matrix, of the upper-triangle
-    entries in the upper-triangle order of np.triu_indices(N_V, k=1) and of
-    their mirror images, read-only."""
-    rows, cols = np.triu_indices(n_nodes, k=1)
-    flat = rows * n_nodes + cols, cols * n_nodes + rows
-    for index in flat:
-        index.setflags(write=False)
-    return flat
-
-
-def _symmetric(values: np.ndarray, n_nodes: int) -> np.ndarray:
-    """The symmetric hollow N_V x N_V matrices whose upper triangles, in the
-    upper-triangle order of np.triu_indices(N_V, k=1), lie along the last
-    axis of ``values``."""
-    upper, lower = _flat_pairs(n_nodes)
-    out = np.zeros((*values.shape[:-1], n_nodes * n_nodes))
-    out[..., upper] = values
-    out[..., lower] = values
-    return out.reshape(*values.shape[:-1], n_nodes, n_nodes)
 
 
 def _design_labels(condition_labels, subject_ids, j: int, n: int):
@@ -183,15 +157,12 @@ class StudyDataset:
         n, j, n_v = shape
         labels, coords = _node_metadata(node_labels, node_coords, n_v, "dataset")
         conditions, subjects = _design_labels(condition_labels, subject_ids, j, n)
-        object.__setattr__(self, "node_labels", labels)
-        object.__setattr__(self, "condition_labels", conditions)
-        object.__setattr__(self, "subject_ids", subjects)
-        object.__setattr__(self, "node_coords", coords)
+        _set_fields(self, node_labels=labels, condition_labels=conditions,
+                    subject_ids=subjects, node_coords=coords)
         upper, _ = _flat_pairs(n_v)
-        object.__setattr__(self, "edge_values", _checked_cells(
+        _set_fields(self, edge_values=_checked_cells(
             np.empty((n, j, upper.size)), cell,
-            lambda matrix, source: _checked_correlation_matrix(matrix, source).ravel().take(upper),
-        ))
+            lambda matrix, source: _checked_correlation_matrix(matrix, source).ravel().take(upper)))
 
     @property
     def n_subjects(self) -> int:
@@ -245,10 +216,8 @@ class NodeSignalDataset:
         n, j, n_v = shape
         labels, _ = _node_metadata(node_labels, None, n_v, "dataset")
         conditions, subjects = _design_labels(condition_labels, subject_ids, j, n)
-        object.__setattr__(self, "node_labels", labels)
-        object.__setattr__(self, "condition_labels", conditions)
-        object.__setattr__(self, "subject_ids", subjects)
-        object.__setattr__(self, "signals", _checked_cells(
+        _set_fields(self, node_labels=labels, condition_labels=conditions, subject_ids=subjects)
+        _set_fields(self, signals=_checked_cells(
             np.empty(shape), cell, lambda vector, source: _check_signals(vector, source, labels)))
 
 
@@ -273,18 +242,10 @@ class SpnResult:
     diagnostics: tuple = ()
 
 
-def _correct(p_values, base_rate: float, correction: str) -> FdrDecision:
-    if correction == "fdr":
-        return bh_fdr(p_values, base_rate)
-    if correction == "none":
-        return uncorrected(p_values, base_rate)
-    raise ValidationError(f"correction must be one of {CORRECTIONS}, got {correction!r}")
-
-
 def _edge_network(data: StudyDataset, mask: np.ndarray) -> BinaryGraph:
     """The graph whose edges are the masked hypotheses, in the upper-triangle
     order of np.triu_indices(N_V, k=1)."""
-    rows, cols = np.triu_indices(data.n_nodes, k=1)
+    rows, cols = _upper_pairs(data.n_nodes)
     return _edge_graph(data.node_labels, rows[mask], cols[mask], data.node_coords)
 
 
@@ -418,7 +379,7 @@ def differential_spn(
     """
     if data.n_subjects < 2 or data.n_conditions < 2:
         raise ValidationError("differential SPN needs n >= 2 subjects and J >= 2 conditions")
-    rows, cols = np.triu_indices(data.n_nodes, k=1)
+    rows, cols = _upper_pairs(data.n_nodes)
     # one empty block when N_V = 1
     blocks = (_fisher_z_tables(data.edge_values[..., lo:lo + _TABLES_PER_BLOCK])
               for lo in range(0, max(rows.size, 1), _TABLES_PER_BLOCK))

@@ -26,6 +26,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+CORRECTIONS = ("fdr", "none")
+
 # Relative tolerance against the total sum of squares, below which a
 # variance stratum is treated as exactly zero (degenerate).
 _SS_REL_TOL = 1e-12
@@ -287,3 +289,12 @@ def uncorrected(p_values, alpha: float) -> FdrDecision:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
     p = _validated_pvalues(p_values)
     return FdrDecision(p < alpha)
+
+
+def _correct(p_values, base_rate: float, correction: str) -> FdrDecision:
+    """The decision of the ``correction`` named, one of CORRECTIONS, at ``base_rate``."""
+    if correction == "fdr":
+        return bh_fdr(p_values, base_rate)
+    if correction == "none":
+        return uncorrected(p_values, base_rate)
+    raise ValidationError(f"correction must be one of {CORRECTIONS}, got {correction!r}")

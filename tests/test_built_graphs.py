@@ -1,18 +1,23 @@
-"""Graphs spnkit builds from node pairs skip BinaryGraph's checks.
+"""Graphs spnkit builds from checked data skip their constructors' checks.
 
-Their labels, coordinates and pairs have passed the node and pair rules
-already, so the fast build sets the fields directly.  The checked
-constructor stays the reference: it must accept every such graph and
-rebuild it field by field.
+A graph made from node pairs has labels, coordinates and pairs that have
+passed the node and pair rules already; a weighted graph made from a
+dataset has its labels and a matrix rebuilt from checked upper triangles.
+So the fast builds set the fields directly.  The checked constructors stay
+the reference: they must accept every such graph and rebuild it field by
+field.
 """
 
 import numpy as np
 import pytest
 
 import spnkit as sk
+from spnkit import density as density_mod
+from spnkit import io as spnio
 from spnkit.modularity import TOPOLOGIES
 
-from datasets import planted_mean_dataset, planted_trend_dataset, signal_dataset
+from datasets import (dataset_from_z, planted_mean_dataset, planted_trend_dataset,
+                      signal_dataset)
 
 
 def assert_as_checked(g):
@@ -134,4 +139,72 @@ def test_no_built_graph_runs_the_checked_constructor(monkeypatch, tmp_path):
     sk.report_pipeline(data, tmp_path, negatives="abs", density_grid=[3, 6, 9])
     assert calls == []
     sk.BinaryGraph.from_adjacency(np.zeros((3, 3)))  # the counter sees a checked build
+    assert len(calls) == 1
+
+
+def assert_weighted_as_checked(g):
+    """``g`` is what WeightedGraph(...) builds from its own fields, bit for bit."""
+    ref = sk.WeightedGraph(g.node_labels, g.weights)
+    assert g.weights.dtype == np.float64 and not g.weights.flags.writeable
+    assert g.weights.tobytes() == ref.weights.tobytes()
+    assert type(g.node_labels) is tuple and g.node_labels == ref.node_labels
+    assert g.node_coords is None and ref.node_coords is None
+
+
+def nonnegative_dataset(rng, n=4, j=3, n_v=7):
+    """A study whose correlations are all >= 0, with a zero and a negative-zero edge."""
+    z = np.abs(rng.normal(0.0, 0.4, size=(n, j, n_v * (n_v - 1) // 2)))
+    z[..., 0], z[..., 1] = 0.0, -0.0
+    return dataset_from_z(z)
+
+
+def signed_dataset(rng, n=4, j=3, n_v=7):
+    return planted_trend_dataset(rng, 2, 9, effect=2.0, n=n, j=j, n_v=n_v)
+
+
+class TestDatasetGraphsMatchTheCheckedConstructor:
+    @pytest.mark.parametrize("negatives, make", [("abs", signed_dataset),
+                                                 ("abs", nonnegative_dataset),
+                                                 ("error", nonnegative_dataset)])
+    def test_cell_graphs(self, negatives, make):
+        data = make(np.random.default_rng(11))
+        cells = list(spnio._cell_graphs(data, negatives))
+        assert len(cells) == data.n_subjects * data.n_conditions
+        full = data.correlations()
+        for si, ci in np.ndindex(data.n_subjects, data.n_conditions):
+            subject, condition, matrix, g = cells[si * data.n_conditions + ci]
+            assert (subject, condition) == (data.subject_ids[si], data.condition_labels[ci])
+            assert matrix.tobytes() == full[si, ci].tobytes()
+            assert_weighted_as_checked(g)
+            ref = sk.association_graph(matrix, data.node_labels, negatives=negatives)
+            assert g.weights.tobytes() == ref.weights.tobytes()
+
+    @pytest.mark.parametrize("negatives, make", [("abs", signed_dataset),
+                                                 ("error", nonnegative_dataset)])
+    def test_condition_mean_graphs(self, monkeypatch, tmp_path, negatives, make):
+        data = make(np.random.default_rng(12))
+        seen = []
+        profile = density_mod.density_integrated_metric
+        monkeypatch.setattr(density_mod, "density_integrated_metric",
+                            lambda g, *args, **kwargs: seen.append(g) or profile(g, *args, **kwargs))
+        spnio.step_density_profiles(data, tmp_path, "", negatives, "global_efficiency", [3, 6])
+        assert len(seen) == data.n_conditions
+        for ci, g in enumerate(seen):
+            assert_weighted_as_checked(g)
+            ref = sk.association_graph(spnio.condition_mean_matrix(data, ci), data.node_labels,
+                                       negatives=negatives)
+            assert g.weights.tobytes() == ref.weights.tobytes()
+
+
+def test_no_dataset_graph_runs_the_checked_constructor(monkeypatch, tmp_path):
+    calls = []
+    checked = sk.WeightedGraph.__post_init__
+    monkeypatch.setattr(sk.WeightedGraph, "__post_init__",
+                        lambda self: calls.append(self) or checked(self))
+    data = signed_dataset(np.random.default_rng(13))
+    sk.report_pipeline(data, tmp_path / "report", negatives="abs", density_grid=[3, 6, 9])
+    rows, _ = spnio.step_metrics(data, tmp_path, "", "abs", 0.3)
+    assert len(rows) == data.n_subjects * data.n_conditions
+    assert calls == []
+    sk.association_graph(np.zeros((3, 3)))  # the counter sees a checked build
     assert len(calls) == 1

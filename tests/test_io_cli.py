@@ -741,6 +741,23 @@ class TestReportPipeline:
                                   "02_mean_spn_2_back")
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, message", [
+        ({"metric": "bogus"}, "unknown metric 'bogus'; choose from ['global_efficiency', "
+                              "'local_efficiency', 'modularity_count', 'modularity_q']"),
+        ({"correction": "bogus"}, "correction must be one of ('fdr', 'none'), got 'bogus'"),
+        ({"fmt": "bogus"}, "format must be one of ('dot', 'json', 'csv'), got 'bogus'"),
+        ({"base_rate": 1.5}, "base_rate must lie in (0, 1), got 1.5"),
+        ({"base_rate": 1.5, "correction": "none"}, "alpha must lie in (0, 1), got 1.5"),
+    ], ids=["metric", "correction", "fmt", "base_rate", "alpha"])
+    def test_bad_options_are_refused_before_a_file_is_written(self, tmp_path, option, message):
+        rng = np.random.default_rng(8)
+        data = planted_trend_dataset(rng, edge_up=1, edge_down=4, n=8, n_v=6)
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError) as err:
+            sk.report_pipeline(data, out, negatives="abs", **option)
+        assert str(err.value) == message
+        assert not out.exists()
+
     def test_writes_no_run_log(self, tmp_path):
         rng = np.random.default_rng(8)
         data = planted_trend_dataset(rng, edge_up=1, edge_down=4, n=8, n_v=6)
