@@ -9,10 +9,7 @@ statistics under --strict.
 from __future__ import annotations
 
 import argparse
-import os
-import shutil
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
@@ -163,22 +160,16 @@ def _raises(category) -> bool:
 
 
 def run(args) -> int:
-    """Run one parsed subcommand with nothing half-written left behind.
+    """Run one parsed subcommand in ``io.staged(--out-dir)``, so that a
+    failed run leaves --out-dir as it was.
 
-    Loads the manifest data the subcommand needs and runs it in a staging
-    directory inside --out-dir, recording every warning; re-issues them
-    to the caller's filters; writes ``run_log.txt``; and moves every file
-    up into --out-dir only when the run succeeds.  Under --strict, or when
-    the caller's filters make it an error, the first
-    DegenerateStatisticsWarning is raised, not recorded.  A failure
-    removes the staging directory, and --out-dir too if this run created it.
+    Loads the manifest data the subcommand needs and runs it, recording
+    every warning; re-issues them to the caller's filters; and writes
+    ``run_log.txt``.  Under --strict, or when the caller's filters make it
+    an error, the first DegenerateStatisticsWarning is raised, not recorded.
     """
     strict = getattr(args, "strict", False) or _raises(DegenerateStatisticsWarning)
-    out = Path(args.out_dir)
-    created = not out.is_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
-    try:
+    with spnio.staged(args.out_dir) as staging:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("error" if strict else "always", DegenerateStatisticsWarning)
             data = None
@@ -192,14 +183,6 @@ def run(args) -> int:
         config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
         spnio.write_run_log(staging, args.name, config, [str(w.message) for w in caught],
                             sorted(staging.iterdir()))
-        for path in sorted(staging.iterdir()):
-            os.replace(path, out / path.name)
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        if created:
-            shutil.rmtree(out, ignore_errors=True)
-        raise
-    staging.rmdir()
     print(f"{summary} -> {args.out_dir}")
     return 0
 

@@ -16,6 +16,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import shutil
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +32,7 @@ from .graphs import BinaryGraph, WeightedGraph, _freeze, _node_coords, _node_lab
     threshold, weighted_density, weighted_efficiency
 from .spn import NodeSignalDataset, SpnResult, StudyDataset, _design_labels, differential_spn, \
     mean_spn, node_differential_spn
-from .stats import _correct, fisher_z_inverse
+from .stats import fisher_z_inverse
 
 MANIFEST_SCHEMA = 1
 EXPORT_FORMATS = ("dot", "json", "csv")
@@ -147,34 +151,34 @@ def parse_manifest(path) -> Manifest:
                     tuple(grid) if grid is not None else None, path)
 
 
-def _raise_if_ragged(path: Path) -> None:
-    """Name the first line whose value count differs from the first row's."""
-    expected = first = None
-    for lineno, line in enumerate(path.read_text(errors="replace").splitlines(), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        count = len(text.split(","))
-        if expected is None:
-            expected, first = count, lineno
-        elif count != expected:
-            raise DataError(
-                f"{path}: line {lineno} holds {count} values, expected {expected} "
-                f"(as on line {first})"
-            )
+def _parse_fault(path: Path, what: str, exc: ValueError) -> str:
+    """Why numpy could not parse ``path``: its first line whose value count
+    differs from the first row's or that holds an entry that is not a number,
+    naming the entry by its 0-based (row, col) cell and the line by its
+    1-based number; else numpy's reason ``exc``."""
+    rows = [(lineno, text.split(",")) for lineno, line
+            in enumerate(path.read_text(errors="replace").splitlines(), start=1)
+            if (text := line.split("#", 1)[0].strip())]
+    for row, (lineno, tokens) in enumerate(rows):
+        if len(tokens) != len(rows[0][1]):
+            return (f"line {lineno} holds {len(tokens)} values, expected {len(rows[0][1])} "
+                    f"(as on line {rows[0][0]})")
+        for col, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError:
+                return (f"cannot parse {what}: line {lineno}, entry ({row},{col}) holds "
+                        f"{token.strip()!r}, not a number")
+    return f"cannot parse {what}: {exc}"
 
 
 def _read_csv(path: Path, what: str) -> np.ndarray:
-    """The numbers of one headerless comma-separated file, as a 2-d array.
-
-    A file numpy cannot parse is a DataError naming it: the first ragged
-    line if there is one, else numpy's reason.
-    """
+    """The numbers of one headerless comma-separated file, as a 2-d array;
+    a file numpy cannot parse is a DataError naming it and ``_parse_fault``."""
     try:
         return np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
-        _raise_if_ragged(path)
-        raise DataError(f"{path}: cannot parse {what}: {exc}") from exc
+        raise DataError(f"{path}: {_parse_fault(path, what, exc)}") from exc
 
 
 def load_matrix_csv(path, n_nodes: int | None = None) -> np.ndarray:
@@ -321,11 +325,6 @@ def _to_dot(g, kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_format(fmt: str) -> None:
-    if fmt not in EXPORT_FORMATS:
-        raise ValidationError(f"format must be one of {EXPORT_FORMATS}, got {fmt!r}")
-
-
 def export_graph(g, fmt: str, path) -> Path:
     """Write a graph as DOT, JSON, or a raw CSV matrix.
 
@@ -333,7 +332,8 @@ def export_graph(g, fmt: str, path) -> Path:
     form round-trips byte-identically through graph_from_json.  Anything
     but a BinaryGraph or WeightedGraph is refused before a file is opened.
     """
-    _check_format(fmt)
+    if fmt not in EXPORT_FORMATS:
+        raise ValidationError(f"format must be one of {EXPORT_FORMATS}, got {fmt!r}")
     kind = next((k for k, (cls, _) in _GRAPH_KINDS.items() if isinstance(g, cls)), None)
     if kind is None:
         raise ValidationError(f"cannot export object of type {type(g).__name__}")
@@ -384,9 +384,9 @@ def graph_from_json(path) -> BinaryGraph | WeightedGraph:
 class ReportBundle:
     """In-memory results plus the files written by report_pipeline.
 
-    ``paths`` lists the report files; there is no run log among them
-    (``spnkit report`` writes ``run_log.txt`` itself).  Warnings are not
-    kept here: each reaches the caller's filters when it is raised.
+    ``paths`` names the report files in the caller's ``out_dir``, with no
+    run log among them (``spnkit report`` writes ``run_log.txt`` itself).
+    Warnings are not kept here: each reaches the caller's filters when raised.
     """
 
     density_table: tuple
@@ -415,6 +415,27 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
         path.unlink(missing_ok=True)
         raise
     return path
+
+
+@contextmanager
+def staged(out_dir):
+    """Yield a new ``.staging-*`` directory inside ``out_dir`` (made, with its
+    parents, if needed) to write a run into.  On success its files move up
+    into ``out_dir`` in sorted order; on any exception, KeyboardInterrupt
+    included, it is removed, and ``out_dir`` too if this call made it.
+    Staging inside ``out_dir`` keeps each move on one file system."""
+    out = Path(out_dir)
+    created = not out.is_dir()
+    out.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        yield staging
+        for path in sorted(staging.iterdir()):
+            os.replace(path, out / path.name)
+    except BaseException:
+        shutil.rmtree(out if created else staging, ignore_errors=True)
+        raise
+    staging.rmdir()
 
 
 def write_sweep(path, rows) -> Path:
@@ -607,10 +628,9 @@ def report_pipeline(
     inputs and options produce byte-identical files.  Warnings go to the
     caller's filters as they are raised.  No run log is written; the
     CLI's ``spnkit report`` writes ``run_log.txt`` next to these files.
-    Condition labels that share a ``safe_name``, an unknown metric,
-    correction or format and a base rate outside (0, 1) are refused up
-    front, with the errors of the steps that take them, before a file is
-    written.
+    The files are ``staged``: a failure at any step leaves ``out_dir`` as
+    it was.  Condition labels that share a ``safe_name`` are refused first,
+    as their files would overwrite each other.
     """
     stems = [safe_name(condition) for condition in data.condition_labels]
     for ci, stem in enumerate(stems):
@@ -618,26 +638,22 @@ def report_pipeline(
             raise ValidationError(
                 f"conditions {data.condition_labels[first]!r} and "
                 f"{data.condition_labels[ci]!r} share the file stem 02_mean_spn_{stem}")
-    density_mod.metric_by_name(metric)
-    _correct((), base_rate, correction)
-    _check_format(fmt)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    table, paths = step_weighted_density(data, out, "01_", negatives)
-    mean_results = {}
-    for ci, condition in enumerate(data.condition_labels):
-        mean_results[condition], written = step_mean_spn(
-            data, out, "02_", ci, base_rate, correction, fmt)
+    with staged(out_dir) as out:
+        table, paths = step_weighted_density(data, out, "01_", negatives)
+        mean_results = {}
+        for ci, condition in enumerate(data.condition_labels):
+            mean_results[condition], written = step_mean_spn(
+                data, out, "02_", ci, base_rate, correction, fmt)
+            paths += written
+        differential, written = step_differential_spn(data, out, "03_", base_rate, correction, fmt)
         paths += written
-    differential, written = step_differential_spn(data, out, "03_", base_rate, correction, fmt)
-    paths += written
-    profiles, written = step_density_profiles(
-        data, out, "04_", negatives, metric, density_grid)
-    paths += written
+        profiles, written = step_density_profiles(
+            data, out, "04_", negatives, metric, density_grid)
+        paths += written
     return ReportBundle(
         density_table=tuple(table),
         mean_spns=mean_results,
         differential=differential,
         density_profiles=profiles,
-        paths=tuple(paths),
+        paths=tuple(Path(out_dir) / p.name for p in paths),
     )

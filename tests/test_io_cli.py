@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import spnkit as sk
-from spnkit import cli as cli_mod
 from spnkit import io as spnio
 from spnkit import spn as spn_mod
 from spnkit.cli import main as cli_main
@@ -197,6 +196,34 @@ class TestInputErrorsNameTheirSource:
         path.write_bytes(b"0.0,\xff\n0.2,0.0\n")
         with pytest.raises(DataError, match=r"m\.csv: cannot parse matrix"):
             spnio.load_matrix_csv(path)
+
+    @pytest.mark.parametrize("head, line", [("", 4), ("# a comment\n\n", 6)],
+                             ids=["plain", "after-a-comment"])
+    def test_a_token_that_is_not_a_number_names_its_cell_and_line(self, tmp_path, head, line):
+        rows = [["0.0"] * 6 for _ in range(6)]
+        rows[3][5] = " abc"
+        path = tmp_path / "m.csv"
+        path.write_text(head + "".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(DataError) as err:
+            spnio.load_matrix_csv(path)
+        assert str(err.value) == (f"{path}: cannot parse matrix: line {line}, entry (3,5) "
+                                  "holds 'abc', not a number")
+
+    def test_a_semicolon_separated_row_names_its_first_entry(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0.0;0.2\n0.2;0.0\n")
+        with pytest.raises(DataError) as err:
+            spnio.load_matrix_csv(path)
+        assert str(err.value) == (f"{path}: cannot parse matrix: line 1, entry (0,0) "
+                                  "holds '0.0;0.2', not a number")
+
+    def test_a_fault_only_numpy_sees_keeps_numpys_reason(self, tmp_path):
+        # float() reads 1_0 as 10.0; np.loadtxt refuses it
+        path = tmp_path / "m.csv"
+        path.write_text("0.0,1_0\n1_0,0.0\n")
+        with pytest.raises(DataError, match=r"m\.csv: cannot parse matrix: ") as err:
+            spnio.load_matrix_csv(path)
+        assert "entry (" not in str(err.value)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_signal_names_file_and_node(self, tmp_path, capsys, value):
@@ -683,6 +710,45 @@ class TestExporters:
         assert np.array_equal(sk.threshold(matrix, 0.5).adjacency, g.adjacency)
 
 
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def _report_with_a_constant_edge(data, out, monkeypatch):
+    """Edge (0, 1) at 0.3 in every cell: its differential SPN fit is degenerate,
+    and the caller's filters make that an error in step 3, after steps 1 and 2 wrote."""
+    corr = data.correlations()
+    corr[:, :, 0, 1] = corr[:, :, 1, 0] = 0.3
+    data = sk.StudyDataset(corr, data.node_labels, data.condition_labels, data.subject_ids)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", sk.DegenerateStatisticsWarning)
+        sk.report_pipeline(data, out, negatives="abs")
+
+
+def _report_interrupted_in_step_3(data, out, monkeypatch):
+    monkeypatch.setattr(spnio, "step_differential_spn", _interrupt)
+    sk.report_pipeline(data, out, negatives="abs")
+
+
+# report_pipeline failures after ``out`` exists: (error, message pattern, call)
+LATE_FAILURES = {
+    "grid-beyond-the-edges": (
+        ValidationError, r"density level k=100 outside 0\.\.15",
+        lambda data, out, _: sk.report_pipeline(data, out, negatives="abs", density_grid=[100])),
+    "modularity-at-k0": (
+        ValidationError, "density level k=0: greedy modularity needs at least one edge",
+        lambda data, out, _: sk.report_pipeline(data, out, negatives="abs", density_grid=[0],
+                                                metric="modularity_q")),
+    "unknown-negatives": (
+        ValidationError, "negatives must be 'error' or 'abs', got 'bogus'",
+        lambda data, out, _: sk.report_pipeline(data, out, negatives="bogus")),
+    "degenerate-warning-as-error": (
+        sk.DegenerateStatisticsWarning, "zero residual and zero condition variance",
+        _report_with_a_constant_edge),
+    "interrupt-in-step-3": (KeyboardInterrupt, None, _report_interrupted_in_step_3),
+}
+
+
 class TestReportPipeline:
     def test_constant_dataset_yields_constant_table_and_empty_spns(self, tmp_path):
         corr = np.stack([np.stack([hollow(4, 0.3)] * 2)] * 3)
@@ -709,8 +775,8 @@ class TestReportPipeline:
             warnings.simplefilter("error", sk.DegenerateStatisticsWarning)
             with pytest.raises(sk.DegenerateStatisticsWarning, match="grand SD is zero"):
                 sk.report_pipeline(data, out)
-        # the first mean SPN stopped the pipeline before it wrote anything
-        assert sorted(p.name for p in out.iterdir()) == ["01_weighted_density.csv"]
+        # the first mean SPN stopped the pipeline, and step 1's table went with the staging
+        assert not out.exists()
 
     def test_planted_dataset_lands_in_the_right_sections(self, tmp_path):
         rng = np.random.default_rng(42)
@@ -765,6 +831,35 @@ class TestReportPipeline:
         bundle = sk.report_pipeline(data, out, negatives="abs")
         assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in bundle.paths)
         assert not (out / "run_log.txt").exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    @pytest.mark.parametrize("case", LATE_FAILURES)
+    def test_a_late_failure_leaves_out_dir_as_it_began(self, tmp_path, monkeypatch, case,
+                                                      existing):
+        error, match, fail = LATE_FAILURES[case]
+        data = planted_trend_dataset(np.random.default_rng(8), edge_up=1, edge_down=4, n=8, n_v=6)
+        parent = tmp_path / "runs"
+        parent.mkdir()
+        out = parent / "out"
+        if existing:
+            out.mkdir()
+            (out / "keep.txt").write_text("kept\n")
+        with pytest.raises(error, match=match):
+            fail(data, out, monkeypatch)
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["keep.txt"]
+            assert (out / "keep.txt").read_text() == "kept\n"
+        else:
+            assert list(parent.iterdir()) == []
+
+    def test_bundle_paths_name_the_files_in_out_dir(self, tmp_path):
+        data = planted_trend_dataset(np.random.default_rng(8), edge_up=1, edge_down=4, n=8, n_v=6)
+        out = tmp_path / "out"
+        bundle = sk.report_pipeline(data, str(out), negatives="abs")
+        assert len(bundle.paths) == 14
+        for path in bundle.paths:
+            assert path.parent == out and path.is_file(), path
+        assert sorted(out.iterdir()) == sorted(bundle.paths)
 
 
 class TestCli:
@@ -1096,13 +1191,13 @@ class TestOnePipeline:
         work.mkdir()
         monkeypatch.chdir(work)
         staged_in = []
-        mkdtemp = cli_mod.tempfile.mkdtemp
+        mkdtemp = spnio.tempfile.mkdtemp
 
         def spy(*args, dir=None, **kwargs):
             staged_in.append(Path(dir).resolve())
             return mkdtemp(*args, dir=dir, **kwargs)
 
-        monkeypatch.setattr(cli_mod.tempfile, "mkdtemp", spy)
+        monkeypatch.setattr(spnio.tempfile, "mkdtemp", spy)
         before = sorted(p.name for p in tmp_path.iterdir())
         assert run_cli(["spn", "diff", "--manifest", str(small_manifest)]) == 0
         assert staged_in == [work.resolve()]
@@ -1110,6 +1205,27 @@ class TestOnePipeline:
         assert sorted(p.name for p in work.iterdir()) == [
             "differential_spn_minus.json", "differential_spn_plus.json",
             "differential_stats.csv", "run_log.txt"]
+
+    def test_report_nests_its_staging_and_leaves_none_behind(self, trend_manifest, tmp_path,
+                                                             monkeypatch):
+        out = tmp_path / "out"
+        staged_in = []
+        mkdtemp = spnio.tempfile.mkdtemp
+
+        def spy(*args, dir=None, **kwargs):
+            staged_in.append(Path(dir))
+            return mkdtemp(*args, dir=dir, **kwargs)
+
+        monkeypatch.setattr(spnio.tempfile, "mkdtemp", spy)
+        assert run_cli(["report", "--manifest", str(trend_manifest), "--abs", "--grid", "1:15:2",
+                        "--out-dir", str(out)]) == 0
+        # report_pipeline stages inside the CLI's staging directory
+        assert staged_in[0] == out
+        assert len(staged_in) == 2 and staged_in[1].parent == out
+        assert staged_in[1].name.startswith(".staging-")
+        log = (out / "run_log.txt").read_text().splitlines()
+        wrote = [line.removeprefix("wrote: ") for line in log if line.startswith("wrote: ")]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*wrote, "run_log.txt"])
 
     def test_manifest_options_are_used_and_logged(self, tmp_path):
         rng = np.random.default_rng(3)
