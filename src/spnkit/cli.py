@@ -66,15 +66,12 @@ def _resolve_options(args, manifest: spnio.Manifest) -> None:
 def _condition_index(conditions: tuple[str, ...], value: str) -> int:
     if value in conditions:
         return conditions.index(value)
-    try:
-        idx = int(value)
+    try:  # mean_spn refuses an index out of range
+        return int(value)
     except ValueError:
         raise ValidationError(
             f"unknown condition {value!r}; choose from {list(conditions)} or an index"
         ) from None
-    if not 0 <= idx < len(conditions):
-        raise ValidationError(f"condition index {idx} out of range 0..{len(conditions) - 1}")
-    return idx
 
 
 # Each command writes into ``out`` and returns a one-line summary.  The
@@ -84,26 +81,24 @@ def _condition_index(conditions: tuple[str, ...], value: str) -> int:
 
 def cmd_spn_mean(args, data, out: Path) -> str:
     ci = _condition_index(data.condition_labels, args.condition)
-    result, _ = spnio.step_mean_spn(data, out, "", ci, args.base_rate, args.correction,
-                                    args.format)
+    result = spnio.step_mean_spn(data, out, "", ci, args.base_rate, args.correction, args.format)
     return f"mean SPN ({data.condition_labels[ci]}): {result.network.edge_count} edges"
 
 
 def cmd_spn_diff(args, data, out: Path) -> str:
-    (plus, minus), _ = spnio.step_differential_spn(data, out, "", args.base_rate,
-                                                   args.correction, args.format)
+    plus, minus = spnio.step_differential_spn(data, out, "", args.base_rate, args.correction,
+                                              args.format)
     return (f"differential SPN+: {plus.network.edge_count} edges, "
             f"SPN-: {minus.network.edge_count} edges")
 
 
 def cmd_spn_node_diff(args, data, out: Path) -> str:
-    (plus, minus), _ = spnio.step_node_differential_spn(data, out, "", args.base_rate,
-                                                        args.correction)
+    plus, minus = spnio.step_node_differential_spn(data, out, "", args.base_rate, args.correction)
     return f"node differential SPN: {len(plus.flagged_nodes)} up, {len(minus.flagged_nodes)} down"
 
 
 def cmd_metrics(args, data, out: Path) -> str:
-    rows, _ = spnio.step_metrics(data, out, "", "abs" if args.abs else "error", args.tau)
+    rows = spnio.step_metrics(data, out, "", "abs" if args.abs else "error", args.tau)
     return f"metrics for {len(rows)} subject x condition cells"
 
 

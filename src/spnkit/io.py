@@ -19,6 +19,7 @@ import json
 import os
 import shutil
 import tempfile
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -164,8 +165,9 @@ def _parse_fault(path: Path, what: str, exc: ValueError) -> str:
             return (f"line {lineno} holds {len(tokens)} values, expected {len(rows[0][1])} "
                     f"(as on line {rows[0][0]})")
         for col, token in enumerate(tokens):
-            try:
+            try:  # float refuses an empty entry, numpy's parser a token such as '1_0'
                 float(token)
+                np.loadtxt([token], delimiter=",")
             except ValueError:
                 return (f"cannot parse {what}: line {lineno}, entry ({row},{col}) holds "
                         f"{token.strip()!r}, not a number")
@@ -174,11 +176,16 @@ def _parse_fault(path: Path, what: str, exc: ValueError) -> str:
 
 def _read_csv(path: Path, what: str) -> np.ndarray:
     """The numbers of one headerless comma-separated file, as a 2-d array;
-    a file numpy cannot parse is a DataError naming it and ``_parse_fault``."""
+    a file numpy cannot parse, or that holds no values, is a DataError naming it."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # numpy warns of a file with no values
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise DataError(f"{path}: {_parse_fault(path, what, exc)}") from exc
+    if table.size == 0:
+        raise DataError(f"{path}: cannot parse {what}: the file holds no values")
+    return table
 
 
 def load_matrix_csv(path, n_nodes: int | None = None) -> np.ndarray:
@@ -377,15 +384,17 @@ def graph_from_json(path) -> BinaryGraph | WeightedGraph:
 #
 # Each step takes the loaded data, an output directory and a file-name
 # prefix ("02_" and so on inside report_pipeline, "" for a CLI
-# subcommand), and returns its in-memory result with the paths it wrote.
+# subcommand), writes its files and returns only its in-memory result.
+# What a run wrote is read from its staging directory.
 
 
 @dataclass(frozen=True, eq=False)
 class ReportBundle:
     """In-memory results plus the files written by report_pipeline.
 
-    ``paths`` names the report files in the caller's ``out_dir``, with no
-    run log among them (``spnkit report`` writes ``run_log.txt`` itself).
+    ``paths`` names the report files in the caller's ``out_dir``, in sorted
+    order, the order in which ``run_log.txt`` lists them; no run log is
+    among them (``spnkit report`` writes ``run_log.txt`` itself).
     Warnings are not kept here: each reaches the caller's filters when raised.
     """
 
@@ -520,9 +529,9 @@ def step_weighted_density(data: StudyDataset, out: Path, prefix: str, negatives:
     """Step 1: the weighted density of every subject x condition cell."""
     table = [(subject, condition, weighted_density(g))
              for subject, condition, _, g in _cell_graphs(data, negatives)]
-    return table, [write_csv(out / f"{prefix}weighted_density.csv",
-                             ["subject", "condition", "weighted_density"],
-                             ((s, c, repr(v)) for s, c, v in table))]
+    write_csv(out / f"{prefix}weighted_density.csv", ["subject", "condition", "weighted_density"],
+              ((s, c, repr(v)) for s, c, v in table))
+    return table
 
 
 def step_metrics(data: StudyDataset, out: Path, prefix: str, negatives: str, tau: float | None):
@@ -540,20 +549,20 @@ def step_metrics(data: StudyDataset, out: Path, prefix: str, negatives: str, tau
             bg = threshold(matrix, tau)
             row += [bg.edge_count, repr(global_efficiency(bg)), repr(local_efficiency(bg))]
         rows.append(row)
-    return rows, [write_csv(out / f"{prefix}metrics.csv", header, rows)]
+    write_csv(out / f"{prefix}metrics.csv", header, rows)
+    return rows
 
 
 def step_node_differential_spn(data: NodeSignalDataset, out: Path, prefix: str,
                                base_rate: float, correction: str):
     """The node differential SPN pair: a per-node stats CSV and the flagged labels as JSON."""
     plus, minus = node_differential_spn(data, base_rate, correction)
-    stats = write_node_differential_stats(out / f"{prefix}node_differential_stats.csv",
-                                          data.node_labels, plus)
+    write_node_differential_stats(out / f"{prefix}node_differential_stats.csv",
+                                  data.node_labels, plus)
     payload = {tag: [data.node_labels[v] for v in result.flagged_nodes]
                for tag, result in (("upweighted", plus), ("downweighted", minus))}
-    flagged = out / f"{prefix}node_differential.json"
-    flagged.write_text(json.dumps(payload, indent=2) + "\n")
-    return (plus, minus), [stats, flagged]
+    (out / f"{prefix}node_differential.json").write_text(json.dumps(payload, indent=2) + "\n")
+    return plus, minus
 
 
 def step_mean_spn(data: StudyDataset, out: Path, prefix: str, condition: int,
@@ -561,52 +570,44 @@ def step_mean_spn(data: StudyDataset, out: Path, prefix: str, condition: int,
     """Step 2: the mean SPN of one condition, as a graph and a stats CSV."""
     result = mean_spn(data, condition, base_rate, correction)
     stem = f"{prefix}mean_spn_{safe_name(data.condition_labels[condition])}"
-    return result, [
-        export_graph(result.network, fmt, out / f"{stem}.{fmt}"),
-        write_mean_spn_stats(out / f"{stem}_stats.csv", data.node_labels, result),
-    ]
+    export_graph(result.network, fmt, out / f"{stem}.{fmt}")
+    write_mean_spn_stats(out / f"{stem}_stats.csv", data.node_labels, result)
+    return result
 
 
 def step_differential_spn(data: StudyDataset, out: Path, prefix: str,
                           base_rate: float, correction: str, fmt: str):
     """Step 3: the differential SPN+/SPN- pair and their shared stats CSV."""
     plus, minus = differential_spn(data, base_rate, correction)
-    paths = [
+    for tag, result in (("plus", plus), ("minus", minus)):
         export_graph(result.network, fmt, out / f"{prefix}differential_spn_{tag}.{fmt}")
-        for tag, result in (("plus", plus), ("minus", minus))
-    ]
-    paths.append(write_differential_stats(
-        out / f"{prefix}differential_stats.csv", data.node_labels, plus))
-    return (plus, minus), paths
+    write_differential_stats(out / f"{prefix}differential_stats.csv", data.node_labels, plus)
+    return plus, minus
 
 
 def step_density_profiles(data: StudyDataset, out: Path, prefix: str, negatives: str,
                           metric: str, density_grid):
     """Step 4: density-integrated metric profiles of each condition-mean matrix.
 
-    Each condition's profile rows are written as soon as it is done."""
+    Every condition's profile is computed before either table is opened, so
+    a refused condition leaves no table behind."""
     metric_fn = density_mod.metric_by_name(metric)
-    profiles, summary_rows = {}, []
-
-    def profile_rows():
-        for ci, condition in enumerate(data.condition_labels):
-            source = f"condition-mean association matrix of condition {condition!r}"
-            g = _dataset_graph(data, condition_mean_matrix(data, ci), negatives, source)
-            try:
-                profile = density_mod.density_integrated_metric(g, metric_fn, grid=density_grid)
-            except ValidationError as exc:
-                raise ValidationError(f"density profile of condition {condition!r}: {exc}") from exc
-            profiles[condition] = profile
-            for k, mass, value in zip(profile.densities, profile.weights, profile.values):
-                yield condition, k, repr(float(mass)), repr(float(value))
-            summary_rows.append((condition, metric, repr(profile.integrated)))
-
-    return profiles, [
-        write_csv(out / f"{prefix}density_profiles.csv",
-                  ["condition", "k", "p_mass", "value"], profile_rows()),
-        write_csv(out / f"{prefix}density_integrated.csv",
-                  ["condition", "metric", "integrated"], summary_rows),
-    ]
+    profiles = {}
+    for ci, condition in enumerate(data.condition_labels):
+        source = f"condition-mean association matrix of condition {condition!r}"
+        g = _dataset_graph(data, condition_mean_matrix(data, ci), negatives, source)
+        try:
+            profiles[condition] = density_mod.density_integrated_metric(g, metric_fn, density_grid)
+        except ValidationError as exc:
+            raise ValidationError(f"density profile of condition {condition!r}: {exc}") from exc
+    write_csv(out / f"{prefix}density_profiles.csv", ["condition", "k", "p_mass", "value"],
+              ((condition, k, repr(float(mass)), repr(float(value)))
+               for condition, profile in profiles.items()
+               for k, mass, value in zip(profile.densities, profile.weights, profile.values)))
+    write_csv(out / f"{prefix}density_integrated.csv", ["condition", "metric", "integrated"],
+              ((condition, metric, repr(profile.integrated))
+               for condition, profile in profiles.items()))
+    return profiles
 
 
 def report_pipeline(
@@ -639,21 +640,16 @@ def report_pipeline(
                 f"conditions {data.condition_labels[first]!r} and "
                 f"{data.condition_labels[ci]!r} share the file stem 02_mean_spn_{stem}")
     with staged(out_dir) as out:
-        table, paths = step_weighted_density(data, out, "01_", negatives)
-        mean_results = {}
-        for ci, condition in enumerate(data.condition_labels):
-            mean_results[condition], written = step_mean_spn(
-                data, out, "02_", ci, base_rate, correction, fmt)
-            paths += written
-        differential, written = step_differential_spn(data, out, "03_", base_rate, correction, fmt)
-        paths += written
-        profiles, written = step_density_profiles(
-            data, out, "04_", negatives, metric, density_grid)
-        paths += written
+        table = step_weighted_density(data, out, "01_", negatives)
+        mean_results = {condition: step_mean_spn(data, out, "02_", ci, base_rate, correction, fmt)
+                        for ci, condition in enumerate(data.condition_labels)}
+        differential = step_differential_spn(data, out, "03_", base_rate, correction, fmt)
+        profiles = step_density_profiles(data, out, "04_", negatives, metric, density_grid)
+        names = sorted(path.name for path in out.iterdir())
     return ReportBundle(
         density_table=tuple(table),
         mean_spns=mean_results,
         differential=differential,
         density_profiles=profiles,
-        paths=tuple(Path(out_dir) / p.name for p in paths),
+        paths=tuple(Path(out_dir) / name for name in names),
     )

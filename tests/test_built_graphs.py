@@ -203,7 +203,7 @@ def test_no_dataset_graph_runs_the_checked_constructor(monkeypatch, tmp_path):
                         lambda self: calls.append(self) or checked(self))
     data = signed_dataset(np.random.default_rng(13))
     sk.report_pipeline(data, tmp_path / "report", negatives="abs", density_grid=[3, 6, 9])
-    rows, _ = spnio.step_metrics(data, tmp_path, "", "abs", 0.3)
+    rows = spnio.step_metrics(data, tmp_path, "", "abs", 0.3)
     assert len(rows) == data.n_subjects * data.n_conditions
     assert calls == []
     sk.association_graph(np.zeros((3, 3)))  # the counter sees a checked build

@@ -217,13 +217,22 @@ class TestInputErrorsNameTheirSource:
         assert str(err.value) == (f"{path}: cannot parse matrix: line 1, entry (0,0) "
                                   "holds '0.0;0.2', not a number")
 
-    def test_a_fault_only_numpy_sees_keeps_numpys_reason(self, tmp_path):
+    def test_a_token_only_numpy_refuses_names_its_cell_and_line(self, tmp_path):
         # float() reads 1_0 as 10.0; np.loadtxt refuses it
         path = tmp_path / "m.csv"
         path.write_text("0.0,1_0\n1_0,0.0\n")
-        with pytest.raises(DataError, match=r"m\.csv: cannot parse matrix: ") as err:
+        with pytest.raises(DataError) as err:
             spnio.load_matrix_csv(path)
-        assert "entry (" not in str(err.value)
+        assert str(err.value) == (f"{path}: cannot parse matrix: line 1, entry (0,1) "
+                                  "holds '1_0', not a number")
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comment-only"])
+    def test_a_file_with_no_values_is_named(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as err:
+            spnio.load_matrix_csv(path)
+        assert str(err.value) == f"{path}: cannot parse matrix: the file holds no values"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_signal_names_file_and_node(self, tmp_path, capsys, value):
@@ -324,7 +333,8 @@ class TestSignedInputRefusal:
         assert "np.float64" not in err
 
     def test_a_refused_condition_leaves_no_profile_table(self, signed_manifest, tmp_path):
-        # the 'rest' rows are written before the 'task' mean is refused
+        # every condition's profile is computed before a table is opened, so
+        # the refusal of the 'task' mean leaves nothing, 'rest' rows included
         data = sk.load_dataset(signed_manifest)
         out = tmp_path / "out"
         out.mkdir()
@@ -455,6 +465,7 @@ class TestInputErrorBranches:
     @pytest.mark.parametrize("condition,message", [
         ("nap", "unknown condition 'nap'; choose from ['rest', 'task'] or an index"),
         ("2", "condition index 2 out of range 0..1"),
+        ("-1", "condition index -1 out of range 0..1"),
     ])
     def test_bad_condition(self, small_manifest, tmp_path, capsys, condition, message):
         err = refused(capsys, ["spn", "mean", "--manifest", str(small_manifest),
@@ -464,6 +475,7 @@ class TestInputErrorBranches:
     @pytest.mark.parametrize("text,message", [
         ("1.6,3.6\n", "expected 3 signal values, got 2"),
         ("1.6,abc,3.6\n", "cannot parse signal vector"),
+        ("# no values\n", "cannot parse signal vector: the file holds no values"),
     ])
     def test_bad_signal_file(self, tmp_path, capsys, text, message):
         corr = [[hollow(3, 0.2), hollow(3, 0.3)], [hollow(3, 0.25), hollow(3, 0.35)]]
@@ -859,7 +871,24 @@ class TestReportPipeline:
         assert len(bundle.paths) == 14
         for path in bundle.paths:
             assert path.parent == out and path.is_file(), path
-        assert sorted(out.iterdir()) == sorted(bundle.paths)
+        assert list(bundle.paths) == sorted(out.iterdir())
+
+
+def _error_filter(monkeypatch):
+    """Caller filters: DegenerateStatisticsWarning is an error."""
+    warnings.simplefilter("error", sk.DegenerateStatisticsWarning)
+
+
+def _other_category_first(monkeypatch):
+    """Caller filters: a catch-all error filter behind one of another category."""
+    warnings.simplefilter("error")
+    warnings.filterwarnings("ignore", category=DeprecationWarning)
+
+
+def _no_filter_and_an_error_default(monkeypatch):
+    """Caller filters: none, with "error" as the default action."""
+    warnings.resetwarnings()
+    monkeypatch.setattr(warnings, "defaultaction", "error")
 
 
 class TestCli:
@@ -1051,16 +1080,21 @@ class TestCli:
         assert capsys.readouterr().err == (
             "degenerate statistics: grand SD is zero (constant dataset); mean SPN is empty\n")
 
+    @pytest.mark.parametrize("caller_filters", [_error_filter, _other_category_first,
+                                                _no_filter_and_an_error_default],
+                             ids=["error-filter", "other-category-first", "error-default-action"])
     def test_caller_filter_that_raises_the_warning_exits_4(self, constant_manifest, tmp_path,
-                                                           capsys, monkeypatch):
+                                                           capsys, monkeypatch, caller_filters):
         # the caller's error filter stops the run at the first warning, as
-        # --strict does, instead of running every step before the re-issue
+        # --strict does, instead of running every step before the re-issue;
+        # a filter of another category is passed over, and with no filter
+        # the default action decides
         calls, step_3 = [], spnio.step_differential_spn
         monkeypatch.setattr(spnio, "step_differential_spn",
                             lambda *a, **k: calls.append(a) or step_3(*a, **k))
         out = tmp_path / "out"
         with warnings.catch_warnings():
-            warnings.simplefilter("error", sk.DegenerateStatisticsWarning)
+            caller_filters(monkeypatch)
             code = cli_main(["report", "--manifest", str(constant_manifest),
                              "--out-dir", str(out)])
         assert code == 4
@@ -1068,6 +1102,22 @@ class TestCli:
         assert calls == []
         assert capsys.readouterr().err == (
             "degenerate statistics: grand SD is zero (constant dataset); mean SPN is empty\n")
+
+    def test_a_message_filter_that_ignores_the_warning_lets_the_run_log_it(
+            self, constant_manifest, tmp_path):
+        # the ignore filter matches only some DegenerateStatisticsWarnings, so
+        # the run goes on, logs the warning, and the re-issue is ignored
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", message="grand SD is zero",
+                                    category=sk.DegenerateStatisticsWarning)
+            code = cli_main(["spn", "mean", "--manifest", str(constant_manifest),
+                             "--condition", "rest", "--out-dir", str(out)])
+        assert code == 0
+        assert caught == []
+        assert ("warning: grand SD is zero (constant dataset); mean SPN is empty\n"
+                in (out / "run_log.txt").read_text())
 
     def test_import_leaves_the_heavy_scipy_modules_unloaded(self, quoted_manifest, tmp_path):
         # no spnkit computation imports scipy.special or scipy.sparse: the
@@ -1134,6 +1184,20 @@ class TestOnePipeline:
                 compared += 1
         assert compared == 3 * 2 + 3 + 2
 
+    def test_bundle_paths_are_the_files_the_run_log_lists(self, trend_manifest, tmp_path,
+                                                          monkeypatch):
+        bundles, pipeline = [], spnio.report_pipeline
+        monkeypatch.setattr(spnio, "report_pipeline",
+                            lambda *a, **k: bundles.append(pipeline(*a, **k)) or bundles[-1])
+        out = tmp_path / "out"
+        assert run_cli(["report", "--manifest", str(trend_manifest), "--abs", "--grid", "1:15:2",
+                        "--out-dir", str(out)]) == 0
+        logged = [line.removeprefix("wrote: ")
+                  for line in (out / "run_log.txt").read_text().splitlines()
+                  if line.startswith("wrote: ")]
+        assert [p.name for p in bundles[0].paths] == [n for n in logged if n != "run_log.txt"]
+        assert len(bundles[0].paths) == 1 + 2 * 3 + 3 + 2
+
     def test_metrics_and_node_diff_write_the_step_bytes(self, quoted_manifest, tmp_path):
         m = ["--manifest", str(quoted_manifest)]
         via_cli = tmp_path / "cli"
@@ -1142,12 +1206,11 @@ class TestOnePipeline:
         direct = tmp_path / "direct"
         direct.mkdir()
         manifest = spnio.parse_manifest(quoted_manifest)
-        _, paths = spnio.step_metrics(spnio.load_dataset(manifest), direct, "", "abs", 0.3)
-        _, written = spnio.step_node_differential_spn(spnio.load_node_signals(manifest), direct,
-                                                      "", 0.05, "fdr")
-        paths += written
+        spnio.step_metrics(spnio.load_dataset(manifest), direct, "", "abs", 0.3)
+        spnio.step_node_differential_spn(spnio.load_node_signals(manifest), direct, "", 0.05, "fdr")
+        paths = sorted(direct.iterdir())
         assert [p.name for p in paths] == [
-            "metrics.csv", "node_differential_stats.csv", "node_differential.json"]
+            "metrics.csv", "node_differential.json", "node_differential_stats.csv"]
         for path in paths:
             assert path.read_bytes() == (via_cli / path.name).read_bytes(), path.name
 

@@ -36,6 +36,12 @@ OPS = {
     "metrics": ["metrics", *MANIFEST, "--abs", "--tau", "0.3"],
     "density-profile": ["density-profile", *MANIFEST, "--abs", "--metric", "modularity_q",
                         "--grid", "1:1128:24"],
+    "density-profile-global": ["density-profile", *MANIFEST, "--abs", "--metric",
+                               "global_efficiency"],
+    "density-profile-local": ["density-profile", *MANIFEST, "--abs", "--metric",
+                              "local_efficiency", "--grid", "1:1128:47"],
+    "simulate-rewire": ["simulate", "rewire", "--n-v", "16", "--n-e", "30", "--grid", "0:20:10",
+                        "--replicates", "3", "--seed", "5"],
     "simulate-edges": ["simulate", "edges", "--n-v", "16", "--topology", "random",
                        "--edge-grid", "20,40,60", "--replicates", "3", "--seed", "5"],
 }
