@@ -7,9 +7,9 @@ DOT for external layout), and one matrix file per (subject, condition)
 cell; file paths are resolved relative to the manifest.
 
 Node label order in the manifest is authoritative: loading never
-reorders nodes, and every exported artifact follows that order.  All
-writers are deterministic (no timestamps), so a rerun with the same
-inputs and options is byte-identical.
+reorders nodes, and every exported artifact follows that order.  Files
+are read and written as UTF-8 whatever the locale, and no writer embeds a
+timestamp, so a rerun with the same inputs and options is byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import os
 import shutil
 import tempfile
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,7 +158,7 @@ def _parse_fault(path: Path, what: str, exc: ValueError) -> str:
     naming the entry by its 0-based (row, col) cell and the line by its
     1-based number; else numpy's reason ``exc``."""
     rows = [(lineno, text.split(",")) for lineno, line
-            in enumerate(path.read_text(errors="replace").splitlines(), start=1)
+            in enumerate(path.read_text(encoding="utf-8", errors="replace").splitlines(), start=1)
             if (text := line.split("#", 1)[0].strip())]
     for row, (lineno, tokens) in enumerate(rows):
         if len(tokens) != len(rows[0][1]):
@@ -180,7 +180,7 @@ def _read_csv(path: Path, what: str) -> np.ndarray:
     try:
         with warnings.catch_warnings():  # numpy warns of a file with no values
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(path, delimiter=",", ndmin=2)
+            table = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8")
     except ValueError as exc:
         raise DataError(f"{path}: {_parse_fault(path, what, exc)}") from exc
     if table.size == 0:
@@ -354,12 +354,7 @@ def export_graph(g, fmt: str, path) -> Path:
         text = json.dumps(payload, indent=2) + "\n"
     else:  # a uint8 adjacency lists as ints, weights as floats; repr prints both
         text = "\n".join(",".join(map(repr, row)) for row in getattr(g, key).tolist()) + "\n"
-    path = Path(path)
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-    return path
+    return _write_text(Path(path), text)
 
 
 def graph_from_json(path) -> BinaryGraph | WeightedGraph:
@@ -409,14 +404,25 @@ def safe_name(label: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in label)
 
 
-def write_csv(path: Path, header: list[str], rows) -> Path:
-    """Write a CSV table: LF line ends, a field quoted only if it holds , " or LF.
+def _write_text(path: Path, text: str) -> Path:
+    """Write ``text`` to ``path`` as UTF-8; a failure names the file."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+    return path
 
-    Rows go to the file as ``rows`` yields them, so a generator's rows are
-    never all held at once.  If ``rows`` raises, the file is removed.
+
+def write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write a UTF-8 CSV table: LF line ends, a field quoted only if it holds , " or LF.
+
+    The one place a table number becomes text: callers pass Python numbers
+    (``.tolist()``, not numpy scalars), and ``csv`` writes a float as its
+    ``repr``.  Rows go to the file as ``rows`` yields them, so a generator's
+    rows are never all held at once.  If ``rows`` raises, the file is removed.
     """
     try:
-        with path.open("w") as f:
+        with path.open("w", encoding="utf-8") as f:
             table = csv.writer(f, lineterminator="\n")
             table.writerow(header)
             table.writerows(rows)
@@ -431,10 +437,11 @@ def staged(out_dir):
     """Yield a new ``.staging-*`` directory inside ``out_dir`` (made, with its
     parents, if needed) to write a run into.  On success its files move up
     into ``out_dir`` in sorted order; on any exception, KeyboardInterrupt
-    included, it is removed, and ``out_dir`` too if this call made it.
-    Staging inside ``out_dir`` keeps each move on one file system."""
+    included, it is removed, and so is ``out_dir`` if it did not exist when
+    the call began, and each of its parents that did not exist then and is
+    still empty.  Staging inside ``out_dir`` keeps each move on one file system."""
     out = Path(out_dir)
-    created = not out.is_dir()
+    made = [path for path in (out, *out.parents) if not path.is_dir()]  # innermost first
     out.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
@@ -442,7 +449,10 @@ def staged(out_dir):
         for path in sorted(staging.iterdir()):
             os.replace(path, out / path.name)
     except BaseException:
-        shutil.rmtree(out if created else staging, ignore_errors=True)
+        shutil.rmtree(out if made else staging, ignore_errors=True)
+        for parent in made[1:]:  # os.rmdir keeps a directory another process wrote into
+            with suppress(OSError):
+                os.rmdir(parent)
         raise
     staging.rmdir()
 
@@ -450,8 +460,8 @@ def staged(out_dir):
 def write_sweep(path, rows) -> Path:
     """Write the rows of ``randomness_sweep`` or ``edges_sweep`` as a CSV table."""
     return write_csv(Path(path), ["parameter", "replicates", "mean_modules", "sd_modules"],
-                     ((row.parameter, row.replicates, repr(row.mean_modules),
-                       repr(row.sd_modules)) for row in rows))
+                     ((row.parameter, row.replicates, row.mean_modules, row.sd_modules)
+                      for row in rows))
 
 
 def write_run_log(out_dir, command: str, config: dict, notes, paths) -> Path:
@@ -469,19 +479,13 @@ def write_run_log(out_dir, command: str, config: dict, notes, paths) -> Path:
     ]
     lines += [f"warning: {note}" for note in notes]
     lines += [f"wrote: {Path(p).name}" for p in paths]
-    log_path = Path(out_dir) / "run_log.txt"
-    log_path.write_text("\n".join(lines) + "\n")
-    return log_path
+    return _write_text(Path(out_dir) / "run_log.txt", "\n".join(lines) + "\n")
 
 
 def condition_mean_matrix(data: StudyDataset, condition: int) -> np.ndarray:
     """Fisher-domain mean of one condition's matrices, back-transformed."""
     z = np.arctanh(data.edge_values[:, condition])  # the cells passed |r| < 1 as they entered
     return _symmetric(fisher_z_inverse(z.mean(axis=0)), data.n_nodes)
-
-
-def _float_column(values: np.ndarray) -> list[str]:
-    return [repr(x) for x in values.tolist()]
 
 
 def _edge_keys(node_labels) -> dict:
@@ -505,7 +509,7 @@ def _write_stats(path, keys: dict, result: SpnResult, names: tuple, marks: tuple
     return write_csv(
         Path(path),
         [*keys, statistic, "p_value", sign, "rejected", last],
-        zip(*keys.values(), _float_column(result.statistic), _float_column(result.p_value),
+        zip(*keys.values(), result.statistic.tolist(), result.p_value.tolist(),
             result.sign.tolist(), rejected.astype(int).tolist(), marked.tolist()),
     )
 
@@ -530,7 +534,7 @@ def step_weighted_density(data: StudyDataset, out: Path, prefix: str, negatives:
     table = [(subject, condition, weighted_density(g))
              for subject, condition, _, g in _cell_graphs(data, negatives)]
     write_csv(out / f"{prefix}weighted_density.csv", ["subject", "condition", "weighted_density"],
-              ((s, c, repr(v)) for s, c, v in table))
+              table)
     return table
 
 
@@ -543,11 +547,11 @@ def step_metrics(data: StudyDataset, out: Path, prefix: str, negatives: str, tau
         header += ["n_edges_tau", "global_efficiency_tau", "local_efficiency_tau"]
     rows = []
     for subject, condition, matrix, g in _cell_graphs(data, negatives):
-        row = [subject, condition, repr(weighted_density(g)), repr(weighted_efficiency(g)),
+        row = [subject, condition, weighted_density(g), weighted_efficiency(g),
                int(spread_condition_holds(g))]
         if tau is not None:
             bg = threshold(matrix, tau)
-            row += [bg.edge_count, repr(global_efficiency(bg)), repr(local_efficiency(bg))]
+            row += [bg.edge_count, global_efficiency(bg), local_efficiency(bg)]
         rows.append(row)
     write_csv(out / f"{prefix}metrics.csv", header, rows)
     return rows
@@ -561,7 +565,7 @@ def step_node_differential_spn(data: NodeSignalDataset, out: Path, prefix: str,
                                   data.node_labels, plus)
     payload = {tag: [data.node_labels[v] for v in result.flagged_nodes]
                for tag, result in (("upweighted", plus), ("downweighted", minus))}
-    (out / f"{prefix}node_differential.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_text(out / f"{prefix}node_differential.json", json.dumps(payload, indent=2) + "\n")
     return plus, minus
 
 
@@ -569,10 +573,16 @@ def step_mean_spn(data: StudyDataset, out: Path, prefix: str, condition: int,
                   base_rate: float, correction: str, fmt: str):
     """Step 2: the mean SPN of one condition, as a graph and a stats CSV."""
     result = mean_spn(data, condition, base_rate, correction)
-    stem = f"{prefix}mean_spn_{safe_name(data.condition_labels[condition])}"
-    export_graph(result.network, fmt, out / f"{stem}.{fmt}")
-    write_mean_spn_stats(out / f"{stem}_stats.csv", data.node_labels, result)
+    graph_name, stats_name = _mean_spn_names(prefix, data.condition_labels[condition], fmt)
+    export_graph(result.network, fmt, out / graph_name)
+    write_mean_spn_stats(out / stats_name, data.node_labels, result)
     return result
+
+
+def _mean_spn_names(prefix: str, condition: str, fmt: str) -> tuple[str, str]:
+    """The file names of one condition's mean SPN: its graph, then its stats CSV."""
+    stem = f"{prefix}mean_spn_{safe_name(condition)}"
+    return f"{stem}.{fmt}", f"{stem}_stats.csv"
 
 
 def step_differential_spn(data: StudyDataset, out: Path, prefix: str,
@@ -601,12 +611,11 @@ def step_density_profiles(data: StudyDataset, out: Path, prefix: str, negatives:
         except ValidationError as exc:
             raise ValidationError(f"density profile of condition {condition!r}: {exc}") from exc
     write_csv(out / f"{prefix}density_profiles.csv", ["condition", "k", "p_mass", "value"],
-              ((condition, k, repr(float(mass)), repr(float(value)))
-               for condition, profile in profiles.items()
-               for k, mass, value in zip(profile.densities, profile.weights, profile.values)))
+              ((condition, k, mass, value) for condition, profile in profiles.items()
+               for k, mass, value in zip(profile.densities, profile.weights.tolist(),
+                                         profile.values.tolist())))
     write_csv(out / f"{prefix}density_integrated.csv", ["condition", "metric", "integrated"],
-              ((condition, metric, repr(profile.integrated))
-               for condition, profile in profiles.items()))
+              ((condition, metric, profile.integrated) for condition, profile in profiles.items()))
     return profiles
 
 
@@ -630,15 +639,14 @@ def report_pipeline(
     caller's filters as they are raised.  No run log is written; the
     CLI's ``spnkit report`` writes ``run_log.txt`` next to these files.
     The files are ``staged``: a failure at any step leaves ``out_dir`` as
-    it was.  Condition labels that share a ``safe_name`` are refused first,
-    as their files would overwrite each other.
+    it was.  Two conditions whose mean SPNs would write one file name are
+    refused first, as one file would overwrite the other.
     """
-    stems = [safe_name(condition) for condition in data.condition_labels]
-    for ci, stem in enumerate(stems):
-        if (first := stems.index(stem)) != ci:
-            raise ValidationError(
-                f"conditions {data.condition_labels[first]!r} and "
-                f"{data.condition_labels[ci]!r} share the file stem 02_mean_spn_{stem}")
+    writers = {}
+    for ci, condition in enumerate(data.condition_labels):
+        for name in _mean_spn_names("02_", condition, fmt):
+            if (first := writers.setdefault(name, (ci, condition)))[0] != ci:  # (index, label)
+                raise ValidationError(f"conditions {first[1]!r} and {condition!r} both write {name}")
     with staged(out_dir) as out:
         table = step_weighted_density(data, out, "01_", negatives)
         mean_results = {condition: step_mean_spn(data, out, "02_", ci, base_rate, correction, fmt)

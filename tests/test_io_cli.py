@@ -19,7 +19,7 @@ from spnkit import spn as spn_mod
 from spnkit.cli import main as cli_main
 from spnkit.errors import DataError, IncompleteDesignError, SchemaError, ValidationError
 
-from datasets import build_manifest, planted_trend_dataset, write_matrix
+from datasets import build_manifest, planted_mean_dataset, planted_trend_dataset, write_matrix
 
 
 def hollow(n, value):
@@ -225,6 +225,15 @@ class TestInputErrorsNameTheirSource:
             spnio.load_matrix_csv(path)
         assert str(err.value) == (f"{path}: cannot parse matrix: line 1, entry (0,1) "
                                   "holds '1_0', not a number")
+
+    def test_an_undecodable_comment_gives_numpy_reason(self, tmp_path):
+        # every entry is a number, so no line or cell is to blame; files are UTF-8
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"# r\xe9gion (Latin-1)\n0.0,0.2\n0.2,0.0\n")
+        with pytest.raises(DataError) as err:
+            spnio.load_matrix_csv(path)
+        assert str(err.value).startswith(
+            f"{path}: cannot parse matrix: 'utf-8' codec can't decode byte 0xe9")
 
     @pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comment-only"])
     def test_a_file_with_no_values_is_named(self, tmp_path, text):
@@ -519,8 +528,8 @@ class TestInputErrorBranches:
         manifest = build_manifest(tmp_path, corr, ["A", "B", "C"], ["2 back", "2_back"],
                                   ["s1", "s2"])
         err = refused(capsys, ["report", "--manifest", str(manifest)], tmp_path / "out")
-        assert ("error: conditions '2 back' and '2_back' share the file stem "
-                "02_mean_spn_2_back") in err
+        assert ("error: conditions '2 back' and '2_back' both write "
+                "02_mean_spn_2_back.json") in err
 
     def test_nan_tau_is_refused(self, small_manifest, tmp_path, capsys):
         # every comparison with NaN is false, so it would write edgeless metrics
@@ -808,16 +817,34 @@ class TestReportPipeline:
             assert pa.name == pb.name
             assert pa.read_bytes() == pb.read_bytes()
 
-    def test_condition_labels_sharing_a_file_name_are_refused(self, tmp_path):
+    @pytest.mark.parametrize("conditions, fmt, name", [
         # safe_name maps both labels to 2_back, so one mean SPN would overwrite the other
+        (("2 back", "2_back"), "json", "02_mean_spn_2_back.json"),
+        # the graph of a_stats would overwrite the stats table of a
+        (("a", "a_stats"), "csv", "02_mean_spn_a_stats.csv"),
+        # StudyDataset keeps a repeated condition label, whose files are the same names
+        (("x", "x"), "json", "02_mean_spn_x.json"),
+    ], ids=["one-stem", "graph-over-table", "one-label"])
+    def test_condition_labels_sharing_a_file_name_are_refused(self, tmp_path, conditions, fmt,
+                                                              name):
         corr = np.stack([np.stack([hollow(3, 0.2), hollow(3, 0.4)])] * 2)
-        data = sk.StudyDataset(corr, ("A", "B", "C"), ("2 back", "2_back"), ("s1", "s2"))
+        data = sk.StudyDataset(corr, ("A", "B", "C"), conditions, ("s1", "s2"))
         out = tmp_path / "out"
         with pytest.raises(ValidationError) as err:
-            sk.report_pipeline(data, out)
-        assert str(err.value) == ("conditions '2 back' and '2_back' share the file stem "
-                                  "02_mean_spn_2_back")
+            sk.report_pipeline(data, out, fmt=fmt)
+        first, second = conditions
+        assert str(err.value) == f"conditions {first!r} and {second!r} both write {name}"
         assert not out.exists()
+
+    def test_condition_labels_whose_file_names_differ_are_kept(self, tmp_path):
+        # a and a_stats meet only when the graph is a CSV too
+        corr = np.stack([np.stack([hollow(3, 0.2), hollow(3, 0.4)])] * 2)
+        data = sk.StudyDataset(corr, ("A", "B", "C"), ("a", "a_stats"), ("s1", "s2"))
+        with pytest.warns(sk.DegenerateStatisticsWarning):
+            bundle = sk.report_pipeline(data, tmp_path / "out", fmt="json")
+        assert [p.name for p in bundle.paths if p.name.startswith("02_")] == [
+            "02_mean_spn_a.json", "02_mean_spn_a_stats.csv", "02_mean_spn_a_stats.json",
+            "02_mean_spn_a_stats_stats.csv"]
 
     @pytest.mark.parametrize("option, message", [
         ({"metric": "bogus"}, "unknown metric 'bogus'; choose from ['global_efficiency', "
@@ -1234,8 +1261,7 @@ class TestOnePipeline:
         code = run_cli(["report", "--manifest", str(small_manifest), "--grid", "1:5",
                         "--out-dir", str(out)])
         assert code == 2
-        assert not out.exists()
-        assert list((tmp_path / "runs").iterdir()) == []
+        assert not (tmp_path / "runs").exists()  # the parent the run made goes too
 
     def test_failed_run_leaves_an_existing_out_dir_as_it_was(self, small_manifest, tmp_path):
         out = tmp_path / "out"
@@ -1246,6 +1272,25 @@ class TestOnePipeline:
         assert code == 2
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
         assert (out / "keep.txt").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("existing", [(), ("a",)], ids=["new-a", "existing-a"])
+    def test_failed_run_removes_the_parents_it_made(self, small_manifest, tmp_path, existing):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        for name in existing:
+            (runs / name).mkdir()
+        code = run_cli(["density-profile", "--manifest", str(small_manifest), "--grid", "99999",
+                        "--out-dir", str(runs / "a" / "b" / "c")])
+        assert code == 2
+        assert [p.name for p in runs.iterdir()] == list(existing)
+        assert [p for name in existing for p in (runs / name).iterdir()] == []
+
+    def test_failed_staging_keeps_a_parent_another_writer_filled(self, tmp_path):
+        with pytest.raises(RuntimeError, match="run failed"):
+            with spnio.staged(tmp_path / "a" / "b" / "c"):
+                (tmp_path / "a" / "other.txt").write_text("kept\n")
+                raise RuntimeError("run failed")
+        assert [p.name for p in (tmp_path / "a").iterdir()] == ["other.txt"]
 
     def test_staging_stays_inside_the_default_out_dir(self, small_manifest, tmp_path,
                                                        monkeypatch):
@@ -1415,6 +1460,21 @@ class TestCsvTables:
                     assert r["label_i"] == QUOTED_LABELS[int(r["i"])], path.name
                     assert r["label_j"] == QUOTED_LABELS[int(r["j"])], path.name
 
+    def test_numbers_are_written_as_their_repr(self, tmp_path):
+        values = [0.1, 2 / 3, 1e-300, -0.0, 5e-324, float("nan"), float("inf"), 3]
+        path = spnio.write_csv(tmp_path / "t.csv", ["x"], ([x] for x in values))
+        assert path.read_text().splitlines() == ["x", *map(repr, values)]
+
+    def test_a_failing_row_source_leaves_no_table(self, tmp_path):
+        def rows():
+            yield [1, 0.5]
+            raise RuntimeError("row source failed")
+
+        path = tmp_path / "t.csv"
+        with pytest.raises(RuntimeError, match="row source failed"):
+            spnio.write_csv(path, ["a", "b"], rows())
+        assert not path.exists()
+
     def test_no_subcommand_writes_a_carriage_return(self, quoted_manifest, tmp_path):
         m = ["--manifest", str(quoted_manifest)]
         sweep = ["--n-v", "10", "--replicates", "2"]
@@ -1437,3 +1497,32 @@ class TestCsvTables:
             assert b"\r" not in path.read_bytes(), path
         rows = read_table(tmp_path / "2" / "node_differential_stats.csv")
         assert [r["label"] for r in rows] == list(QUOTED_LABELS)
+
+
+class TestUtf8WhateverTheLocale:
+    def test_a_non_ascii_study_writes_the_same_bytes_under_an_ascii_locale(self, tmp_path):
+        data = planted_mean_dataset(np.random.default_rng(7), edge_index=0, n=6, j=2, n_v=4)
+        manifest = build_manifest(tmp_path, data.correlations(), ["α", "Überblick", "c", "d"],
+                                  data.condition_labels, data.subject_ids)
+        for path in tmp_path.glob("*.csv"):  # a UTF-8 comment line heads every matrix file
+            text = path.read_text(encoding="utf-8")
+            path.write_text("# Matrix für Proband α\n" + text, encoding="utf-8")
+        base = {**os.environ, "PYTHONPATH": str(Path(sk.__file__).parents[1])}
+        ascii_locale = {**base, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        probe = subprocess.run(
+            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+            env=ascii_locale, capture_output=True, text=True, timeout=120, check=True)
+        assert probe.stdout.strip().lower().replace("-", "").replace("_", "") != "utf8"
+
+        def written(env, out):
+            done = subprocess.run(
+                [sys.executable, "-m", "spnkit", "spn", "mean", "--manifest", str(manifest),
+                 "--condition", "c0", "--format", "dot", "--out-dir", str(out)],
+                env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        files = written(ascii_locale, tmp_path / "ascii")
+        assert files == written({**base, "PYTHONUTF8": "1"}, tmp_path / "utf8")
+        assert '"α"'.encode() in files["mean_spn_c0.dot"]
+        assert "Überblick".encode() in files["mean_spn_c0_stats.csv"]

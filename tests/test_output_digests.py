@@ -31,7 +31,9 @@ MANIFEST = ["--manifest", "manifest.json"]
 OPS = {
     "report": ["report", *MANIFEST, "--abs", "--grid", "1:1128:47"],
     "spn-mean": ["spn", "mean", *MANIFEST, "--condition", "c2"],
+    "spn-mean-csv": ["spn", "mean", *MANIFEST, "--condition", "c2", "--format", "csv"],
     "spn-diff": ["spn", "diff", *MANIFEST],
+    "spn-diff-dot": ["spn", "diff", *MANIFEST, "--format", "dot"],
     "spn-node-diff": ["spn", "node-diff", *MANIFEST],
     "metrics": ["metrics", *MANIFEST, "--abs", "--tau", "0.3"],
     "density-profile": ["density-profile", *MANIFEST, "--abs", "--metric", "modularity_q",
