@@ -27,8 +27,9 @@ def _grid_ints(text: str, pieces) -> list[int]:
         raise ValidationError(f"grid {text!r} holds a non-integer entry") from None
 
 
-def _parse_grid(text: str) -> list[int]:
-    """Parse '0,50,100' or inclusive 'start:stop[:step]' into a list of ints."""
+def _parse_grid(text: str) -> range | list[int]:
+    """Parse '0,50,100' into a list of ints, or inclusive 'start:stop[:step]'
+    into a range, left unexpanded: a density grid is bound-checked as it is read."""
     if ":" in text:
         parts = _grid_ints(text, text.split(":"))
         if len(parts) == 2:
@@ -39,11 +40,11 @@ def _parse_grid(text: str) -> list[int]:
             raise ValidationError(f"bad grid syntax {text!r}")
         if step <= 0 or stop < start:
             raise ValidationError(f"bad grid range {text!r}")
-        return list(range(start, stop + 1, step))
+        return range(start, stop + 1, step)
     return _grid_ints(text, [x for x in text.split(",") if x.strip() != ""])
 
 
-def _profile_grid(args) -> list[int] | None:
+def _profile_grid(args) -> range | list[int] | None:
     """The --grid text parsed, or the manifest's grid list the runner put there."""
     if isinstance(args.grid, str):
         return _parse_grid(args.grid) if args.grid else None
@@ -178,7 +179,11 @@ def run(args) -> int:
         config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
         spnio.write_run_log(staging, args.name, config, [str(w.message) for w in caught],
                             sorted(staging.iterdir()))
-    print(f"{summary} -> {args.out_dir}")
+    line = f"{summary} -> {args.out_dir}"
+    try:
+        print(line)
+    except UnicodeEncodeError:  # a label stdout's encoding cannot hold: escape it, as stderr does
+        print(line.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding))
     return 0
 
 

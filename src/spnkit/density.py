@@ -93,11 +93,9 @@ def density_threshold(g: WeightedGraph, k: int) -> BinaryGraph:
 def _validated_grid(g: WeightedGraph, grid, n_positive: int) -> list[int]:
     if grid is None:
         grid = range(1, n_positive + 1)
-    ks = list(grid)
-    if not ks:
-        raise ValidationError("density grid is empty")
     limit = max_edge_count(g.n_nodes)
-    for k in ks:
+    ks = []
+    for k in grid:  # checked as it is added, so a long range is refused before it is held
         _check_integer(k, "density level k")
         if k < 0 or k > limit:
             raise ValidationError(f"density level k={k} outside 0..{limit}")
@@ -106,7 +104,10 @@ def _validated_grid(g: WeightedGraph, grid, n_positive: int) -> list[int]:
                 f"k={k} exceeds the {n_positive} positive-weight edges; "
                 "zero-weight pairs cannot be selected"
             )
-    return [int(k) for k in ks]
+        ks.append(int(k))
+    if not ks:
+        raise ValidationError("density grid is empty")
+    return ks
 
 
 def _efficiency_levels(rows: np.ndarray, cols: np.ndarray, n: int,

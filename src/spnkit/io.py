@@ -408,7 +408,7 @@ def _write_text(path: Path, text: str) -> Path:
     """Write ``text`` to ``path`` as UTF-8; a failure names the file."""
     try:
         path.write_text(text, encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # the latter: a name the file system cannot encode
         raise OSError(f"cannot write {path}: {exc}") from exc
     return path
 
@@ -422,7 +422,11 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
     rows are never all held at once.  If ``rows`` raises, the file is removed.
     """
     try:
-        with path.open("w", encoding="utf-8") as f:
+        f = path.open("w", encoding="utf-8")
+    except UnicodeEncodeError as exc:  # a name the file system cannot encode
+        raise OSError(f"cannot write {path}: {exc}") from exc
+    try:
+        with f:
             table = csv.writer(f, lineterminator="\n")
             table.writerow(header)
             table.writerows(rows)
@@ -442,7 +446,10 @@ def staged(out_dir):
     still empty.  Staging inside ``out_dir`` keeps each move on one file system."""
     out = Path(out_dir)
     made = [path for path in (out, *out.parents) if not path.is_dir()]  # innermost first
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except UnicodeEncodeError as exc:  # a name the file system cannot encode
+        raise OSError(f"cannot write {out}: {exc}") from exc
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
         yield staging

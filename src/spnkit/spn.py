@@ -20,6 +20,7 @@ decision mask in each result follows that order.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -185,6 +186,18 @@ class StudyDataset:
         """
         return _symmetric(self.edge_values, self.n_nodes)
 
+    @functools.cached_property
+    def _grand_statistics(self) -> tuple[float, float]:
+        """The grand mean and SD (unbiased) of the Fisher z of every edge, subject
+        and condition, the mean SPN's reference for each condition: summed once,
+        over one whole-study z copy that is freed on return."""
+        z = _fisher_z_tables(self.edge_values)
+        grand_mean = float(z.mean())
+        # z.std(ddof=1) by numpy's own steps, with the squared deviations formed in z
+        z -= grand_mean
+        z *= z
+        return grand_mean, math.sqrt(float(z.sum()) / (z.size - 1))
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class NodeSignalDataset:
@@ -316,9 +329,9 @@ def mean_spn(
     to zero; a DegenerateStatisticsWarning is emitted and the network is
     empty.
 
-    The grand statistics are summed over one Fisher-z copy of the whole
-    study, which is freed before the tested condition's (N_E, n) table is
-    transformed from the dataset, so the two never coexist.
+    The first mean SPN of a dataset holds one Fisher-z copy of the whole
+    study while it sums the grand statistics, and frees it before the tested
+    condition's (N_E, n) table is transformed; later ones reuse the statistics.
     """
     if data.n_subjects < 2:
         raise ValidationError("mean SPN needs at least 2 subjects")
@@ -328,13 +341,7 @@ def mean_spn(
         raise ValidationError(
             f"condition index {condition} out of range 0..{data.n_conditions - 1}"
         )
-    z = _fisher_z_tables(data.edge_values)
-    grand_mean = float(z.mean())
-    # z.std(ddof=1) by numpy's own steps, with the squared deviations formed in z
-    z -= grand_mean
-    z *= z
-    grand_sd = math.sqrt(float(z.sum()) / (z.size - 1))
-    del z
+    grand_mean, grand_sd = data._grand_statistics
     tested = _fisher_z_tables(data.edge_values[:, condition])
 
     # a constant dataset leaves only rounding noise (~1e-17) in the SD

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -470,6 +471,19 @@ class TestInputErrorBranches:
     def test_bad_grid(self, small_manifest, tmp_path, capsys, args, grid, message):
         args = [str(small_manifest) if a == "MANIFEST" else a for a in args]
         assert message in refused(capsys, [*args, grid], tmp_path / "out")
+
+    def test_a_long_grid_range_is_refused_before_it_is_expanded(self, small_manifest, tmp_path,
+                                                                capsys):
+        # the study has 3 edges: k = 4 is refused, not after a list of 200,000 ints
+        tracemalloc.start()
+        try:
+            err = refused(capsys, ["density-profile", "--manifest", str(small_manifest), "--abs",
+                                   "--grid", "1:200000"], tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err == "error: density profile of condition 'rest': density level k=4 outside 0..3\n"
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("condition,message", [
         ("nap", "unknown condition 'nap'; choose from ['rest', 'task'] or an index"),
@@ -1148,8 +1162,10 @@ class TestCli:
 
     def test_import_leaves_the_heavy_scipy_modules_unloaded(self, quoted_manifest, tmp_path):
         # no spnkit computation imports scipy.special or scipy.sparse: the
-        # p-values and the weighted shortest paths are spnkit's own numpy code
-        unloaded = "print(sorted({'scipy.special', 'scipy.sparse'} & set(sys.modules)))"
+        # p-values and the weighted shortest paths are spnkit's own numpy code;
+        # numpy.random (about 6 MB) is loaded only by the simulations
+        unloaded = ("print(sorted({'scipy.special', 'scipy.sparse', 'numpy.random'}"
+                    " & set(sys.modules)))")
         probe = f"import sys, spnkit, spnkit.cli; {unloaded}"
         env = {**os.environ, "PYTHONPATH": str(Path(sk.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -1499,6 +1515,19 @@ class TestCsvTables:
         assert [r["label"] for r in rows] == list(QUOTED_LABELS)
 
 
+def checked_ascii_locale() -> tuple[dict, dict]:
+    """The environment of a child spnkit under the UTF-8 mode and under an
+    ASCII locale, having checked that the latter's preferred encoding is not
+    UTF-8 (so that it can tell a UTF-8 writer from a locale one)."""
+    base = {**os.environ, "PYTHONPATH": str(Path(sk.__file__).parents[1])}
+    ascii_locale = {**base, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        env=ascii_locale, capture_output=True, text=True, timeout=120, check=True)
+    assert probe.stdout.strip().lower().replace("-", "").replace("_", "") != "utf8"
+    return {**base, "PYTHONUTF8": "1"}, ascii_locale
+
+
 class TestUtf8WhateverTheLocale:
     def test_a_non_ascii_study_writes_the_same_bytes_under_an_ascii_locale(self, tmp_path):
         data = planted_mean_dataset(np.random.default_rng(7), edge_index=0, n=6, j=2, n_v=4)
@@ -1507,12 +1536,7 @@ class TestUtf8WhateverTheLocale:
         for path in tmp_path.glob("*.csv"):  # a UTF-8 comment line heads every matrix file
             text = path.read_text(encoding="utf-8")
             path.write_text("# Matrix für Proband α\n" + text, encoding="utf-8")
-        base = {**os.environ, "PYTHONPATH": str(Path(sk.__file__).parents[1])}
-        ascii_locale = {**base, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
-        probe = subprocess.run(
-            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
-            env=ascii_locale, capture_output=True, text=True, timeout=120, check=True)
-        assert probe.stdout.strip().lower().replace("-", "").replace("_", "") != "utf8"
+        utf8, ascii_locale = checked_ascii_locale()
 
         def written(env, out):
             done = subprocess.run(
@@ -1523,6 +1547,62 @@ class TestUtf8WhateverTheLocale:
             return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
         files = written(ascii_locale, tmp_path / "ascii")
-        assert files == written({**base, "PYTHONUTF8": "1"}, tmp_path / "utf8")
+        assert files == written(utf8, tmp_path / "utf8")
         assert '"α"'.encode() in files["mean_spn_c0.dot"]
         assert "Überblick".encode() in files["mean_spn_c0_stats.csv"]
+
+    @staticmethod
+    def second_condition_named(tmp_path, label: str) -> Path:
+        """A 4-node study whose condition 1 is ``label``; its matrix files keep
+        ASCII names, so that an ASCII locale can read them."""
+        data = planted_mean_dataset(np.random.default_rng(7), edge_index=0, n=6, j=2, n_v=4)
+        manifest = build_manifest(tmp_path, data.correlations(), data.node_labels,
+                                  ["c0", "c1"], data.subject_ids)
+        edit_manifest(manifest, lambda p: p.update(
+            conditions=["c0", label],
+            files={s: {"c0": cells["c0"], label: cells["c1"]} for s, cells in p["files"].items()}))
+        return manifest
+
+    def test_a_file_name_the_locale_cannot_encode_is_an_io_error(self, tmp_path):
+        manifest = self.second_condition_named(tmp_path, "Aufgabe-ü")
+        _, ascii_locale = checked_ascii_locale()
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "kept.txt").write_text("before")
+        done = subprocess.run(
+            [sys.executable, "-m", "spnkit", "spn", "mean", "--manifest", str(manifest),
+             "--condition", "1", "--out-dir", str(out)],
+            env=ascii_locale, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3, done.stderr
+        [line] = done.stderr.splitlines()
+        assert line.startswith(f"i/o error: cannot write {out}/.staging-")
+        assert line.endswith("/mean_spn_Aufgabe-\\xfc.json: 'ascii' codec can't encode "
+                             "character '\\xfc' in position "
+                             f"{len(str(out)) + 36}: ordinal not in range(128)")
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+        # a library caller's names are text that the locale may not encode
+        before = sorted(tmp_path.iterdir())
+        probe = ("from pathlib import Path\nfrom spnkit import io\n"
+                 "for write in (lambda: io.staged('ausgabe-\\u00fc').__enter__(),\n"
+                 "              lambda: io.write_csv(Path('tabelle-\\u00fc.csv'), ['x'], [])):\n"
+                 "    try:\n        write()\n    except OSError as exc:\n        print(exc)")
+        done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, capture_output=True,
+                              env={**ascii_locale, "PYTHONIOENCODING": "utf-8"}, timeout=120)
+        assert done.stdout.decode().splitlines() == [
+            f"cannot write {name}: 'ascii' codec can't encode character '\\xfc' in position "
+            f"{name.index('ü')}: ordinal not in range(128)"
+            for name in ("ausgabe-ü", "tabelle-ü.csv")], done.stderr
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_a_summary_the_locale_cannot_encode_is_escaped(self, tmp_path):
+        manifest = self.second_condition_named(tmp_path, "Aufgabe→x")
+        _, ascii_locale = checked_ascii_locale()
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "spnkit", "spn", "mean", "--manifest", str(manifest),
+             "--condition", "1", "--out-dir", str(out)],
+            env=ascii_locale, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"mean SPN (Aufgabe\\u2192x): 1 edges -> {out}\n".encode()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "mean_spn_Aufgabe_x.json", "mean_spn_Aufgabe_x_stats.csv", "run_log.txt"]

@@ -1,5 +1,7 @@
 """Mean, differential, and node-level SPN pipelines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,31 @@ class TestMeanSpn:
         data = noise_dataset(rng, n=3, j=2, n_v=4)
         with pytest.raises(ValidationError):
             sk.mean_spn(data, 5)
+
+    def test_a_dataset_sums_its_grand_statistics_once(self):
+        # the first mean SPN holds a Fisher-z copy of all J = 4 conditions
+        # while it sums the grand mean and SD; a second one on the same
+        # dataset holds only its own condition's table, a quarter of that
+        def peak(call):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = call()
+                return result, tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        data = noise_dataset(np.random.default_rng(4), n=20, j=4, n_v=30)
+        sk.mean_spn(noise_dataset(np.random.default_rng(5), n=20, j=4, n_v=30), 0)  # warm-up
+        _, first_peak = peak(lambda: sk.mean_spn(data, 0))
+        second, second_peak = peak(lambda: sk.mean_spn(data, 1))
+        assert first_peak >= data.edge_values.nbytes
+        assert second_peak < first_peak / 2
+        fresh = sk.mean_spn(sk.StudyDataset(data.correlations(), data.node_labels,
+                                            data.condition_labels, data.subject_ids), 1)
+        for name in ("statistic", "p_value", "sign"):
+            assert np.array_equal(getattr(second, name), getattr(fresh, name)), name
+        assert np.array_equal(second.network.adjacency, fresh.network.adjacency)
 
 
 class TestPipelineRefusals:
